@@ -7,7 +7,7 @@ generator so the whole pipeline is verifiable without clinical data.
 
 __version__ = "0.1.0"
 
-from .ccl import LabelMap, component_sizes, label_components, size_histogram
+from .ccl import LabelMap, label_components, size_histogram
 from .metrics import (
     ClusterCounts,
     SubjectMetrics,
@@ -38,7 +38,6 @@ __all__ = [
     "bh_fdr",
     "cluster_metrics",
     "compare_models",
-    "component_sizes",
     "contrast_stat",
     "dilate_once",
     "evaluate_subject",

@@ -156,11 +156,6 @@ def label_components(mask: BinaryMask, connectivity: int = 26) -> LabelMap:
     return LabelMap(data, k, sizes, connectivity, mask.spacing, mask.affine)
 
 
-def component_sizes(lm: LabelMap) -> list[tuple[int, int]]:
-    """(id, voxel count) pairs sorted by id."""
-    return [(i + 1, int(s)) for i, s in enumerate(lm.component_sizes)]
-
-
 @dataclass(frozen=True)
 class HistogramBin:
     lo: float  # inclusive

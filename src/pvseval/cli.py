@@ -17,11 +17,12 @@ from dataclasses import dataclass, asdict
 from pathlib import Path
 
 from . import __version__
-from .ccl import CONNECTIVITIES, component_sizes, label_components, size_histogram
+from .ccl import CONNECTIVITIES, label_components, size_histogram
 from .errors import InputError
 from .harness import (
     aggregate,
     evaluate_manifest,
+    load_rois,
     losocv_table,
     make_folds,
     read_manifest,
@@ -31,7 +32,7 @@ from .morphology import contrast_stat, contrast_stat_per_cluster
 from .nifti import Volume3D, read_volume, write_volume
 from .phantom import PhantomSpec, Perturbation, generate, perturb
 from .stats import COMPARE_CSV_COLUMNS, compare_models
-from .volume import RoiMask
+from .volume import ensure_same_grid
 
 WORKERS_ENV = "PVSEVAL_WORKERS"
 
@@ -39,8 +40,6 @@ WORKERS_ENV = "PVSEVAL_WORKERS"
 @dataclass
 class RunConfig:
     connectivity: int = 26
-    units: str = "voxels"
-    degenerate_policy: str = "exclude"  # fixed; surfaced for provenance
     fdr_q: float = 0.05
     out_dir: str = "."
     workers: int = 1
@@ -59,14 +58,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             except json.JSONDecodeError as exc:
                 raise InputError(f"{config_path}: invalid JSON config: {exc}") from exc
         for key, value in loaded.items():
-            if key == "degenerate_policy":
-                if value != "exclude":
-                    raise InputError("degenerate_policy is fixed to 'exclude'")
-                continue
             if not hasattr(cfg, key):
                 raise InputError(f"{config_path}: unknown config key {key!r}")
             setattr(cfg, key, type(getattr(cfg, key))(value))
-    for key in ("connectivity", "units", "fdr_q", "workers"):
+    for key in ("connectivity", "fdr_q", "workers"):
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
@@ -76,8 +71,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         cfg.strict_grid = True
     if cfg.connectivity not in CONNECTIVITIES:
         raise InputError(f"connectivity must be one of {CONNECTIVITIES}")
-    if cfg.units not in ("voxels", "mm3"):
-        raise InputError("units must be 'voxels' or 'mm3'")
     if not 0.0 < cfg.fdr_q < 1.0:
         raise InputError("fdr q must lie in (0, 1)")
     if cfg.workers < 1:
@@ -123,24 +116,17 @@ def _require_file(path: str, flag: str) -> str:
     return path
 
 
-def _load_rois(args) -> list[RoiMask]:
-    rois = []
-    if getattr(args, "roi_wm", None):
-        rois.append(RoiMask(read_volume(_require_file(args.roi_wm, "--roi-wm"), "mask"), "WM"))
-    if getattr(args, "roi_bg", None):
-        rois.append(RoiMask(read_volume(_require_file(args.roi_bg, "--roi-bg"), "mask"), "BG"))
-    return rois
-
-
 # -- metrics ---------------------------------------------------------------
 
 def cmd_metrics(args) -> int:
     cfg = _resolve_config(args)
     pred = read_volume(_require_file(args.pred, "--pred"), "mask")
     ref = read_volume(_require_file(args.ref, "--ref"), "mask")
+    rois = load_rois(args.roi_wm and _require_file(args.roi_wm, "--roi-wm"),
+                     args.roi_bg and _require_file(args.roi_bg, "--roi-bg"))
     subject_id = args.subject_id or Path(args.pred).name.split(".")[0]
-    records = evaluate_subject(pred, ref, _load_rois(args), cfg.connectivity,
-                               subject_id=subject_id)
+    records = evaluate_subject(pred, ref, rois, cfg.connectivity,
+                               subject_id=subject_id, strict=cfg.strict_grid)
     out = _out_dir(cfg)
     _write_csv(out / "metrics.csv", CSV_COLUMNS, [r.to_row() for r in records])
     _write_json(out / "metrics.json",
@@ -202,7 +188,8 @@ def _losocv_rows(rows, sites) -> tuple[list[str], list[dict]]:
 def cmd_aggregate(args) -> int:
     cfg = _resolve_config(args)
     manifest = read_manifest(_require_file(args.manifest, "--manifest"))
-    per_subject = evaluate_manifest(manifest, cfg.connectivity, cfg.workers)
+    per_subject = evaluate_manifest(manifest, cfg.connectivity, cfg.workers,
+                                    cfg.strict_grid)
     site_of = {r.subject_id: r.site for r in manifest}
     out = _out_dir(cfg)
     _write_csv(out / "per_subject.csv", CSV_COLUMNS,
@@ -257,9 +244,10 @@ def _losocv_json(row) -> dict:
 
 # -- compare ---------------------------------------------------------------
 
-def _read_per_subject_csv(path: str) -> dict[str, dict[str, dict[str, float | None]]]:
-    """region -> subject_id -> {metric: value or None}."""
+def _read_per_subject_csv(path: str):
+    """(region -> subject_id -> {metric: value or None}, connectivity values)."""
     by_region: dict[str, dict[str, dict[str, float | None]]] = {}
+    connectivities = set()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -273,6 +261,11 @@ def _read_per_subject_csv(path: str) -> dict[str, dict[str, dict[str, float | No
             region = (row.get("region") or "").strip()
             if not sid or not region:
                 raise InputError(f"{path}: row {i}: empty subject_id or region")
+            if sid in by_region.get(region, {}):
+                raise InputError(
+                    f"{path}: row {i}: duplicate row for subject {sid!r}, region {region!r}")
+            if row.get("connectivity"):
+                connectivities.add(row["connectivity"].strip())
             values: dict[str, float | None] = {}
             for metric in METRIC_NAMES:
                 text = (row.get(metric) or "").strip()
@@ -288,13 +281,16 @@ def _read_per_subject_csv(path: str) -> dict[str, dict[str, dict[str, float | No
             by_region.setdefault(region, {})[sid] = values
     if not by_region:
         raise InputError(f"{path}: no rows")
-    return by_region
+    return by_region, connectivities
 
 
 def cmd_compare(args) -> int:
     cfg = _resolve_config(args)
-    a = _read_per_subject_csv(_require_file(args.a, "--a"))
-    b = _read_per_subject_csv(_require_file(args.b, "--b"))
+    a, conn_a = _read_per_subject_csv(_require_file(args.a, "--a"))
+    b, conn_b = _read_per_subject_csv(_require_file(args.b, "--b"))
+    if conn_a and conn_b and conn_a != conn_b:
+        raise InputError(f"--a and --b were computed at different connectivity: "
+                         f"{sorted(conn_a)} vs {sorted(conn_b)}")
     metrics = args.metrics.split(",") if args.metrics else list(METRIC_NAMES)
     for m in metrics:
         if m not in METRIC_NAMES:
@@ -358,6 +354,7 @@ def cmd_contrast(args) -> int:
     cfg = _resolve_config(args)
     image = read_volume(_require_file(args.image, "--image"), "intensity")
     mask = read_volume(_require_file(args.mask, "--mask"), "mask")
+    ensure_same_grid(image, mask, cfg.strict_grid)
     subject_id = args.subject_id or Path(args.mask).name.split(".")[0]
     if args.mode == "per_cluster":
         mask_mean, shell_mean, contrast = contrast_stat_per_cluster(
@@ -386,23 +383,24 @@ def cmd_clusters(args) -> int:
     lm = label_components(mask, cfg.connectivity)
     out = _out_dir(cfg)
     voxel_mm3 = mask.voxel_volume_mm3
+    sizes = lm.component_sizes.tolist()
     size_rows = [
         {"cluster_id": cid, "size_voxels": size, "size_mm3": size * voxel_mm3}
-        for cid, size in component_sizes(lm)
+        for cid, size in enumerate(sizes, start=1)
     ]
     _write_csv(out / "cluster_sizes.csv",
                ("cluster_id", "size_voxels", "size_mm3"), size_rows)
     payload = {
         "component_count": lm.component_count,
         "connectivity": lm.connectivity,
-        "sizes_voxels": [s for _, s in component_sizes(lm)],
+        "sizes_voxels": sizes,
     }
     if lm.component_count > 0:
-        bins = size_histogram([s for _, s in component_sizes(lm)],
-                              log_binning=args.log_binning)
+        bins = size_histogram(sizes, log_binning=args.log_binning)
         _write_csv(out / "size_histogram.csv",
                    ("bin_lo", "bin_hi", "count", "density"),
-                   [asdict(b) for b in bins])
+                   [{"bin_lo": b.lo, "bin_hi": b.hi, "count": b.count,
+                     "density": b.density} for b in bins])
         payload["histogram"] = [asdict(b) for b in bins]
     _write_json(out / "clusters.json", payload, cfg)
     if args.save_labels:
@@ -500,13 +498,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file merged under explicit flags")
     common.add_argument("--connectivity", type=int, choices=CONNECTIVITIES,
                         default=None, help="cluster adjacency (default 26)")
-    common.add_argument("--units", choices=["voxels", "mm3"], default=None,
-                        help="volume unit recorded in provenance; ratios always "
-                             "use voxel counts and reports carry both units")
     common.add_argument("--workers", type=int, default=None,
                         help=f"worker processes (default ${WORKERS_ENV} or 1)")
     common.add_argument("--strict-grid", action="store_true",
-                        help="also require affines to match within 1e-4")
+                        help="metrics, aggregate and contrast also require "
+                             "affines to match within 1e-4")
 
     p = sub.add_parser("metrics", parents=[common],
                        help="evaluate one prediction against one reference")
@@ -514,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", required=True)
     p.add_argument("--roi-wm")
     p.add_argument("--roi-bg")
-    p.add_argument("--image", help="accepted for symmetry; unused by metrics")
     p.add_argument("--subject-id")
     p.set_defaults(func=cmd_metrics)
 

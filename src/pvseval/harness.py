@@ -12,6 +12,7 @@ import csv
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,6 @@ MANIFEST_COLUMNS = (
     "ref_path",
     "roi_wm_path",
     "roi_bg_path",
-    "image_path",
 )
 
 N_FOLDS = 5
@@ -47,7 +47,6 @@ class SubjectRecord:
     ref_path: str
     roi_wm_path: str = ""
     roi_bg_path: str = ""
-    image_path: str = ""
 
 
 @dataclass
@@ -55,7 +54,6 @@ class FoldSpec:
     scheme: str  # "5fcv" or "losocv"
     assignments: dict[str, str]  # subject_id -> fold label
     seed: int
-    stratified: bool = True
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -66,7 +64,6 @@ class FoldSpec:
             scheme=d["scheme"],
             assignments=dict(d["assignments"]),
             seed=int(d["seed"]),
-            stratified=bool(d.get("stratified", True)),
         )
 
 
@@ -91,7 +88,10 @@ class AggregateReport:
 
 
 def read_manifest(path: str | Path) -> list[SubjectRecord]:
-    """Parse a manifest CSV; unknown columns are rejected by name."""
+    """Parse a manifest CSV; unknown columns are rejected by name.
+
+    An image_path column, written by older versions, is accepted and ignored.
+    """
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -101,7 +101,8 @@ def read_manifest(path: str | Path) -> list[SubjectRecord]:
                    if c not in reader.fieldnames]
         if missing:
             raise InputError(f"{path}: manifest header missing columns {missing}")
-        unknown = [c for c in reader.fieldnames if c not in MANIFEST_COLUMNS]
+        unknown = [c for c in reader.fieldnames
+                   if c not in MANIFEST_COLUMNS and c != "image_path"]
         if unknown:
             raise InputError(f"{path}: unknown manifest columns {unknown}")
         records = []
@@ -121,7 +122,6 @@ def read_manifest(path: str | Path) -> list[SubjectRecord]:
                     ref_path=(row.get("ref_path") or "").strip(),
                     roi_wm_path=(row.get("roi_wm_path") or "").strip(),
                     roi_bg_path=(row.get("roi_bg_path") or "").strip(),
-                    image_path=(row.get("image_path") or "").strip(),
                 )
             )
     if not records:
@@ -169,36 +169,38 @@ def make_folds(manifest: list[SubjectRecord], scheme: str, seed: int = 0) -> Fol
     return FoldSpec("5fcv", assignments, seed)
 
 
-def _load_rois(record: SubjectRecord) -> list[RoiMask]:
+def load_rois(wm_path: str | None, bg_path: str | None) -> list[RoiMask]:
+    """The WM and BG ROI masks, skipping an empty path."""
     rois = []
-    if record.roi_wm_path:
-        rois.append(RoiMask(read_volume(record.roi_wm_path, "mask"), "WM"))
-    if record.roi_bg_path:
-        rois.append(RoiMask(read_volume(record.roi_bg_path, "mask"), "BG"))
+    if wm_path:
+        rois.append(RoiMask(read_volume(wm_path, "mask"), "WM"))
+    if bg_path:
+        rois.append(RoiMask(read_volume(bg_path, "mask"), "BG"))
     return rois
 
 
-def evaluate_record(record: SubjectRecord, connectivity: int = 26) -> list[SubjectMetrics]:
+def evaluate_record(
+    record: SubjectRecord, connectivity: int = 26, strict: bool = False
+) -> list[SubjectMetrics]:
     pred = read_volume(record.pred_path, "mask")
     ref = read_volume(record.ref_path, "mask")
-    return evaluate_subject(pred, ref, _load_rois(record), connectivity,
-                            subject_id=record.subject_id)
-
-
-def _evaluate_star(args) -> list[SubjectMetrics]:
-    return evaluate_record(*args)
+    return evaluate_subject(pred, ref, load_rois(record.roi_wm_path, record.roi_bg_path),
+                            connectivity, subject_id=record.subject_id, strict=strict)
 
 
 def evaluate_manifest(
-    manifest: list[SubjectRecord], connectivity: int = 26, workers: int = 1
+    manifest: list[SubjectRecord],
+    connectivity: int = 26,
+    workers: int = 1,
+    strict: bool = False,
 ) -> list[SubjectMetrics]:
     """Per-subject evaluation, parallel across subjects, manifest order."""
     if workers <= 1 or len(manifest) <= 1:
-        nested = [evaluate_record(r, connectivity) for r in manifest]
+        nested = [evaluate_record(r, connectivity, strict) for r in manifest]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            nested = list(pool.map(_evaluate_star,
-                                   [(r, connectivity) for r in manifest]))
+            nested = list(pool.map(evaluate_record, manifest,
+                                   repeat(connectivity), repeat(strict)))
     return [m for sub in nested for m in sub]
 
 

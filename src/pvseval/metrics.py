@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .ccl import label_components
-from .errors import DimMismatchError, LengthMismatchError
+from .errors import LengthMismatchError
 from .nifti import BinaryMask
 from .volume import RoiMask, ensure_same_grid, intersect
 
@@ -101,8 +101,12 @@ class SubjectMetrics:
         return d
 
 
-def _ratios(overlap: int, manual: int, algo: int):
-    """(dsc, sen, ppv, flags) under the exclusion conventions."""
+def _ratios(hit_ref: int, hit_pred: int, manual: int, algo: int):
+    """(dsc, sen, ppv, flags) under the exclusion conventions.
+
+    hit_ref of the manual units touch the prediction and hit_pred of the
+    algo units touch the reference; at voxel level both are the overlap.
+    """
     if manual == 0 and algo == 0:
         return None, None, None, ("both_empty",)
     if manual == 0:
@@ -110,43 +114,34 @@ def _ratios(overlap: int, manual: int, algo: int):
     if algo == 0:
         return 0.0, 0.0, None, ("pred_empty",)
     return (
-        2.0 * overlap / (manual + algo),
-        overlap / manual,
-        overlap / algo,
+        (hit_ref + hit_pred) / (manual + algo),
+        hit_ref / manual,
+        hit_pred / algo,
         (),
     )
 
 
 def voxel_metrics(
-    pred: BinaryMask, ref: BinaryMask, roi: RoiMask | None = None
+    pred: BinaryMask, ref: BinaryMask
 ) -> tuple[VoxelCounts, float | None, float | None, float | None]:
     """Voxel-level (counts, dice, sensitivity, precision)."""
     ensure_same_grid(pred, ref)
-    if roi is not None:
-        pred = intersect(pred, roi.mask)
-        ref = intersect(ref, roi.mask)
     overlap = int(np.count_nonzero(pred.data & ref.data))
     counts = VoxelCounts(overlap, ref.foreground_count, pred.foreground_count)
-    dsc, sen, ppv, _ = _ratios(counts.overlap, counts.manual, counts.algo)
+    dsc, sen, ppv, _ = _ratios(overlap, overlap, counts.manual, counts.algo)
     return counts, dsc, sen, ppv
 
 
 def cluster_metrics(
-    pred: BinaryMask,
-    ref: BinaryMask,
-    connectivity: int = 26,
-    roi: RoiMask | None = None,
+    pred: BinaryMask, ref: BinaryMask, connectivity: int = 26
 ) -> tuple[ClusterCounts, float | None, float | None, float | None]:
     """Cluster-level (counts, dice, sensitivity, precision).
 
-    Labeling happens after ROI restriction. The dice numerator is the sum
-    of both hit counts, (n_manual_hit + n_algo_hit)/(n_manual + n_algo),
-    which reduces to 2n/(n_manual + n_algo) whenever the hit counts agree.
+    The dice numerator is the sum of both hit counts,
+    (n_manual_hit + n_algo_hit)/(n_manual + n_algo), which reduces to
+    2n/(n_manual + n_algo) whenever the hit counts agree.
     """
     ensure_same_grid(pred, ref)
-    if roi is not None:
-        pred = intersect(pred, roi.mask)
-        ref = intersect(ref, roi.mask)
     ref_lm = label_components(ref, connectivity)
     pred_lm = label_components(pred, connectivity)
     manual_touched = np.unique(ref_lm.data[pred.data])
@@ -157,15 +152,8 @@ def cluster_metrics(
         n_manual_hit=int(np.count_nonzero(manual_touched)),
         n_algo_hit=int(np.count_nonzero(algo_touched)),
     )
-    if counts.n_manual == 0 and counts.n_algo == 0:
-        return counts, None, None, None
-    if counts.n_manual == 0:
-        return counts, 0.0, None, 0.0
-    if counts.n_algo == 0:
-        return counts, 0.0, 0.0, None
-    dsc = (counts.n_manual_hit + counts.n_algo_hit) / (counts.n_manual + counts.n_algo)
-    sen = counts.n_manual_hit / counts.n_manual
-    ppv = counts.n_algo_hit / counts.n_algo
+    dsc, sen, ppv, _ = _ratios(counts.n_manual_hit, counts.n_algo_hit,
+                               counts.n_manual, counts.n_algo)
     return counts, dsc, sen, ppv
 
 
@@ -193,19 +181,23 @@ def evaluate_subject(
     rois: list[RoiMask] | None = None,
     connectivity: int = 26,
     subject_id: str = "",
+    strict: bool = False,
 ) -> list[SubjectMetrics]:
-    """One SubjectMetrics per ROI; a single whole-volume record if none."""
-    ensure_same_grid(pred, ref)
+    """One SubjectMetrics per ROI; a single whole-volume record if none.
+
+    Labeling happens after ROI restriction. strict also requires the
+    affines of pred, ref and every ROI to agree.
+    """
+    ensure_same_grid(pred, ref, strict)
     targets = rois if rois else [None]
     out = []
     for roi in targets:
         region = roi.region if roi is not None else "ALL"
-        p = intersect(pred, roi.mask) if roi is not None else pred
-        r = intersect(ref, roi.mask) if roi is not None else ref
+        p = intersect(pred, roi.mask, strict) if roi is not None else pred
+        r = intersect(ref, roi.mask, strict) if roi is not None else ref
         vox, dsc_v, sen_v, ppv_v = voxel_metrics(p, r)
         clus, dsc_n, sen_n, ppv_n = cluster_metrics(p, r, connectivity)
-        _, _, _, flags = _ratios(vox.overlap, vox.manual, vox.algo)
-        flags = list(flags)
+        flags = list(_ratios(vox.overlap, vox.overlap, vox.manual, vox.algo)[3])
         if roi is not None and roi.mask.foreground_count == 0:
             flags.append("empty_region")
         voxel_mm3 = ref.voxel_volume_mm3

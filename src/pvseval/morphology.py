@@ -2,20 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ccl import label_components, neighbor_offsets
 from .errors import DimMismatchError, EmptyMaskError, EmptyShellError
 from .nifti import BinaryMask, Volume3D
-
-
-@dataclass(eq=False, frozen=True)
-class Shell:
-    """The one-voxel dilation ring: dilate(m) minus m."""
-
-    mask: BinaryMask
 
 
 def _or_shifted(dst: np.ndarray, src: np.ndarray, offset: tuple[int, int, int]) -> None:
@@ -31,19 +22,24 @@ def _or_shifted(dst: np.ndarray, src: np.ndarray, offset: tuple[int, int, int]) 
     dst[tuple(dst_sl)] |= src[tuple(src_sl)]
 
 
+def _dilate(data: np.ndarray, connectivity: int) -> np.ndarray:
+    """Boolean array grown by one voxel in every connectivity direction."""
+    out = np.array(data, dtype=bool, order="F")
+    for offset in neighbor_offsets(connectivity):
+        _or_shifted(out, data, offset)
+    return out
+
+
 def dilate_once(m: BinaryMask, connectivity: int = 26) -> BinaryMask:
     """Union of the mask with all connectivity-neighbors of its foreground."""
-    out = np.array(m.data, dtype=bool, order="F")
-    for offset in neighbor_offsets(connectivity):
-        _or_shifted(out, m.data, offset)
-    return BinaryMask(data=out, spacing=m.spacing, affine=m.affine)
+    return BinaryMask(data=_dilate(m.data, connectivity), spacing=m.spacing,
+                      affine=m.affine)
 
 
-def shell(m: BinaryMask, connectivity: int = 26) -> Shell:
-    """Ring of background voxels adjacent to the mask."""
+def shell(m: BinaryMask, connectivity: int = 26) -> BinaryMask:
+    """Ring of background voxels adjacent to the mask: dilate(m) minus m."""
     grown = dilate_once(m, connectivity)
-    ring = BinaryMask(data=grown.data & ~m.data, spacing=m.spacing, affine=m.affine)
-    return Shell(mask=ring)
+    return BinaryMask(data=grown.data & ~m.data, spacing=m.spacing, affine=m.affine)
 
 
 def contrast_stat(
@@ -54,7 +50,7 @@ def contrast_stat(
         raise DimMismatchError(f"grid mismatch: {image.dims} vs {m.dims}")
     if m.foreground_count == 0:
         raise EmptyMaskError("contrast needs a non-empty mask")
-    ring = shell(m, connectivity).mask
+    ring = shell(m, connectivity)
     if ring.foreground_count == 0:
         raise EmptyShellError("mask saturates the grid; shell is empty")
     mask_mean = float(image.data[m.data].mean())
@@ -93,10 +89,7 @@ def contrast_stat_per_cluster(
         box = (slice(x0, x1), slice(y0, y1), slice(z0, z1))
         cluster = np.zeros((x1 - x0, y1 - y0, z1 - z0), dtype=bool, order="F")
         cluster[xs - x0, ys - y0, zs - z0] = True
-        grown = np.array(cluster, order="F")
-        for offset in neighbor_offsets(connectivity):
-            _or_shifted(grown, cluster, offset)
-        ring = grown & ~m.data[box]
+        ring = _dilate(cluster, connectivity) & ~m.data[box]
         if not ring.any():
             continue
         mask_means.append(float(image.data[box][cluster].mean()))

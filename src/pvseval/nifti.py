@@ -22,6 +22,7 @@ from .errors import (
     BadHeaderError,
     BadMagicError,
     InconsistentBitpixError,
+    InputError,
     RangeOverflowError,
     TooShortError,
     TruncatedDataError,
@@ -248,7 +249,8 @@ def read_volume(path: str | Path, mode: str = "intensity") -> Volume3D | BinaryM
     """Read a single-file NIfTI-1 volume.
 
     mode="mask" binarizes the raw stored values (nonzero test, before any
-    scl scaling) and returns a BinaryMask; mode="intensity" applies
+    scl scaling) and returns a BinaryMask, rejecting a float mask that holds
+    NaN, which is neither foreground nor background; mode="intensity" applies
     scl_slope/scl_inter (slope 0 treated as 1) and returns a Volume3D of
     float64.
     """
@@ -288,6 +290,8 @@ def read_volume(path: str | Path, mode: str = "intensity") -> Volume3D | BinaryM
     affine = affine_from_header(hdr)
 
     if mode == "mask":
+        if dtype.kind == "f" and np.isnan(grid).any():
+            raise InputError(f"{path}: mask holds NaN voxels")
         return BinaryMask(data=grid != 0, spacing=spacing, affine=affine)
 
     slope = hdr.scl_slope

@@ -50,9 +50,3 @@ def foreground_volume(m: BinaryMask, units: str = "voxels") -> float:
     if units == "mm3":
         return count * m.voxel_volume_mm3
     raise ValueError(f"units must be 'voxels' or 'mm3', got {units!r}")
-
-
-def empty_like(m: BinaryMask) -> BinaryMask:
-    return BinaryMask(
-        data=np.zeros(m.dims, dtype=bool), spacing=m.spacing, affine=m.affine
-    )

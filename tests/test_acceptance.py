@@ -179,7 +179,7 @@ def test_contrast_sanity():
         image, truth, _ = generate(spec)
         _, _, contrast = contrast_stat(image, truth, 26)
         n_mask = truth.foreground_count
-        n_shell = shell(truth, 26).mask.foreground_count
+        n_shell = shell(truth, 26).foreground_count
         se = math.sqrt(1.0 / n_mask + 1.0 / n_shell)
         assert abs(contrast - 6.0) <= 3 * se, (seed, contrast)
 

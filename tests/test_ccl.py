@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pvseval.ccl import (
-    component_sizes,
     label_components,
     neighbor_offsets,
     size_histogram,
@@ -114,8 +113,8 @@ def test_component_sizes_listing():
     data = np.zeros((5, 5, 5), bool)
     data[1:4, 2, 2] = True  # one 3-voxel line
     lm = label_components(make_mask(data), 26)
-    assert component_sizes(lm) == [(1, 3)]
-    assert component_sizes(label_components(make_mask(np.zeros((3, 3, 3), bool)))) == []
+    assert lm.component_sizes.tolist() == [3]
+    assert label_components(make_mask(np.zeros((3, 3, 3), bool))).component_sizes.tolist() == []
 
 
 class TestSizeHistogram:

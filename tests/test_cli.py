@@ -7,7 +7,7 @@ import pytest
 
 from pvseval.cli import main
 from pvseval.harness import SubjectRecord, write_manifest
-from pvseval.nifti import read_volume, write_volume
+from pvseval.nifti import BinaryMask, Volume3D, read_volume, write_volume
 from pvseval.phantom import PhantomSpec, Perturbation, generate, perturb
 
 
@@ -44,7 +44,8 @@ class TestMetricsCommand:
             assert float(rows[0][metric]) == 1.0
         payload = json.loads((tmp_path / "metrics.json").read_text())
         assert payload["config"]["connectivity"] == 26
-        assert payload["config"]["degenerate_policy"] == "exclude"
+        assert set(payload["config"]) == {
+            "connectivity", "fdr_q", "out_dir", "workers", "strict_grid"}
 
     def test_dim_mismatch_exit_2(self, phantom_files, tmp_path, capsys):
         root = phantom_files["root"]
@@ -87,6 +88,30 @@ class TestMetricsCommand:
                    "--ref", root / "truth.nii.gz", "--out", tmp_path)
         assert code == 1
         assert "internal error" in capsys.readouterr().err
+
+    def test_strict_grid_compares_affines(self, phantom_files, tmp_path, capsys):
+        root, truth = phantom_files["root"], phantom_files["truth"]
+        affine = np.array(truth.affine)
+        affine[0, 3] += 50.0  # same dims, 50 mm apart
+        write_volume(BinaryMask(truth.data, truth.spacing, affine),
+                     tmp_path / "shifted.nii.gz", datatype=2)
+        args = ("metrics", "--pred", tmp_path / "shifted.nii.gz",
+                "--ref", root / "truth.nii.gz", "--out", tmp_path)
+        assert run(*args) == 0
+        assert run(*args, "--strict-grid") == 2
+        assert "affines" in capsys.readouterr().err
+
+    def test_nan_mask_exit_2(self, phantom_files, tmp_path, capsys):
+        root, truth = phantom_files["root"], phantom_files["truth"]
+        data = truth.data.astype(np.float64)
+        data[0, 0, 0] = np.nan
+        path = tmp_path / "nan_pred.nii.gz"
+        write_volume(Volume3D(data, truth.spacing, truth.affine), path, datatype=64)
+        code = run("metrics", "--pred", path, "--ref", root / "truth.nii.gz",
+                   "--out", tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "NaN" in err
 
 
 def build_cohort(root, n_per_site, seed0=0):
@@ -148,6 +173,21 @@ class TestAggregateCommand:
         assert (serial / "per_subject.csv").read_text() == \
             (parallel / "per_subject.csv").read_text()
 
+    def test_strict_grid_checks_rois(self, tmp_path, capsys):
+        manifest, records = build_cohort(tmp_path, {"A": 2})
+        ref = read_volume(records[0].ref_path, "mask")
+        affine = np.array(ref.affine)
+        affine[2, 3] -= 50.0
+        roi = tmp_path / "roi.nii.gz"
+        write_volume(BinaryMask(np.ones(ref.dims, bool), ref.spacing, affine), roi, datatype=2)
+        write_manifest([SubjectRecord(r.subject_id, r.site, r.pred_path, r.ref_path,
+                                      roi_wm_path=str(roi)) for r in records], manifest)
+        assert run("aggregate", "--manifest", manifest, "--out", tmp_path / "o") == 0
+        code = run("aggregate", "--manifest", manifest, "--out", tmp_path / "o",
+                   "--strict-grid", "--workers", "2")
+        assert code == 2
+        assert "affines" in capsys.readouterr().err
+
 
 class TestCompareCommand:
     def test_compare_against_self(self, tmp_path):
@@ -203,6 +243,28 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert "row 2" in err and "dsc_vox" in err
 
+    def test_duplicate_row_exit_2(self, tmp_path, capsys):
+        header = "subject_id,region,dsc_vox,sen_vox,ppv_vox,dsc_num,sen_num,ppv_num"
+        good = tmp_path / "good.csv"
+        good.write_text(f"{header}\ns1,WM,0.5,0.5,0.5,0.5,0.5,0.5\n")
+        dup = tmp_path / "dup.csv"
+        dup.write_text(f"{header}\ns1,WM,0.5,0.5,0.5,0.5,0.5,0.5\n"
+                       "s1,WM,0.7,0.5,0.5,0.5,0.5,0.5\n")
+        code = run("compare", "--a", good, "--b", dup, "--out", tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(dup) in err and "row 3" in err and "duplicate" in err
+
+    def test_connectivity_mismatch_exit_2(self, tmp_path, capsys):
+        manifest, _ = build_cohort(tmp_path, {"A": 3})
+        assert run("aggregate", "--manifest", manifest, "--out", tmp_path / "c26") == 0
+        assert run("aggregate", "--manifest", manifest, "--out", tmp_path / "c6",
+                   "--connectivity", "6") == 0
+        code = run("compare", "--a", tmp_path / "c26" / "per_subject.csv",
+                   "--b", tmp_path / "c6" / "per_subject.csv", "--out", tmp_path / "cmp")
+        assert code == 2
+        assert "connectivity" in capsys.readouterr().err
+
 
 class TestContrastCommand:
     def test_contrast_output(self, phantom_files, tmp_path):
@@ -224,6 +286,18 @@ class TestContrastCommand:
         assert row["mode"] == "per_cluster"
         assert abs(float(row["abs_contrast"]) - 6.0) < 1.5
 
+    def test_strict_grid_compares_image(self, phantom_files, tmp_path, capsys):
+        root, truth = phantom_files["root"], phantom_files["truth"]
+        affine = np.array(truth.affine)
+        affine[1, 3] += 50.0
+        write_volume(BinaryMask(truth.data, truth.spacing, affine),
+                     tmp_path / "shifted.nii.gz", datatype=2)
+        args = ("contrast", "--image", root / "image.nii.gz",
+                "--mask", tmp_path / "shifted.nii.gz", "--out", tmp_path)
+        assert run(*args) == 0
+        assert run(*args, "--strict-grid") == 2
+        assert "affines" in capsys.readouterr().err
+
 
 class TestClustersCommand:
     def test_sizes_and_histogram(self, phantom_files, tmp_path):
@@ -235,6 +309,9 @@ class TestClustersCommand:
         assert len(sizes) == 4
         hist = read_csv(tmp_path / "size_histogram.csv")
         assert abs(sum(float(r["density"]) for r in hist) - 1.0) < 1e-12
+        bins = json.loads((tmp_path / "clusters.json").read_text())["histogram"]
+        assert [(float(r["bin_lo"]), float(r["bin_hi"])) for r in hist] == [
+            (b["lo"], b["hi"]) for b in bins]
         saved = read_volume(labels_path, "intensity")
         assert saved.data.max() == 4
 
@@ -300,6 +377,16 @@ class TestFoldsCommand:
         payload = json.loads((out / "aggregate.json").read_text())
         assert payload["config"]["connectivity"] == 18  # flag wins
         assert payload["config"]["workers"] == 2  # file fills the gap
+
+    @pytest.mark.parametrize("key", ["units", "degenerate_policy"])
+    def test_removed_config_key_rejected(self, tmp_path, capsys, key):
+        manifest, _ = build_cohort(tmp_path, {"A": 2})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: "voxels" if key == "units" else "exclude"}))
+        code = run("folds", "--manifest", manifest, "--scheme", "5fcv",
+                   "--config", cfg, "--out", tmp_path / "o")
+        assert code == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
     def test_workers_env_default(self, tmp_path, monkeypatch):
         manifest, _ = build_cohort(tmp_path, {"A": 2})

@@ -74,6 +74,17 @@ class TestManifest:
         with pytest.raises(EmptyManifestError):
             read_manifest(path)
 
+    def test_image_path_column_ignored(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(
+            "subject_id,site,pred_path,ref_path,roi_wm_path,roi_bg_path,image_path\n"
+            "s1,A,p1,r1,wm1,,t1.nii.gz\ns2,B,p2,r2,,,\n"
+        )
+        assert read_manifest(path) == [
+            SubjectRecord("s1", "A", "p1", "r1", roi_wm_path="wm1"),
+            SubjectRecord("s2", "B", "p2", "r2"),
+        ]
+
 
 class TestMakeFolds:
     def test_losocv_folds_are_sites(self):
@@ -117,6 +128,11 @@ class TestMakeFolds:
     def test_foldspec_json_round_trip(self):
         spec = make_folds(cohort_manifest(), "5fcv", seed=1)
         assert FoldSpec.from_json_dict(spec.to_json_dict()) == spec
+
+    def test_foldspec_json_with_stratified_loads(self):
+        spec = make_folds(cohort_manifest(), "5fcv", seed=1)
+        legacy = {**spec.to_json_dict(), "stratified": True}
+        assert FoldSpec.from_json_dict(legacy) == spec
 
 
 class TestAggregate:

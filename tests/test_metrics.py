@@ -18,6 +18,9 @@ def blank(shape=(16, 16, 16)):
     return np.zeros(shape, bool)
 
 
+LEVELS = (voxel_metrics, cluster_metrics)
+
+
 def seeded_pair(seed, shape=(10, 10, 10), density=0.25):
     rng = np.random.default_rng(seed)
     return (make_mask(rng.random(shape) < density),
@@ -48,20 +51,24 @@ class TestVoxelMetrics:
         _, dsc, sen, ppv = voxel_metrics(make_mask(a), make_mask(b))
         assert dsc == sen == ppv == 0.0
 
+    # the degenerate cases run at both levels, which share one convention
     def test_both_empty_undefined(self):
         empty = make_mask(blank())
-        _, dsc, sen, ppv = voxel_metrics(empty, empty)
-        assert dsc is None and sen is None and ppv is None
+        for level in LEVELS:
+            _, dsc, sen, ppv = level(empty, empty)
+            assert dsc is None and sen is None and ppv is None, level.__name__
 
     def test_ref_empty(self):
         pred = blank(); pred[1, 1, 1] = True
-        _, dsc, sen, ppv = voxel_metrics(make_mask(pred), make_mask(blank()))
-        assert dsc == 0.0 and sen is None and ppv == 0.0
+        for level in LEVELS:
+            _, dsc, sen, ppv = level(make_mask(pred), make_mask(blank()))
+            assert dsc == 0.0 and sen is None and ppv == 0.0, level.__name__
 
     def test_pred_empty(self):
         ref = blank(); ref[1, 1, 1] = True
-        _, dsc, sen, ppv = voxel_metrics(make_mask(blank()), make_mask(ref))
-        assert dsc == 0.0 and sen == 0.0 and ppv is None
+        for level in LEVELS:
+            _, dsc, sen, ppv = level(make_mask(blank()), make_mask(ref))
+            assert dsc == 0.0 and sen == 0.0 and ppv is None, level.__name__
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatchError):

@@ -55,12 +55,12 @@ class TestShell:
     def test_single_voxel_shell(self):
         data = np.zeros((3, 3, 3), bool)
         data[1, 1, 1] = True
-        ring = shell(make_mask(data), 26).mask
+        ring = shell(make_mask(data), 26)
         assert ring.foreground_count == 26
         assert not ring.data[1, 1, 1]
 
     def test_saturated_grid(self):
-        ring = shell(make_mask(np.ones((3, 3, 3), bool)), 26).mask
+        ring = shell(make_mask(np.ones((3, 3, 3), bool)), 26)
         assert ring.foreground_count == 0
 
     @pytest.mark.parametrize("conn", [6, 18, 26])
@@ -68,7 +68,7 @@ class TestShell:
         for seed in range(6):
             rng = np.random.default_rng(100 + seed)
             arr = random_mask(rng, (9, 9, 9), 0.2)
-            ring = shell(make_mask(arr), conn).mask
+            ring = shell(make_mask(arr), conn)
             assert not (ring.data & arr).any()
             assert np.array_equal(ring.data, brute_dilate(arr, conn) & ~arr)
             for x, y, z in np.argwhere(ring.data):

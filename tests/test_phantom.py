@@ -47,7 +47,7 @@ class TestGenerate:
         image, truth, _ = generate(spec)
         _, _, contrast = contrast_stat(image, truth, 26)
         n_mask = truth.foreground_count
-        n_shell = shell(truth, 26).mask.foreground_count
+        n_shell = shell(truth, 26).foreground_count
         se = spec.bg_sd * math.sqrt(1 / n_mask + 1 / n_shell)
         assert abs(contrast - 6.0) <= 3 * se
 

@@ -1,17 +1,22 @@
-"""3D connected-component labeling.
+"""3D connected-component labeling on the sorted foreground index.
 
-Foreground voxels are grouped into clusters under 6/18/26 connectivity by a
-two-pass union-find over contiguous x-runs: runs are extracted in one
-vectorized sweep, adjacent runs in neighboring lines are merged through a
-sorted interval join, and labels are painted back in a second vectorized
-pass. Ids are dense 1..K and assigned by first-encountered voxel in
-x-fastest scan order, so outputs are reproducible across runs and thread
-counts.
+Foreground voxels are grouped into clusters under 6/18/26 connectivity in
+time proportional to the foreground, not the grid. The input is the mask's
+fg_index, the sorted x-fastest flat indices of its foreground. A maximal
+x-run ends wherever the index sequence jumps or a new x-line begins.
+Adjacent runs in neighboring lines are found by a sorted interval join and
+merged by a vectorized union-find: hooking of roots plus pointer jumping,
+iterated to a fixed point (the two-pass run scheme of Wu, Otoo & Suzuki
+2009; hooking as in Shiloach & Vishkin 1982). Labels are kept per
+foreground voxel and painted onto a dense grid only on request. Ids are
+dense 1..K and assigned by first-encountered voxel in x-fastest scan
+order, so outputs are reproducible across runs and thread counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,37 +52,79 @@ def neighbor_offsets(connectivity: int) -> list[tuple[int, int, int]]:
 
 @dataclass(eq=False)
 class LabelMap:
-    """Per-voxel component ids: 0 background, 1..K dense cluster ids."""
+    """Component ids of a mask's foreground: 0 background, 1..K dense ids.
 
-    data: np.ndarray  # int32, same dims as the source mask
+    fg_labels[i] is the id of the voxel at flat x-fastest index fg_index[i];
+    the dense grid is painted from them on first access of data.
+    """
+
+    fg_index: np.ndarray  # int64, the source mask's fg_index
+    fg_labels: np.ndarray  # int32, aligned with fg_index
+    dims: tuple[int, int, int]
     component_count: int
     component_sizes: np.ndarray  # int64, length K, indexed by id-1
     connectivity: int
     spacing: tuple[float, float, float]
     affine: np.ndarray
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape  # type: ignore[return-value]
+    @cached_property
+    def data(self) -> np.ndarray:
+        """int32 label grid in Fortran order, same dims as the source mask."""
+        flat = np.zeros(int(np.prod(self.dims)), dtype=np.int32)
+        flat[self.fg_index] = self.fg_labels
+        return flat.reshape(self.dims, order="F")
 
 
-def _extract_runs(lines: np.ndarray, nx: int):
-    """Maximal foreground runs per line: (line_id, start, end_inclusive)."""
-    padded = np.zeros((lines.shape[0], nx + 2), dtype=np.int8)
-    padded[:, 1:-1] = lines
-    edges = np.diff(padded, axis=1)
-    start_line, start_x = np.nonzero(edges == 1)
-    end_line, end_x = np.nonzero(edges == -1)
-    # nonzero yields row-major order, so starts and ends pair up per line
-    assert start_line.shape == end_line.shape
-    return start_line.astype(np.int64), start_x.astype(np.int64), end_x.astype(np.int64) - 1
+def _run_edges(line_id, run_s, run_e, nx: int, ny: int, connectivity: int):
+    """Every pair (later run, earlier run) of adjacent runs, as two arrays.
+
+    Runs are sorted by (line, x) and disjoint within a line, so keys on a
+    line stride of nx + 2 keep both run starts and run ends sorted, and a
+    one-voxel reach never wraps onto the next line; the runs adjacent to a
+    given run in one earlier line are then a contiguous block.
+    """
+    base = nx + 2
+    key_s = line_id * base + run_s
+    key_e = line_id * base + run_e
+    run_y = line_id % ny
+    run_index = np.arange(line_id.size, dtype=np.int64)
+    lefts, rights = [], []
+    for dy, dz, reach in _LINE_OFFSETS[connectivity]:
+        nb_line = line_id + dy + dz * ny
+        ok = (run_y + dy >= 0) & (run_y + dy < ny) & (nb_line >= 0)
+        cand = run_index[ok]
+        target = nb_line[ok]
+        lo = np.searchsorted(key_e, target * base + (run_s[cand] - reach), side="left")
+        hi = np.searchsorted(key_s, target * base + (run_e[cand] + reach), side="right")
+        counts = np.maximum(hi - lo, 0)
+        total = int(counts.sum())
+        starts = np.cumsum(counts) - counts
+        lefts.append(np.repeat(cand, counts))
+        rights.append(np.repeat(lo - starts, counts) + np.arange(total))
+    return np.concatenate(lefts), np.concatenate(rights)
 
 
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Root of every node of the graph (range(n), edges a-b): the lowest
+    node of its component.
+
+    Each round hooks every root to the smallest root it shares an edge
+    with, then pointer-jumps until every node points at its root; edges
+    inside one component are dropped (Shiloach & Vishkin 1982).
+    """
+    parent = np.arange(n, dtype=np.int64)
+    while True:
+        a, b = parent[a], parent[b]
+        apart = a != b
+        if not apart.any():
+            return parent
+        a, b = a[apart], b[apart]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
 
 
 def label_components(mask: BinaryMask, connectivity: int = 26) -> LabelMap:
@@ -88,72 +135,29 @@ def label_components(mask: BinaryMask, connectivity: int = 26) -> LabelMap:
     """
     if connectivity not in CONNECTIVITIES:
         raise ValueError(f"connectivity must be one of {CONNECTIVITIES}")
-    nx, ny, nz = mask.dims
-    # lines along x, ordered (z, y) to match the x-fastest voxel scan order
-    lines = mask.data.transpose(2, 1, 0).reshape(nz * ny, nx)
-    line_id, run_s, run_e = _extract_runs(lines, nx)
-    n_runs = line_id.shape[0]
+    nx, ny, _ = mask.dims
+    idx = mask.fg_index
+    # a run starts where the index sequence jumps or a new x-line begins
+    is_start = idx % nx == 0
+    if idx.size:
+        is_start[0] = True
+        is_start[1:] |= np.diff(idx) != 1
+    first = np.flatnonzero(is_start)
+    lengths = np.diff(np.append(first, idx.size))
+    line_id = idx[first] // nx
+    run_s = idx[first] - line_id * nx
+    run_e = run_s + lengths - 1
 
-    out = np.zeros(nz * ny * nx, dtype=np.int32)
-    if n_runs == 0:
-        data = np.asfortranarray(out.reshape(nz, ny, nx).transpose(2, 1, 0))
-        return LabelMap(data, 0, np.zeros(0, dtype=np.int64), connectivity,
-                        mask.spacing, mask.affine)
-
-    base = nx + 2
-    key_s = line_id * base + run_s
-    key_e = line_id * base + run_e
-    run_y = line_id % ny
-
-    parent = list(range(n_runs))
-    run_index = np.arange(n_runs, dtype=np.int64)
-    for dy, dz, reach in _LINE_OFFSETS[connectivity]:
-        nb_line = line_id + dy + dz * ny
-        ok = (run_y + dy >= 0) & (run_y + dy < ny) & (nb_line >= 0)
-        if not ok.any():
-            continue
-        cand = run_index[ok]
-        target = nb_line[ok]
-        lo = np.searchsorted(key_e, target * base + (run_s[cand] - reach), side="left")
-        hi = np.searchsorted(key_s, target * base + (run_e[cand] + reach), side="right")
-        counts = np.maximum(hi - lo, 0)
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        left = np.repeat(cand, counts)
-        offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        right = np.repeat(lo, counts) + offsets
-        for a, b in zip(left.tolist(), right.tolist()):
-            ra, rb = _find(parent, a), _find(parent, b)
-            if ra != rb:
-                if ra < rb:
-                    parent[rb] = ra
-                else:
-                    parent[ra] = rb
-
-    # dense ids by first occurrence in run (scan) order
-    run_label = np.empty(n_runs, dtype=np.int64)
-    root_to_id: dict[int, int] = {}
-    for i in range(n_runs):
-        root = _find(parent, i)
-        label = root_to_id.get(root)
-        if label is None:
-            label = len(root_to_id) + 1
-            root_to_id[root] = label
-        run_label[i] = label
-    k = len(root_to_id)
-
-    lengths = run_e - run_s + 1
-    total = int(lengths.sum())
-    flat_base = line_id * nx + run_s
-    idx = np.repeat(flat_base, lengths) + (
-        np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    )
-    out[idx] = np.repeat(run_label, lengths)
+    left, right = _run_edges(line_id, run_s, run_e, nx, ny, connectivity)
+    root = _components(first.size, left, right)
+    # roots are the lowest run of each component, so counting them in run
+    # order numbers components by first voxel in scan order
+    is_root = root == np.arange(first.size)
+    run_label = np.cumsum(is_root, dtype=np.int32)[root]
+    k = int(np.count_nonzero(is_root))
     sizes = np.bincount(run_label, weights=lengths, minlength=k + 1)[1:].astype(np.int64)
-
-    data = np.asfortranarray(out.reshape(nz, ny, nx).transpose(2, 1, 0))
-    return LabelMap(data, k, sizes, connectivity, mask.spacing, mask.affine)
+    return LabelMap(idx, np.repeat(run_label, lengths), mask.dims, k, sizes,
+                    connectivity, mask.spacing, mask.affine)
 
 
 @dataclass(frozen=True)
@@ -176,15 +180,14 @@ def size_histogram(sizes, log_binning: bool = False) -> list[HistogramBin]:
     if sizes.min() < 1:
         raise ValueError("cluster sizes must be >= 1")
     total = sizes.size
-    bins: list[HistogramBin] = []
     if log_binning:
-        n_bins = int(np.floor(np.log2(sizes.max()))) + 1
-        for i in range(n_bins):
-            lo, hi = 2.0**i, 2.0 ** (i + 1)
-            count = int(np.count_nonzero((sizes >= lo) & (sizes < hi)))
-            bins.append(HistogramBin(lo, hi, count, count / total))
+        # bin i holds [2^i, 2^(i+1)): the bit length of the size, less one
+        _, bit_length = np.frexp(sizes)
+        counts = np.bincount(bit_length - 1)
+        edges = [(2.0**i, 2.0 ** (i + 1)) for i in range(counts.size)]
     else:
-        for v in range(int(sizes.min()), int(sizes.max()) + 1):
-            count = int(np.count_nonzero(sizes == v))
-            bins.append(HistogramBin(float(v), float(v + 1), count, count / total))
-    return bins
+        low = int(sizes.min())
+        counts = np.bincount(sizes - low)
+        edges = [(float(v), float(v + 1)) for v in range(low, low + counts.size)]
+    return [HistogramBin(lo, hi, count, count / total)
+            for (lo, hi), count in zip(edges, counts.tolist())]

@@ -500,11 +500,12 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None, help="cluster adjacency (default 26)")
     common.add_argument("--workers", type=int, default=None,
                         help=f"worker processes (default ${WORKERS_ENV} or 1)")
-    common.add_argument("--strict-grid", action="store_true",
-                        help="metrics, aggregate and contrast also require "
-                             "affines to match within 1e-4")
+    # only the commands that compare grids take --strict-grid
+    strict = argparse.ArgumentParser(add_help=False)
+    strict.add_argument("--strict-grid", action="store_true",
+                        help="also require affines to match within 1e-4")
 
-    p = sub.add_parser("metrics", parents=[common],
+    p = sub.add_parser("metrics", parents=[common, strict],
                        help="evaluate one prediction against one reference")
     p.add_argument("--pred", required=True)
     p.add_argument("--ref", required=True)
@@ -513,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subject-id")
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("aggregate", parents=[common],
+    p = sub.add_parser("aggregate", parents=[common, strict],
                        help="evaluate a manifest and aggregate per region/site")
     p.add_argument("--manifest", required=True)
     p.add_argument("--per-site", action="store_true")
@@ -530,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fdr-family", choices=["region", "table"], default="region")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("contrast", parents=[common],
+    p = sub.add_parser("contrast", parents=[common, strict],
                        help="mask-vs-surroundings intensity contrast")
     p.add_argument("--image", required=True)
     p.add_argument("--mask", required=True)

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    DimMismatchError,
     EmptyManifestError,
     InputError,
     MissingFoldError,
@@ -169,23 +170,35 @@ def make_folds(manifest: list[SubjectRecord], scheme: str, seed: int = 0) -> Fol
     return FoldSpec("5fcv", assignments, seed)
 
 
-def load_rois(wm_path: str | None, bg_path: str | None) -> list[RoiMask]:
+def load_rois(wm_path: str | None, bg_path: str | None,
+              read=lambda path: read_volume(path, "mask")) -> list[RoiMask]:
     """The WM and BG ROI masks, skipping an empty path."""
     rois = []
     if wm_path:
-        rois.append(RoiMask(read_volume(wm_path, "mask"), "WM"))
+        rois.append(RoiMask(read(wm_path), "WM"))
     if bg_path:
-        rois.append(RoiMask(read_volume(bg_path, "mask"), "BG"))
+        rois.append(RoiMask(read(bg_path), "BG"))
     return rois
 
 
 def evaluate_record(
     record: SubjectRecord, connectivity: int = 26, strict: bool = False
 ) -> list[SubjectMetrics]:
-    pred = read_volume(record.pred_path, "mask")
-    ref = read_volume(record.ref_path, "mask")
-    return evaluate_subject(pred, ref, load_rois(record.roi_wm_path, record.roi_bg_path),
-                            connectivity, subject_id=record.subject_id, strict=strict)
+    """Metrics of one manifest row. Read and grid errors are re-raised as
+    InputError with a message that starts with the subject id and the file."""
+    def read(path: str):
+        try:
+            return read_volume(path, "mask")
+        except (OSError, EOFError, InputError) as exc:
+            raise InputError(f"{record.subject_id}: {path}: {exc}") from exc
+
+    pred, ref = read(record.pred_path), read(record.ref_path)
+    rois = load_rois(record.roi_wm_path, record.roi_bg_path, read)
+    try:
+        return evaluate_subject(pred, ref, rois, connectivity,
+                                subject_id=record.subject_id, strict=strict)
+    except DimMismatchError as exc:
+        raise InputError(f"{record.subject_id}: {record.pred_path}: {exc}") from exc
 
 
 def evaluate_manifest(

@@ -4,7 +4,9 @@ Voxel level works on foreground counts: dice = 2*overlap/(manual+algo),
 sensitivity = overlap/manual, precision = overlap/algo. Cluster level works
 on connected components with the any-voxel overlap rule: a predicted
 cluster counts as a true positive if any of its voxels touches the
-reference, and vice versa. Degenerate cases (either side empty) are
+reference, and vice versa. Both levels read the masks' sorted foreground
+indices, so the overlap and the hit tests cost time in proportion to the
+foreground, not the grid. Degenerate cases (either side empty) are
 reported as undefined rather than forced to 0 or 1, with flags so
 aggregation can exclude and count them.
 """
@@ -126,7 +128,7 @@ def voxel_metrics(
 ) -> tuple[VoxelCounts, float | None, float | None, float | None]:
     """Voxel-level (counts, dice, sensitivity, precision)."""
     ensure_same_grid(pred, ref)
-    overlap = int(np.count_nonzero(pred.data & ref.data))
+    overlap = np.intersect1d(ref.fg_index, pred.fg_index, assume_unique=True).size
     counts = VoxelCounts(overlap, ref.foreground_count, pred.foreground_count)
     dsc, sen, ppv, _ = _ratios(overlap, overlap, counts.manual, counts.algo)
     return counts, dsc, sen, ppv
@@ -144,13 +146,13 @@ def cluster_metrics(
     ensure_same_grid(pred, ref)
     ref_lm = label_components(ref, connectivity)
     pred_lm = label_components(pred, connectivity)
-    manual_touched = np.unique(ref_lm.data[pred.data])
-    algo_touched = np.unique(pred_lm.data[ref.data])
+    _, in_ref, in_pred = np.intersect1d(ref.fg_index, pred.fg_index,
+                                        assume_unique=True, return_indices=True)
     counts = ClusterCounts(
         n_manual=ref_lm.component_count,
         n_algo=pred_lm.component_count,
-        n_manual_hit=int(np.count_nonzero(manual_touched)),
-        n_algo_hit=int(np.count_nonzero(algo_touched)),
+        n_manual_hit=np.unique(ref_lm.fg_labels[in_ref]).size,
+        n_algo_hit=np.unique(pred_lm.fg_labels[in_pred]).size,
     )
     dsc, sen, ppv, _ = _ratios(counts.n_manual_hit, counts.n_algo_hit,
                                counts.n_manual, counts.n_algo)
@@ -198,7 +200,8 @@ def evaluate_subject(
         vox, dsc_v, sen_v, ppv_v = voxel_metrics(p, r)
         clus, dsc_n, sen_n, ppv_n = cluster_metrics(p, r, connectivity)
         flags = list(_ratios(vox.overlap, vox.overlap, vox.manual, vox.algo)[3])
-        if roi is not None and roi.mask.foreground_count == 0:
+        # any(), not foreground_count: an ROI's index can hold millions of voxels
+        if roi is not None and not roi.mask.data.any():
             flags.append("empty_region")
         voxel_mm3 = ref.voxel_volume_mm3
         out.append(

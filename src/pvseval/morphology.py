@@ -48,10 +48,11 @@ def contrast_stat(
     """(mask_mean, shell_mean, |mask_mean - shell_mean|) over the whole mask."""
     if image.dims != m.dims:
         raise DimMismatchError(f"grid mismatch: {image.dims} vs {m.dims}")
-    if m.foreground_count == 0:
+    # emptiness by any(): foreground_count would build the foreground index
+    if not m.data.any():
         raise EmptyMaskError("contrast needs a non-empty mask")
     ring = shell(m, connectivity)
-    if ring.foreground_count == 0:
+    if not ring.data.any():
         raise EmptyShellError("mask saturates the grid; shell is empty")
     mask_mean = float(image.data[m.data].mean())
     shell_mean = float(image.data[ring.data].mean())
@@ -74,11 +75,11 @@ def contrast_stat_per_cluster(
         raise EmptyMaskError("contrast needs a non-empty mask")
     lm = label_components(m, connectivity)
     nx, ny, nz = m.dims
-    all_x, all_y, all_z = np.nonzero(lm.data)
-    labels = lm.data[all_x, all_y, all_z]
-    order = np.argsort(labels, kind="stable")
-    all_x, all_y, all_z = all_x[order], all_y[order], all_z[order]
-    bounds = np.searchsorted(labels[order], np.arange(1, lm.component_count + 2))
+    # foreground coordinates grouped by cluster id, cluster cid at
+    # bounds[cid-1]:bounds[cid]
+    order = np.argsort(lm.fg_labels, kind="stable")
+    all_x, all_y, all_z = np.unravel_index(lm.fg_index[order], m.dims, order="F")
+    bounds = np.concatenate(([0], np.cumsum(lm.component_sizes)))
     mask_means, shell_means, contrasts = [], [], []
     for cid in range(1, lm.component_count + 1):
         lo_i, hi_i = bounds[cid - 1], bounds[cid]

@@ -117,8 +117,16 @@ class BinaryMask(Volume3D):
         super().__post_init__()
 
     @cached_property
+    def fg_index(self) -> np.ndarray:
+        """Sorted flat x-fastest indices of the foreground voxels; cached,
+        as data is read-only, and read-only itself."""
+        index = np.flatnonzero(self.data.ravel("F"))
+        index.setflags(write=False)
+        return index
+
+    @property
     def foreground_count(self) -> int:
-        return int(np.count_nonzero(self.data))
+        return self.fg_index.size
 
 
 # header layout, offsets per the NIfTI-1 standard

@@ -233,5 +233,5 @@ def perturb(truth: BinaryMask, p: Perturbation, seed: int = 0) -> BinaryMask:
     data = np.array(truth.data, order="F")
     if p.k:
         drop = rng.choice(lm.component_count, size=p.k, replace=False) + 1
-        data &= ~np.isin(lm.data, drop)
+        data.ravel("F")[lm.fg_index[np.isin(lm.fg_labels, drop)]] = False
     return BinaryMask(data=data, spacing=truth.spacing, affine=truth.affine)

@@ -117,6 +117,74 @@ def test_component_sizes_listing():
     assert label_components(make_mask(np.zeros((3, 3, 3), bool))).component_sizes.tolist() == []
 
 
+@pytest.mark.parametrize("conn", [6, 18, 26])
+@pytest.mark.parametrize("nx", [1, 2, 3])
+def test_runs_break_at_line_wrap(conn, nx):
+    # x = nx-1 of one line and x = 0 of the next are consecutive flat
+    # indices; they must still fall into separate runs
+    arr = np.zeros((nx, 6, 4), bool)
+    arr[nx - 1, 0::2, :] = True
+    arr[0, 1::2, :] = True
+    lm = label_components(make_mask(arr), conn)
+    assert np.array_equal(lm.data, bfs_label(arr, conn))
+    for seed in range(5):
+        arr = random_mask(np.random.default_rng(seed), (nx, 7, 5), 0.5)
+        arr[nx - 1, :-1:2, ::2] = arr[0, 1::2, ::2] = True
+        lm = label_components(make_mask(arr), conn)
+        assert np.array_equal(lm.data, bfs_label(arr, conn))
+
+
+def serpentine(nx, ny):
+    """One-voxel-wide chain over the z = 0 plane: full x-runs on even y,
+    joined by one voxel on odd y at alternating ends. The chain starts at
+    the lowest flat index and ends at the highest."""
+    arr = np.zeros((nx, ny, 2), bool)
+    arr[:, 0::2, 0] = True
+    arr[nx - 1, 1::4, 0] = True
+    arr[0, 3::4, 0] = True
+    return arr
+
+
+@pytest.mark.parametrize("conn", [6, 18, 26])
+def test_serpentine_is_one_component(conn):
+    for arr in (serpentine(7, 41), serpentine(1, 61).transpose(2, 0, 1),
+                serpentine(5, 33).transpose(1, 0, 2)[::-1]):
+        arr = np.ascontiguousarray(arr)
+        lm = label_components(make_mask(arr), conn)
+        assert lm.component_count == 1
+        assert lm.component_sizes.tolist() == [int(arr.sum())]
+        assert np.array_equal(lm.data, bfs_label(arr, conn))
+
+
+@pytest.mark.parametrize("conn", [6, 18, 26])
+def test_empty_and_full_grid(conn):
+    empty = label_components(make_mask(np.zeros((3, 4, 5), bool)), conn)
+    assert empty.component_count == 0
+    assert empty.fg_labels.size == empty.fg_index.size == 0
+    assert not empty.data.any()
+    full = label_components(make_mask(np.ones((3, 4, 5), bool)), conn)
+    assert full.component_count == 1
+    assert full.component_sizes.tolist() == [60]
+    assert (full.data == 1).all()
+
+
+@pytest.mark.parametrize("conn", [6, 18, 26])
+def test_painted_grid_matches_fg_labels(conn):
+    arr = random_mask(np.random.default_rng(13), (6, 7, 8), 0.35)
+    mask = make_mask(arr)
+    lm = label_components(mask, conn)
+    # fg_index lists the foreground x-fastest: x + nx * (y + ny * z)
+    xs, ys, zs = np.nonzero(arr)
+    assert np.array_equal(lm.fg_index, np.sort(xs + 6 * (ys + 7 * zs)))
+    assert lm.fg_index is mask.fg_index
+    x, y, z = lm.fg_index % 6, lm.fg_index // 6 % 7, lm.fg_index // 42
+    assert np.array_equal(lm.fg_labels, bfs_label(arr, conn)[x, y, z])
+    expected = np.zeros(arr.shape, np.int32)
+    expected[x, y, z] = lm.fg_labels
+    assert lm.data.dtype == np.int32 and lm.data.flags.f_contiguous
+    assert np.array_equal(lm.data, expected)
+
+
 class TestSizeHistogram:
     def test_small_linear(self):
         bins = size_histogram([1, 1, 2])
@@ -133,6 +201,16 @@ class TestSizeHistogram:
         bins = size_histogram([1, 2, 3, 4, 9], log_binning=True)
         assert [(b.lo, b.hi) for b in bins] == [(1, 2), (2, 4), (4, 8), (8, 16)]
         assert [b.count for b in bins] == [1, 2, 1, 1]
+
+    def test_log_bins_at_powers_of_two(self):
+        sizes = [2**k for k in range(41)] + [2**k - 1 for k in range(1, 41)]
+        bins = size_histogram(sizes, log_binning=True)
+        assert [(b.lo, b.hi) for b in bins] == [(2.0**i, 2.0 ** (i + 1)) for i in range(41)]
+        # 2^k - 1 belongs to the bin below 2^k
+        assert [b.count for b in bins] == [2] * 40 + [1]
+        for b in bins:
+            assert b.count == sum(1 for s in sizes if b.lo <= s < b.hi)
+            assert b.density == b.count / len(sizes)
 
     def test_random_counts_match_direct(self):
         rng = np.random.default_rng(3)

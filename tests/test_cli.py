@@ -188,6 +188,34 @@ class TestAggregateCommand:
         assert code == 2
         assert "affines" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_missing_file_names_subject(self, tmp_path, capsys, workers):
+        manifest, records = build_cohort(tmp_path, {"A": 4})
+        missing = str(tmp_path / "A03_MISSING.nii.gz")
+        records[3] = SubjectRecord("A03", "A", missing, records[3].ref_path)
+        write_manifest(records, manifest)
+        code = run("aggregate", "--manifest", manifest, "--out", tmp_path / "o",
+                   "--workers", workers)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"pvseval: error: A03: {missing}: ")
+        assert "No such file" in err
+
+    def test_grid_mismatch_names_subject(self, tmp_path, capsys):
+        manifest, records = build_cohort(tmp_path, {"A": 2})
+        roi = tmp_path / "small_roi.nii.gz"
+        write_volume(BinaryMask(np.ones((8, 8, 8), bool), (1.0, 1.0, 1.0), np.eye(3, 4)),
+                     roi, datatype=2)
+        records[1] = SubjectRecord("A01", "A", records[1].pred_path, records[1].ref_path,
+                                   roi_bg_path=str(roi))
+        write_manifest(records, manifest)
+        code = run("aggregate", "--manifest", manifest, "--out", tmp_path / "o",
+                   "--workers", 2)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"pvseval: error: A01: {records[1].pred_path}: ")
+        assert "(8, 8, 8)" in err
+
 
 class TestCompareCommand:
     def test_compare_against_self(self, tmp_path):
@@ -395,3 +423,17 @@ class TestFoldsCommand:
         assert run("aggregate", "--manifest", manifest, "--out", out) == 0
         payload = json.loads((out / "aggregate.json").read_text())
         assert payload["config"]["workers"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["folds", "--manifest", "m.csv", "--scheme", "5fcv"],
+    ["clusters", "--mask", "m.nii"],
+    ["compare", "--a", "a.csv", "--b", "b.csv"],
+    ["phantom"],
+], ids=["folds", "clusters", "compare", "phantom"])
+def test_strict_grid_rejected_where_no_grids_compared(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--strict-grid", "--out", tmp_path / "o")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --strict-grid" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -11,7 +11,7 @@ from pvseval.metrics import (
 from pvseval.volume import RoiMask
 
 from conftest import make_mask
-from oracles import pearson_two_pass
+from oracles import bfs_label, pearson_two_pass
 
 
 def blank(shape=(16, 16, 16)):
@@ -151,6 +151,37 @@ class TestClusterMetrics:
                 assert (sen == 1.0) == (manual_hits == counts.n_manual)
             if counts.n_algo:
                 assert (ppv == 1.0) == (algo_hits == counts.n_algo)
+
+
+def dense_hits(pred, ref, conn):
+    """(n_manual_hit, n_algo_hit) from flood-fill labels on dense grids."""
+    manual = np.unique(bfs_label(ref, conn)[pred])
+    algo = np.unique(bfs_label(pred, conn)[ref])
+    return int(np.count_nonzero(manual)), int(np.count_nonzero(algo))
+
+
+@pytest.mark.parametrize("conn", [6, 18, 26])
+@pytest.mark.parametrize("density", [0.03, 0.2, 0.45])
+def test_hit_tests_match_dense_oracle(conn, density):
+    rng = np.random.default_rng(int(density * 100) + conn)
+    shape = (9, 10, 11)
+    roi = np.zeros(shape, bool)
+    roi[2:8, 1:9, 3:10] = True
+    for _ in range(3):
+        pred = rng.random(shape) < density
+        ref = rng.random(shape) < density
+        counts, *_ = cluster_metrics(make_mask(pred), make_mask(ref), conn)
+        assert (counts.n_manual_hit, counts.n_algo_hit) == dense_hits(pred, ref, conn)
+        vox, *_ = voxel_metrics(make_mask(pred), make_mask(ref))
+        assert vox.overlap == np.count_nonzero(pred & ref)
+        for rois, restrict in ((None, np.ones(shape, bool)), ([RoiMask(make_mask(roi), "WM")], roi)):
+            (record,) = evaluate_subject(make_mask(pred), make_mask(ref), rois, conn)
+            p, r = pred & restrict, ref & restrict
+            assert (record.n_manual_hit, record.n_algo_hit) == dense_hits(p, r, conn)
+            assert (record.n_manual, record.n_algo) == (
+                bfs_label(r, conn).max(), bfs_label(p, conn).max())
+            assert record.vol_overlap_vox == np.count_nonzero(p & r)
+            assert (record.vol_manual_vox, record.vol_algo_vox) == (r.sum(), p.sum())
 
 
 class TestPearson:

@@ -428,18 +428,19 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-def _parse_perturbation(text: str) -> Perturbation:
+def _parse_perturbation(text: str, connectivity: int) -> Perturbation:
     kind, _, param = text.partition(":")
     if kind == "delete_fraction":
-        return Perturbation(kind="delete_fraction", fraction=float(param))
-    if kind == "dilate_once":
-        return Perturbation(kind="dilate_once")
-    if kind == "drop_clusters":
-        return Perturbation(kind="drop_clusters", k=int(param))
-    if kind == "translate":
-        return Perturbation(kind="translate",
-                            offset=_parse_triple(param, "--perturb translate"))
-    raise InputError(f"unknown perturbation {kind!r}")
+        fields = {"fraction": float(param)}
+    elif kind == "dilate_once":
+        fields = {}
+    elif kind == "drop_clusters":
+        fields = {"k": int(param)}
+    elif kind == "translate":
+        fields = {"offset": _parse_triple(param, "--perturb translate")}
+    else:
+        raise InputError(f"unknown perturbation {kind!r}")
+    return Perturbation(kind=kind, connectivity=connectivity, **fields)
 
 
 def cmd_phantom(args) -> int:
@@ -463,7 +464,7 @@ def cmd_phantom(args) -> int:
     write_volume(truth, out / "truth.nii.gz", datatype=2)
     payload = {"spec": asdict(spec), "cluster_count": count}
     if args.perturb:
-        p = _parse_perturbation(args.perturb)
+        p = _parse_perturbation(args.perturb, cfg.connectivity)
         pred = perturb(truth, p, seed=args.perturb_seed)
         write_volume(pred, out / "pred.nii.gz", datatype=2)
         payload["perturbation"] = asdict(p)
@@ -496,16 +497,16 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="output directory (default: current)")
     common.add_argument("--config", help="JSON config file merged under explicit flags")
-    common.add_argument("--connectivity", type=int, choices=CONNECTIVITIES,
-                        default=None, help="cluster adjacency (default 26)")
-    common.add_argument("--workers", type=int, default=None,
-                        help=f"worker processes (default ${WORKERS_ENV} or 1)")
-    # only the commands that compare grids take --strict-grid
+    # only the commands that label clusters take --connectivity, and only
+    # the commands that compare grids take --strict-grid
+    conn = argparse.ArgumentParser(add_help=False)
+    conn.add_argument("--connectivity", type=int, choices=CONNECTIVITIES,
+                      default=None, help="cluster adjacency (default 26)")
     strict = argparse.ArgumentParser(add_help=False)
     strict.add_argument("--strict-grid", action="store_true",
                         help="also require affines to match within 1e-4")
 
-    p = sub.add_parser("metrics", parents=[common, strict],
+    p = sub.add_parser("metrics", parents=[common, conn, strict],
                        help="evaluate one prediction against one reference")
     p.add_argument("--pred", required=True)
     p.add_argument("--ref", required=True)
@@ -514,9 +515,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subject-id")
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("aggregate", parents=[common, strict],
+    p = sub.add_parser("aggregate", parents=[common, conn, strict],
                        help="evaluate a manifest and aggregate per region/site")
     p.add_argument("--manifest", required=True)
+    p.add_argument("--workers", type=int, default=None,
+                   help=f"worker processes (default ${WORKERS_ENV} or 1)")
     p.add_argument("--per-site", action="store_true")
     p.add_argument("--scheme", choices=["5fcv", "losocv"],
                    help="labels the report; losocv also emits the site matrix")
@@ -531,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fdr-family", choices=["region", "table"], default="region")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("contrast", parents=[common, strict],
+    p = sub.add_parser("contrast", parents=[common, conn, strict],
                        help="mask-vs-surroundings intensity contrast")
     p.add_argument("--image", required=True)
     p.add_argument("--mask", required=True)
@@ -540,14 +543,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modality", default="")
     p.set_defaults(func=cmd_contrast)
 
-    p = sub.add_parser("clusters", parents=[common],
+    p = sub.add_parser("clusters", parents=[common, conn],
                        help="cluster sizes and size histogram of one mask")
     p.add_argument("--mask", required=True)
     p.add_argument("--log-binning", action="store_true")
     p.add_argument("--save-labels", help="write the label map as NIfTI i32")
     p.set_defaults(func=cmd_clusters)
 
-    p = sub.add_parser("phantom", parents=[common],
+    p = sub.add_parser("phantom", parents=[common, conn],
                        help="generate a synthetic tubular phantom")
     p.add_argument("--dims", default="64,64,64")
     p.add_argument("--spacing", default="1,1,1")

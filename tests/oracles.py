@@ -84,6 +84,28 @@ def brute_dilate(mask: np.ndarray, connectivity: int) -> np.ndarray:
     return out
 
 
+def brute_contrast(image: np.ndarray, mask: np.ndarray, connectivity: int,
+                   per_cluster: bool):
+    """(mask_mean, shell_mean, |difference|) from flood-fill clusters, the
+    loop dilation and boolean indexing, or None when no ring is non-empty.
+
+    Per cluster, each ring leaves out all foreground, clusters with an empty
+    ring are skipped, and the three values are averaged over the rest.
+    """
+    labels = bfs_label(mask, connectivity)
+    groups = ([labels == cid for cid in range(1, labels.max() + 1)]
+              if per_cluster else [mask])
+    rows = []
+    for group in groups:
+        ring = brute_dilate(group, connectivity) & ~mask
+        if ring.any():
+            mask_mean, shell_mean = float(image[group].mean()), float(image[ring].mean())
+            rows.append((mask_mean, shell_mean, abs(mask_mean - shell_mean)))
+    if not rows:
+        return None
+    return tuple(float(np.mean(column)) for column in zip(*rows))
+
+
 def wilcoxon_enum_p(a, b) -> float:
     """Two-sided signed-rank p by literal enumeration of all 2^n sign
     assignments (vectorized by array doubling). Requires tie-free |d|."""

@@ -10,6 +10,8 @@ from pvseval.harness import SubjectRecord, write_manifest
 from pvseval.nifti import BinaryMask, Volume3D, read_volume, write_volume
 from pvseval.phantom import PhantomSpec, Perturbation, generate, perturb
 
+from oracles import brute_dilate
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -379,6 +381,19 @@ class TestPhantomCommand:
         assert float(row["sen_num"]) == pytest.approx(0.5, abs=1e-15)
         assert float(row["ppv_num"]) == 1.0
 
+    @pytest.mark.parametrize("conn", [6, 18])
+    def test_connectivity_reaches_perturbation(self, tmp_path, conn):
+        out = tmp_path / "p"
+        assert run("phantom", "--out", out, "--dims", "24,24,24", "--n-tubes", "2",
+                   "--seed", "4", "--perturb", "dilate_once",
+                   "--connectivity", conn) == 0
+        truth = read_volume(out / "truth.nii.gz", "mask")
+        pred = read_volume(out / "pred.nii.gz", "mask")
+        assert np.array_equal(pred.data, brute_dilate(truth.data, conn))
+        payload = json.loads((out / "phantom_spec.json").read_text())
+        assert payload["perturbation"]["connectivity"] == conn
+        assert payload["config"]["connectivity"] == conn
+
     def test_bad_perturb_exit_2(self, tmp_path, capsys):
         code = run("phantom", "--out", tmp_path, "--perturb", "explode:1")
         assert code == 2
@@ -436,4 +451,23 @@ def test_strict_grid_rejected_where_no_grids_compared(tmp_path, capsys, argv):
         run(*argv, "--strict-grid", "--out", tmp_path / "o")
     assert exc.value.code == 2
     assert "unrecognized arguments: --strict-grid" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["metrics", "--pred", "p.nii", "--ref", "r.nii"], "--workers"),
+    (["contrast", "--image", "i.nii", "--mask", "m.nii"], "--workers"),
+    (["clusters", "--mask", "m.nii"], "--workers"),
+    (["phantom"], "--workers"),
+    (["compare", "--a", "a.csv", "--b", "b.csv"], "--workers"),
+    (["folds", "--manifest", "m.csv", "--scheme", "5fcv"], "--workers"),
+    (["compare", "--a", "a.csv", "--b", "b.csv"], "--connectivity"),
+    (["folds", "--manifest", "m.csv", "--scheme", "5fcv"], "--connectivity"),
+], ids=["metrics-workers", "contrast-workers", "clusters-workers", "phantom-workers",
+        "compare-workers", "folds-workers", "compare-connectivity", "folds-connectivity"])
+def test_flag_rejected_where_unused(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, flag, "6", "--out", tmp_path / "o")
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 6" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

@@ -11,13 +11,71 @@ from pvseval.morphology import (
 from pvseval.nifti import Volume3D
 
 from conftest import make_mask
-from oracles import brute_dilate, offsets_for, random_mask
+from oracles import brute_contrast, brute_dilate, offsets_for, random_mask
 
 
 def make_image(data, spacing=(1.0, 1.0, 1.0)):
     affine = np.zeros((3, 4))
     affine[0, 0], affine[1, 1], affine[2, 2] = spacing
     return Volume3D(data=np.asarray(data, float), spacing=spacing, affine=affine)
+
+
+def exact_cases():
+    """(name, image, mask) cases for the exact contrast oracle.
+
+    Image values span nine orders of magnitude (float64, plus one float32
+    copy), so any change in summation order shows up in the last bits of a
+    mean.
+    """
+    rng = np.random.default_rng(2024)
+
+    def image(shape):
+        return rng.normal(size=shape) * 10.0 ** rng.integers(-3, 6, size=shape)
+
+    cases = []
+    for shape in [(9, 8, 7), (7, 1, 6), (1, 6, 5)]:
+        arr = random_mask(rng, shape, 0.3)
+        # one foreground voxel on every face of the grid
+        for axis in range(3):
+            for end in (0, -1):
+                at = [n // 2 for n in shape]
+                at[axis] = end
+                arr[tuple(at)] = True
+        cases.append((f"faces{shape}", image(shape), arr))
+    blocks = np.zeros((12, 10, 9), bool)
+    blocks[1:4, 1:4, 1:4] = True    # 27 voxels
+    blocks[6:8, 1:3, 2:6] = True    # 16 voxels
+    blocks[2, 6, 3:7] = True        # two 4-voxel rows, one empty voxel
+    blocks[4, 6, 3:7] = True        # apart: their rings share voxels
+    blocks[11, 9, 8] = True         # a corner voxel
+    cases.append(("blocks", image(blocks.shape), blocks))
+    cases.append(("blocks_float32", image(blocks.shape).astype(np.float32), blocks))
+    # a ring can only be empty when its cluster fills the grid
+    cases.append(("full", image((4, 3, 5)), np.ones((4, 3, 5), bool)))
+    cases.append(("one_voxel_grid", image((1, 1, 1)), np.ones((1, 1, 1), bool)))
+    return cases
+
+
+class TestExactContrast:
+    @pytest.mark.parametrize("conn", [6, 18, 26])
+    @pytest.mark.parametrize("name,img,arr", exact_cases(),
+                             ids=[c[0] for c in exact_cases()])
+    def test_equals_brute_contrast(self, name, img, arr, conn):
+        image, mask = Volume3D(img, (1.0, 1.0, 1.0), np.eye(3, 4)), make_mask(arr)
+        for fn, per_cluster in ((contrast_stat, False), (contrast_stat_per_cluster, True)):
+            expected = brute_contrast(img, arr, conn, per_cluster)
+            if expected is None:
+                with pytest.raises(EmptyShellError):
+                    fn(image, mask, conn)
+            else:
+                assert fn(image, mask, conn) == expected
+
+    @pytest.mark.parametrize("conn", [6, 18, 26])
+    def test_shell_and_dilation_on_edge_cases(self, conn):
+        for _, _, arr in exact_cases():
+            grown = brute_dilate(arr, conn)
+            assert np.array_equal(dilate_once(make_mask(arr), conn).data, grown)
+            assert np.array_equal(shell(make_mask(arr), conn).data, grown & ~arr)
 
 
 class TestDilate:

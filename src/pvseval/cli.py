@@ -104,8 +104,7 @@ def _write_json(path: Path, payload: dict, cfg: RunConfig) -> None:
     payload = dict(payload)
     payload["config"] = asdict(cfg)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _require_file(path: str, flag: str) -> str:
@@ -401,7 +400,8 @@ def cmd_clusters(args) -> int:
                    ("bin_lo", "bin_hi", "count", "density"),
                    [{"bin_lo": b.lo, "bin_hi": b.hi, "count": b.count,
                      "density": b.density} for b in bins])
-        payload["histogram"] = [asdict(b) for b in bins]
+        payload["histogram"] = [{"lo": b.lo, "hi": b.hi, "count": b.count,
+                                 "density": b.density} for b in bins]
     _write_json(out / "clusters.json", payload, cfg)
     if args.save_labels:
         label_vol = Volume3D(data=lm.data, spacing=mask.spacing, affine=mask.affine)

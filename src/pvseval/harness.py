@@ -189,8 +189,11 @@ def evaluate_record(
     def read(path: str):
         try:
             return read_volume(path, "mask")
-        except (OSError, EOFError, InputError) as exc:
-            raise InputError(f"{record.subject_id}: {path}: {exc}") from exc
+        except OSError as exc:  # strerror leaves out the path already named
+            raise InputError(
+                f"{record.subject_id}: {path}: {exc.strerror or exc}") from exc
+        except InputError as exc:  # read_volume has already named the file
+            raise InputError(f"{record.subject_id}: {exc}") from exc
 
     pred, ref = read(record.pred_path), read(record.ref_path)
     rois = load_rois(record.roi_wm_path, record.roi_bg_path, read)

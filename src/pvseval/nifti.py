@@ -10,8 +10,8 @@ orientation lives in the affine, never in the array layout.
 from __future__ import annotations
 
 import gzip
-import io
 import struct
+import zlib
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -260,11 +260,20 @@ def read_volume(path: str | Path, mode: str = "intensity") -> Volume3D | BinaryM
     scl scaling) and returns a BinaryMask, rejecting a float mask that holds
     NaN, which is neither foreground nor background; mode="intensity" applies
     scl_slope/scl_inter (slope 0 treated as 1) and returns a Volume3D of
-    float64.
+    float64. Every InputError, a truncated or corrupt gzip stream included,
+    carries a message that starts with the path.
     """
     if mode not in ("mask", "intensity"):
         raise ValueError(f"mode must be 'mask' or 'intensity', got {mode!r}")
-    raw = _read_all_bytes(path)
+    try:
+        return _decode(_read_all_bytes(path), mode)
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    except InputError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _decode(raw: bytes, mode: str) -> Volume3D | BinaryMask:
     hdr = parse_header(raw)
 
     if hdr.magic == MAGIC_PAIR:
@@ -299,22 +308,26 @@ def read_volume(path: str | Path, mode: str = "intensity") -> Volume3D | BinaryM
 
     if mode == "mask":
         if dtype.kind == "f" and np.isnan(grid).any():
-            raise InputError(f"{path}: mask holds NaN voxels")
+            raise InputError("mask holds NaN voxels")
         return BinaryMask(data=grid != 0, spacing=spacing, affine=affine)
 
     slope = hdr.scl_slope
     if slope == 0.0 or np.isnan(slope):
         slope = 1.0
     inter = 0.0 if np.isnan(hdr.scl_inter) else hdr.scl_inter
-    data = grid.astype(np.float64) * slope + inter
+    # in place, bit-identical to grid.astype(np.float64) * slope + inter,
+    # without relying on numpy to elide that expression's temporaries
+    data = grid.astype(np.float64)
+    data *= slope
+    data += inter
     return Volume3D(data=data, spacing=spacing, affine=affine)
 
 
 def _check_representable(data: np.ndarray, dtype: np.dtype, code: int) -> None:
+    if np.can_cast(data.dtype, dtype, "safe"):
+        return
     if dtype.kind in "ui":
         info = np.iinfo(dtype)
-        if data.dtype == bool:
-            return
         rounded = np.round(data)
         if not np.array_equal(rounded, data):
             raise RangeOverflowError(f"non-integral values cannot be stored as datatype {code}")
@@ -360,8 +373,12 @@ def write_volume(
 ) -> None:
     """Write a single-file NIfTI-1 volume (vox_offset 352, little-endian).
 
-    gzip_compress=None infers compression from a .gz suffix. Output bytes are
-    deterministic (gzip mtime pinned to 0).
+    gzip_compress=None infers compression from a .gz suffix. A compressed
+    file is one gzip member (mtime 0, no file name) holding one deflate
+    stream at strategy Z_RLE, so its output bytes are the same on every
+    run, and it decompresses to exactly the bytes of the uncompressed write.
+    The header and the voxel buffer go to the file as they are; the voxels
+    are copied only when the datatype or memory layout requires a cast.
     """
     if datatype not in DATATYPES:
         raise UnsupportedDatatypeError(f"datatype code {datatype} not in {sorted(DATATYPES)}")
@@ -369,19 +386,23 @@ def write_volume(
     data = np.asarray(vol.data)
     _check_representable(data, dtype, datatype)
 
-    header = build_header(vol, datatype)
-    payload = io.BytesIO()
-    payload.write(header)
-    payload.write(b"\x00\x00\x00\x00")  # no extensions
-    payload.write(np.asfortranarray(data.astype(dtype, copy=False)).tobytes(order="F"))
+    header = build_header(vol, datatype) + b"\x00\x00\x00\x00"  # no extensions
+    voxels = memoryview(np.asfortranarray(data.astype(dtype, copy=False)).ravel("F"))
 
     path = Path(path)
     if gzip_compress is None:
         gzip_compress = path.name.endswith(".gz")
-    if gzip_compress:
-        with open(path, "wb") as fh:
-            with gzip.GzipFile(fileobj=fh, mode="wb", mtime=0) as gz:
-                gz.write(payload.getvalue())
-    else:
-        with open(path, "wb") as fh:
-            fh.write(payload.getvalue())
+    with open(path, "wb") as fh:
+        if gzip_compress:
+            # wbits 31: a gzip wrapper with mtime 0 and no file name. Z_RLE
+            # matches only at distance 1, i.e. runs of one value, which is
+            # what masks and label maps are made of. Under Z_RLE any nonzero
+            # level gives the same deflate stream; it only sets the header's
+            # XFL byte.
+            stream = zlib.compressobj(6, zlib.DEFLATED, 31, 8, zlib.Z_RLE)
+            fh.write(stream.compress(header))
+            fh.write(stream.compress(voxels))
+            fh.write(stream.flush())
+        else:
+            fh.write(header)
+            fh.write(voxels)

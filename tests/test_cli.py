@@ -201,7 +201,7 @@ class TestAggregateCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"pvseval: error: A03: {missing}: ")
-        assert "No such file" in err
+        assert "No such file" in err and err.count(missing) == 1
 
     def test_grid_mismatch_names_subject(self, tmp_path, capsys):
         manifest, records = build_cohort(tmp_path, {"A": 2})
@@ -217,6 +217,66 @@ class TestAggregateCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"pvseval: error: A01: {records[1].pred_path}: ")
         assert "(8, 8, 8)" in err
+
+
+def damage(path, kind):
+    """Rewrite a .nii.gz in place: cut in half, CRC flipped, or a deflate
+    block of the reserved type 3."""
+    blob = path.read_bytes()
+    if kind == "truncated":
+        blob = blob[: len(blob) // 2]
+    elif kind == "crc":
+        blob = blob[:-8] + bytes([blob[-8] ^ 0xFF]) + blob[-7:]
+    else:
+        blob = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff" + b"\xff" * 32
+    path.write_bytes(blob)
+    return path
+
+
+class TestDamagedGzip:
+    """A damaged .nii.gz is bad input (exit 2, file named), not an internal
+    failure (exit 1)."""
+
+    @pytest.mark.parametrize("kind", ["truncated", "crc", "deflate"])
+    @pytest.mark.parametrize("command", ["metrics", "contrast", "clusters"])
+    def test_subject_commands(self, phantom_files, tmp_path, capsys, command, kind):
+        root = phantom_files["root"]
+        bad = tmp_path / "bad.nii.gz"
+        shutil.copy(root / "half.nii.gz", bad)
+        damage(bad, kind)
+        argv = {
+            "metrics": ("--pred", bad, "--ref", root / "truth.nii.gz"),
+            "contrast": ("--image", root / "image.nii.gz", "--mask", bad),
+            "clusters": ("--mask", bad),
+        }[command]
+        assert run(command, *argv, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"pvseval: error: {bad}: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", ["truncated", "crc", "deflate"])
+    def test_aggregate_names_subject_and_file_once(self, tmp_path, capsys, kind, workers):
+        manifest, records = build_cohort(tmp_path, {"A": 3})
+        bad = damage(tmp_path / "vols" / "A02_pred.nii.gz", kind)
+        code = run("aggregate", "--manifest", manifest, "--out", tmp_path / "o",
+                   "--workers", workers)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"pvseval: error: A02: {bad}: ")
+        assert err.count(str(bad)) == 1
+
+    def test_aggregate_nan_mask_names_file_once(self, tmp_path, capsys):
+        manifest, records = build_cohort(tmp_path, {"A": 2})
+        ref = read_volume(records[1].ref_path, "mask")
+        data = ref.data.astype(np.float64)
+        data[0, 0, 0] = np.nan
+        write_volume(Volume3D(data, ref.spacing, ref.affine), records[1].pred_path,
+                     datatype=64)
+        assert run("aggregate", "--manifest", manifest, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"pvseval: error: A01: {records[1].pred_path}: ")
+        assert "NaN" in err and err.count(records[1].pred_path) == 1
 
 
 class TestCompareCommand:

@@ -1,5 +1,6 @@
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from pvseval.errors import (
     BadHeaderError,
     BadMagicError,
     InconsistentBitpixError,
+    InputError,
     RangeOverflowError,
     TooShortError,
     TruncatedDataError,
@@ -264,3 +266,137 @@ def test_qform_affine_fallback(tmp_path):
     vol = read_volume(path, "mask")
     expected = np.array([[2, 0, 0, 10], [0, 3, 0, 20], [0, 0, 4, 30]], dtype=float)
     assert np.allclose(vol.affine, expected)
+
+
+def _sample_volume(code, dims=(7, 6, 5)):
+    """A volume whose values fit datatype `code`: runs of one value, as in
+    masks and label maps, next to random voxels."""
+    rng = np.random.default_rng(100 + code)
+    dtype, _ = DATATYPES[code]
+    data = np.zeros(dims)
+    data[2:5, 1:4, :] = 3.0
+    if dtype.kind == "f":
+        data[0] = rng.normal(size=dims[1:]).astype(dtype)
+    else:
+        info = np.iinfo(dtype)
+        data[0] = rng.integers(info.min, info.max, size=dims[1:])
+    return Volume3D(data=data, spacing=(0.8, 1.0, 1.25), affine=np.eye(3, 4))
+
+
+class TestWriter:
+    @pytest.mark.parametrize("code", sorted(DATATYPES))
+    def test_gz_decompresses_to_the_plain_write(self, code, tmp_path):
+        vol = _sample_volume(code)
+        write_volume(vol, tmp_path / "v.nii", datatype=code)
+        write_volume(vol, tmp_path / "v.nii.gz", datatype=code)
+        plain = (tmp_path / "v.nii").read_bytes()
+        assert len(plain) == 352 + 7 * 6 * 5 * DATATYPES[code][0].itemsize
+        assert gzip.decompress((tmp_path / "v.nii.gz").read_bytes()) == plain
+
+    def test_gzip_compress_overrides_the_suffix(self, tmp_path):
+        vol = _sample_volume(8)
+        write_volume(vol, tmp_path / "a.nii", datatype=8)
+        write_volume(vol, tmp_path / "packed.nii", datatype=8, gzip_compress=True)
+        write_volume(vol, tmp_path / "plain.nii.gz", datatype=8, gzip_compress=False)
+        plain = (tmp_path / "a.nii").read_bytes()
+        assert (tmp_path / "plain.nii.gz").read_bytes() == plain
+        assert gzip.decompress((tmp_path / "packed.nii").read_bytes()) == plain
+
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+    def test_writes_are_deterministic(self, suffix, tmp_path):
+        vol = _sample_volume(16)
+        write_volume(vol, tmp_path / f"a{suffix}", datatype=16)
+        write_volume(vol, tmp_path / f"b{suffix}", datatype=16)
+        assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
+
+    @pytest.mark.parametrize("data, code", [
+        (np.full((2, 2, 2), np.iinfo(np.int32).max + 1, dtype=np.int64), 8),
+        (np.full((2, 2, 2), 2.5), 4),
+        (np.full((2, 2, 2), 1e300), 16),
+    ], ids=["int64-over-int32", "fraction-to-int16", "float64-over-float32"])
+    def test_unsafe_cast_is_rejected(self, data, code, tmp_path):
+        vol = Volume3D(data=data, spacing=(1, 1, 1), affine=np.eye(3, 4))
+        with pytest.raises(RangeOverflowError):
+            write_volume(vol, tmp_path / "o.nii.gz", datatype=code)
+        assert not (tmp_path / "o.nii.gz").exists()
+
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+    def test_label_grid_is_not_copied(self, suffix, tmp_path):
+        data = np.zeros((128, 96, 80), dtype=np.int32, order="F")  # 3.9 MB
+        data[10:60, 20:30, 5:70] = 7
+        vol = Volume3D(data=data, spacing=(1, 1, 1), affine=np.eye(3, 4))
+        path = tmp_path / f"labels{suffix}"
+        tracemalloc.start()
+        try:
+            write_volume(vol, path, datatype=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < data.nbytes / 4
+        assert np.array_equal(read_volume(path, "intensity").data, data)
+
+
+class TestScaling:
+    @pytest.mark.parametrize("slope, inter", [
+        (0.0, 0.0), (float("nan"), 0.0), (1.0, 0.0), (2.5, -1.25),
+        (-3.0, 0.5), (float("nan"), float("nan")), (0.0, 7.0),
+    ])
+    def test_bit_identical_to_slope_then_intercept(self, slope, inter, tmp_path):
+        values = np.array([-0.0, 0.0, np.nan, -np.nan, 1.5, -2.25, np.inf, -np.inf,
+                           3e38, -1e-45], dtype=np.float32)
+        grid = np.resize(values, 4 * 4 * 4).astype(np.float32)
+        path = tmp_path / "s.nii"
+        write_raw(path, minimal_header(datatype=16, scl_slope=slope, scl_inter=inter),
+                  grid.tobytes())
+        got = read_volume(path, "intensity").data.ravel("F")
+        s = np.float32(slope)
+        s = 1.0 if s == 0.0 or np.isnan(s) else float(s)
+        i = 0.0 if np.isnan(np.float32(inter)) else float(np.float32(inter))
+        want = grid.astype(np.float64) * s + i
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestCorruptGzip:
+    """A damaged .nii.gz is bad input (InputError naming the file), not an
+    internal failure."""
+
+    @pytest.fixture
+    def good(self, tmp_path):
+        path = tmp_path / "good.nii.gz"
+        write_volume(make_mask(np.ones((6, 5, 4), bool)), path, datatype=2)
+        return path.read_bytes()
+
+    def _read(self, path):
+        with pytest.raises(InputError) as info:
+            read_volume(path, "mask")
+        assert str(info.value).startswith(f"{path}: ")
+        return str(info.value)
+
+    def test_truncated(self, good, tmp_path):
+        path = tmp_path / "cut.nii.gz"
+        path.write_bytes(good[: len(good) // 2])
+        assert "end-of-stream" in self._read(path)
+
+    def test_bad_crc(self, good, tmp_path):
+        path = tmp_path / "crc.nii.gz"
+        path.write_bytes(good[:-8] + bytes([good[-8] ^ 0xFF]) + good[-7:])
+        assert "CRC" in self._read(path)
+
+    def test_bad_deflate_block(self, tmp_path):
+        path = tmp_path / "block.nii.gz"
+        # a gzip header, then a deflate block of the reserved type 3
+        path.write_bytes(b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff" + b"\xff" * 32)
+        assert "Error -3" in self._read(path)
+
+    def test_header_errors_name_the_file_once(self, tmp_path):
+        path = tmp_path / "short.nii"
+        path.write_bytes(b"\x00" * 100)
+        with pytest.raises(TooShortError) as info:
+            read_volume(path, "mask")
+        assert str(info.value).startswith(f"{path}: ")
+        nan = np.zeros((2, 2, 2))
+        nan[0, 0, 0] = np.nan
+        path = tmp_path / "nan.nii"
+        write_volume(Volume3D(nan, (1, 1, 1), np.eye(3, 4)), path, datatype=64)
+        assert self._read(path).count(str(path)) == 1
+

@@ -18,7 +18,15 @@ from .metrics import (
     voxel_metrics,
 )
 from .morphology import contrast_stat, dilate_once, shell
-from .nifti import BinaryMask, NiftiHeader, Volume3D, parse_header, read_volume, write_volume
+from .nifti import (
+    BinaryMask,
+    NiftiHeader,
+    Volume3D,
+    parse_header,
+    read_volume,
+    read_voxels,
+    write_volume,
+)
 from .phantom import Perturbation, PhantomSpec, generate, perturb
 from .stats import StatResult, bh_fdr, compare_models, rank_biserial, wilcoxon_signed_rank
 from .volume import RoiMask, foreground_volume, intersect, subtract
@@ -50,6 +58,7 @@ __all__ = [
     "perturb",
     "rank_biserial",
     "read_volume",
+    "read_voxels",
     "shell",
     "size_histogram",
     "subtract",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -29,10 +30,9 @@ from .harness import (
 )
 from .metrics import CSV_COLUMNS, METRIC_NAMES, SubjectMetrics, evaluate_subject
 from .morphology import contrast_stat, contrast_stat_per_cluster
-from .nifti import Volume3D, read_volume, write_volume
+from .nifti import Volume3D, read_volume, read_voxels, write_volume
 from .phantom import PhantomSpec, Perturbation, generate, perturb
 from .stats import COMPARE_CSV_COLUMNS, compare_models
-from .volume import ensure_same_grid
 
 WORKERS_ENV = "PVSEVAL_WORKERS"
 
@@ -46,10 +46,20 @@ class RunConfig:
     strict_grid: bool = False
 
 
+# what the config file must hold for each field's type; no coercion, so
+# "false" is not a bool and 6.9 is not an int (nor is true a number)
+_JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """Explicit flags override the config file, which overrides defaults."""
     cfg = RunConfig()
-    cfg.workers = int(os.environ.get(WORKERS_ENV, cfg.workers))
+    workers = os.environ.get(WORKERS_ENV)
+    if workers is not None:
+        try:
+            cfg.workers = int(workers)
+        except ValueError:
+            raise InputError(f"{WORKERS_ENV} must be an integer, got {workers!r}") from None
     config_path = getattr(args, "config", None)
     if config_path:
         with open(config_path) as fh:
@@ -57,10 +67,16 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                 loaded = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{config_path}: invalid JSON config: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise InputError(f"{config_path}: config must be a JSON object")
         for key, value in loaded.items():
             if not hasattr(cfg, key):
                 raise InputError(f"{config_path}: unknown config key {key!r}")
-            setattr(cfg, key, type(getattr(cfg, key))(value))
+            want = type(getattr(cfg, key))
+            if type(value) is not want and not (want is float and type(value) is int):
+                raise InputError(f"{config_path}: config key {key!r} must be "
+                                 f"{_JSON_TYPES[want]}, got {json.dumps(value)}")
+            setattr(cfg, key, want(value))
     for key in ("connectivity", "fdr_q", "workers"):
         value = getattr(args, key, None)
         if value is not None:
@@ -351,9 +367,10 @@ def cmd_compare(args) -> int:
 
 def cmd_contrast(args) -> int:
     cfg = _resolve_config(args)
-    image = read_volume(_require_file(args.image, "--image"), "intensity")
+    image_path = _require_file(args.image, "--image")
     mask = read_volume(_require_file(args.mask, "--mask"), "mask")
-    ensure_same_grid(image, mask, cfg.strict_grid)
+    # the image is read only where contrast needs it, at the mask and ring voxels
+    image = functools.partial(read_voxels, image_path, grid=mask, strict=cfg.strict_grid)
     subject_id = args.subject_id or Path(args.mask).name.split(".")[0]
     if args.mode == "per_cluster":
         mask_mean, shell_mean, contrast = contrast_stat_per_cluster(

@@ -5,16 +5,25 @@ fg_index: one lookup per neighbor offset in a grid padded with foreground,
 so off-grid neighbors never join a ring. Ring and mask voxels are keyed
 group * grid size + C-order index; one sort then groups them, drops
 repeats, and puts each group in the order boolean indexing reads it, so
-every mean equals image.data[bool].mean() bit for bit.
+every mean equals image.data[bool].mean() bit for bit. Contrast reads the
+image only at the mask and ring voxels, once, through one accessor: a
+dense Volume3D is indexed, and a function such as nifti.read_voxels bound
+to a file gathers just those voxels while it streams the file.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from .ccl import label_components, neighbor_offsets
-from .errors import DimMismatchError, EmptyMaskError, EmptyShellError
-from .nifti import BinaryMask, Volume3D
+from .errors import EmptyMaskError, EmptyShellError
+from .nifti import BinaryMask, Volume3D, ensure_same_grid
+
+# an image given as the function from sorted flat x-fastest indices of the
+# mask's grid to the image values there
+Gather = Callable[[np.ndarray], np.ndarray]
 
 
 def _fg_keys(m: BinaryMask, group) -> np.ndarray:
@@ -41,14 +50,36 @@ def _ring(m: BinaryMask, group, connectivity: int) -> np.ndarray:
     return ring.compress(first)
 
 
-def _group_means(image: Volume3D, keys: np.ndarray) -> tuple[np.ndarray, list[float]]:
-    """(group ids, mean image value of each group) over sorted keys."""
-    group, c_index = np.divmod(keys, image.data.size)
-    values = image.data[np.unravel_index(c_index, image.dims)]
-    starts = np.flatnonzero(np.diff(group, prepend=-1))
-    ends = np.append(starts[1:], keys.size)
-    # not np.add.reduceat: it sums in another order than mean() on 8+ values
-    return group[starts], [float(values[s:e].mean()) for s, e in zip(starts, ends)]
+def _accessor(image: Volume3D | Gather, m: BinaryMask) -> Gather:
+    """The one accessor contrast reads an image through. A Volume3D must be
+    on m's grid; a function is its own accessor and checks the grid itself."""
+    if callable(image):
+        return image
+    ensure_same_grid(image, m)
+    return image.data.ravel("F").__getitem__
+
+
+def _group_means(gather: Gather, m: BinaryMask, *key_sets: np.ndarray):
+    """For each array of sorted keys, (group ids, mean image value of each
+    group); the image is gathered once, at the voxels of all of them."""
+    groups, wanted = [], []
+    for keys in key_sets:
+        group, c_index = np.divmod(keys, m.data.size)
+        groups.append(group)
+        wanted.append(np.ravel_multi_index(np.unravel_index(c_index, m.dims), m.dims, order="F"))
+    wanted = np.concatenate(wanted)
+    order = np.argsort(wanted)
+    gathered = gather(wanted[order])
+    values = np.empty_like(gathered)
+    values[order] = gathered
+    out, at = [], 0
+    for group in groups:
+        group_values, at = values[at:at + group.size], at + group.size
+        starts = np.flatnonzero(np.diff(group, prepend=-1))
+        ends = np.append(starts[1:], group.size)
+        # not np.add.reduceat: it sums in another order than mean() on 8+ values
+        out.append((group[starts], [float(group_values[s:e].mean()) for s, e in zip(starts, ends)]))
+    return out
 
 
 def dilate_once(m: BinaryMask, connectivity: int = 26) -> BinaryMask:
@@ -65,40 +96,45 @@ def shell(m: BinaryMask, connectivity: int = 26) -> BinaryMask:
 
 
 def contrast_stat(
-    image: Volume3D, m: BinaryMask, connectivity: int = 26
+    image: Volume3D | Gather, m: BinaryMask, connectivity: int = 26
 ) -> tuple[float, float, float]:
-    """(mask_mean, shell_mean, |mask_mean - shell_mean|) over the whole mask."""
-    if image.dims != m.dims:
-        raise DimMismatchError(f"grid mismatch: {image.dims} vs {m.dims}")
+    """(mask_mean, shell_mean, |mask_mean - shell_mean|) over the whole mask.
+
+    image is a Volume3D on m's grid, or a function from sorted flat
+    x-fastest indices of m's grid to the image values there, such as
+    nifti.read_voxels bound to a file, which checks the grid itself.
+    """
+    gather = _accessor(image, m)
     if m.foreground_count == 0:
         raise EmptyMaskError("contrast needs a non-empty mask")
     ring = _ring(m, 0, connectivity)
     if not ring.size:
         raise EmptyShellError("mask saturates the grid; shell is empty")
-    (mask_mean,) = _group_means(image, np.sort(_fg_keys(m, 0)))[1]
-    (shell_mean,) = _group_means(image, ring)[1]
+    (_, (mask_mean,)), (_, (shell_mean,)) = _group_means(
+        gather, m, np.sort(_fg_keys(m, 0)), ring)
     return mask_mean, shell_mean, abs(mask_mean - shell_mean)
 
 
 def contrast_stat_per_cluster(
-    image: Volume3D, m: BinaryMask, connectivity: int = 26
+    image: Volume3D | Gather, m: BinaryMask, connectivity: int = 26
 ) -> tuple[float, float, float]:
     """Per-cluster contrast, averaged over clusters.
 
     Each cluster is contrasted against its own one-voxel ring; ring voxels
     belonging to any other cluster are excluded so surroundings never
     include foreground. Clusters with an empty ring are skipped. Returned
-    means are averages of the per-cluster values.
+    means are averages of the per-cluster values. image is as in
+    contrast_stat.
     """
-    if image.dims != m.dims:
-        raise DimMismatchError(f"grid mismatch: {image.dims} vs {m.dims}")
+    gather = _accessor(image, m)
     if m.foreground_count == 0:
         raise EmptyMaskError("contrast needs a non-empty mask")
     lm = label_components(m, connectivity)
-    ringed, shell_means = _group_means(image, _ring(m, lm.fg_labels, connectivity))
-    if not ringed.size:
+    ring = _ring(m, lm.fg_labels, connectivity)
+    if not ring.size:
         raise EmptyShellError("no cluster has a non-empty shell")
-    mask_keys = np.sort(_fg_keys(m, lm.fg_labels))
-    mask_means = np.array(_group_means(image, mask_keys)[1])[ringed - 1]
+    (_, mask_means), (ringed, shell_means) = _group_means(
+        gather, m, np.sort(_fg_keys(m, lm.fg_labels)), ring)
+    mask_means = np.array(mask_means)[ringed - 1]
     contrasts = np.abs(mask_means - shell_means)
     return tuple(float(np.mean(v)) for v in (mask_means, shell_means, contrasts))

@@ -5,13 +5,25 @@ single-file ("n+1") flavor, optionally gzip-compressed, with datatypes
 u8/i16/i32/f32/f64. Dual-file pairs and NIfTI-2 are rejected explicitly.
 Voxel data is held x-fastest in memory (Fortran order over (nx, ny, nz));
 orientation lives in the affine, never in the array layout.
+
+Every read goes through one streaming decoder: the file is read in blocks,
+a .nii.gz inflated member by member (several members and trailing zero
+padding are accepted, and every CRC32/length trailer is checked) in
+bounded pieces, and the voxels are handed on in blocks. read_volume casts
+each block straight into the output grid; read_voxels keeps only the
+values at the voxels asked for, so a caller that needs a few voxels of a
+large image never holds its grid.
 """
 
 from __future__ import annotations
 
-import gzip
+import itertools
+import math
+import os
 import struct
 import zlib
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -21,6 +33,7 @@ import numpy as np
 from .errors import (
     BadHeaderError,
     BadMagicError,
+    DimMismatchError,
     InconsistentBitpixError,
     InputError,
     RangeOverflowError,
@@ -78,6 +91,15 @@ class NiftiHeader:
     def dtype(self) -> np.dtype:
         return DATATYPES[self.datatype_code][0]
 
+    # dims and affine let a header be checked with ensure_same_grid
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return self.shape3d
+
+    @property
+    def affine(self) -> np.ndarray:
+        return affine_from_header(self)
+
 
 @dataclass(eq=False)
 class Volume3D:
@@ -127,6 +149,14 @@ class BinaryMask(Volume3D):
     @property
     def foreground_count(self) -> int:
         return self.fg_index.size
+
+
+def ensure_same_grid(a: Volume3D, b: Volume3D, strict: bool = False) -> None:
+    """Dims must match; strict mode also compares affines within 1e-4."""
+    if a.dims != b.dims:
+        raise DimMismatchError(f"grid mismatch: {a.dims} vs {b.dims}")
+    if strict and not np.allclose(a.affine, b.affine, atol=1e-4):
+        raise DimMismatchError("affines differ beyond 1e-4 in strict grid mode")
 
 
 # header layout, offsets per the NIfTI-1 standard
@@ -243,39 +273,96 @@ def affine_from_header(hdr: NiftiHeader) -> np.ndarray:
     return affine
 
 
-def _read_all_bytes(path: str | Path) -> bytes:
-    with open(path, "rb") as fh:
-        prefix = fh.read(2)
-        fh.seek(0)
-        if prefix == GZIP_MAGIC:
-            with gzip.open(fh, "rb") as gz:
-                return gz.read()
-        return fh.read()
+_BLOCK = 1 << 18  # file bytes read per step
+_PIECE = 1 << 18  # most decompressed bytes inflated per step
+_FHCRC, _FEXTRA, _FNAME, _FCOMMENT = 2, 4, 8, 16  # gzip header flags (RFC 1952)
+_MAX_RATIO = 1032  # deflate inflates at most this many bytes per byte
+_EOF = "Compressed file ended before the end-of-stream marker was reached"
 
 
-def read_volume(path: str | Path, mode: str = "intensity") -> Volume3D | BinaryMask:
-    """Read a single-file NIfTI-1 volume.
+def _member_header_size(data: bytes) -> int | None:
+    """Size of the gzip member header that data starts with (magic already
+    checked), or None when data ends inside it."""
+    if len(data) < 10:
+        return None
+    if data[2] != 8:
+        raise InputError("Unknown compression method")
+    flags, size = data[3], 10
+    if flags & _FEXTRA:
+        if len(data) < 12:
+            return None
+        size = 12 + int.from_bytes(data[10:12], "little")
+    for flag in (_FNAME, _FCOMMENT):
+        if flags & flag:
+            end = data.find(b"\x00", size)
+            if end < 0:
+                return None
+            size = end + 1
+    if flags & _FHCRC:
+        size += 2
+    return size if size <= len(data) else None
 
-    mode="mask" binarizes the raw stored values (nonzero test, before any
-    scl scaling) and returns a BinaryMask, rejecting a float mask that holds
-    NaN, which is neither foreground nor background; mode="intensity" applies
-    scl_slope/scl_inter (slope 0 treated as 1) and returns a Volume3D of
-    float64. Every InputError, a truncated or corrupt gzip stream included,
-    carries a message that starts with the path.
+
+def _inflate(fh) -> Iterator[bytes]:
+    """The decompressed bytes of an open file, in pieces of at most _PIECE
+    bytes, read _BLOCK bytes at a time.
+
+    A file that starts with the gzip magic is a series of gzip members (RFC
+    1952, 2.2), each one checked against its CRC32 and length trailer, and
+    zero padding after a member is skipped; any other file passes through
+    as it is. The checks, their order and their messages are those of
+    Python's GzipFile, and max_length bounds each piece, so a highly
+    compressed block never inflates at once.
     """
-    if mode not in ("mask", "intensity"):
-        raise ValueError(f"mode must be 'mask' or 'intensity', got {mode!r}")
-    try:
-        return _decode(_read_all_bytes(path), mode)
-    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    except InputError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+    data = fh.read(_BLOCK)
+    if data[:2] != GZIP_MAGIC:
+        while data:
+            yield data
+            data = fh.read(_BLOCK)
+        return
+
+    def more(data: bytes) -> bytes:
+        block = fh.read(_BLOCK)
+        if not block:
+            raise InputError(_EOF)
+        return data + block
+
+    while True:  # one gzip member per pass
+        if len(data) < 2:
+            data += fh.read(_BLOCK)
+            if not data:
+                return
+        if data[:2] != GZIP_MAGIC:
+            raise InputError(f"Not a gzipped file ({data[:2]!r})")
+        while (start := _member_header_size(data)) is None:
+            data = more(data)
+        member, crc, size = zlib.decompressobj(-zlib.MAX_WBITS), 0, 0
+        data = data[start:]
+        while not member.eof:
+            if not data:
+                data = more(data)
+            piece = member.decompress(data, _PIECE)
+            data = member.unused_data if member.eof else member.unconsumed_tail
+            if piece:
+                crc = zlib.crc32(piece, crc)
+                size += len(piece)
+                yield piece
+        while len(data) < 8:
+            data = more(data)
+        stored_crc, stored_size = struct.unpack_from("<II", data)
+        if stored_crc != crc:
+            raise InputError(f"CRC check failed {hex(stored_crc)} != {hex(crc)}")
+        if stored_size != size & 0xFFFFFFFF:
+            raise InputError("Incorrect length of data produced")
+        data = data[8:].lstrip(b"\x00")
+        while not data:  # zero padding, possibly up to the end of the file
+            block = fh.read(_BLOCK)
+            if not block:
+                return
+            data = block.lstrip(b"\x00")
 
 
-def _decode(raw: bytes, mode: str) -> Volume3D | BinaryMask:
-    hdr = parse_header(raw)
-
+def _check_single_file(hdr: NiftiHeader) -> None:
     if hdr.magic == MAGIC_PAIR:
         raise UnsupportedFormatError("dual-file ('ni1') NIfTI pairs are not supported")
     if hdr.vox_offset < SINGLE_FILE_VOX_OFFSET:
@@ -287,40 +374,155 @@ def _decode(raw: bytes, mode: str) -> Volume3D | BinaryMask:
         rank = 3
     if rank != 3:
         raise UnsupportedFormatError(f"only 3D volumes supported, got dim={hdr.dim}")
-    nx, ny, nz = hdr.shape3d
-    if min(nx, ny, nz) < 1:
+    if min(hdr.shape3d) < 1:
         raise BadHeaderError(f"non-positive grid extents {hdr.shape3d}")
-    spacing = hdr.pixdim[1:4]
-    if any(s <= 0 for s in spacing):
-        raise BadHeaderError(f"non-positive pixdim {spacing}")
+    if any(s <= 0 for s in hdr.pixdim[1:4]):
+        raise BadHeaderError(f"non-positive pixdim {hdr.pixdim[1:4]}")
 
+
+def _stream(fh) -> Iterator:
+    """Yield the checked header of an open single-file volume, then its
+    stored voxel values as (first flat x-fastest index, values) blocks that
+    tile the grid in order.
+
+    The file is always read to its end, so every gzip trailer is checked,
+    and a damaged stream is reported before anything about its content: a
+    bad header after the rest of the stream, a file short of its grid as
+    TruncatedDataError after the last block.
+    """
+    pieces = _inflate(fh)
+    head = b""
+    for piece in pieces:
+        head += piece
+        if len(head) >= HEADER_SIZE:
+            break
+    try:
+        hdr = parse_header(head)
+        _check_single_file(hdr)
+    except InputError:
+        for _ in pieces:
+            pass
+        raise
+
+    # the voxels may start in the bytes read so far; only the chain holds them
+    pieces, head = itertools.chain((head,), pieces), None
     dtype = hdr.dtype.newbyteorder(hdr.byte_order)
-    count = nx * ny * nz
+    size = dtype.itemsize
+    count = math.prod(hdr.shape3d)
     start = int(hdr.vox_offset)
-    nbytes = count * dtype.itemsize
-    if len(raw) < start + nbytes:
-        raise TruncatedDataError(
-            f"need {nbytes} data bytes at offset {start}, file has {len(raw) - start}"
-        )
-    flat = np.frombuffer(raw, dtype=dtype, count=count, offset=start)
-    grid = flat.reshape((nx, ny, nz), order="F")
-    affine = affine_from_header(hdr)
+    if start + count * size > _MAX_RATIO * os.fstat(fh.fileno()).st_size:
+        # no file this small holds the grid: fail as a short file, not on allocation
+        raise _truncated(count * size, start, sum(map(len, pieces)))
+    yield hdr
 
-    if mode == "mask":
-        if dtype.kind == "f" and np.isnan(grid).any():
-            raise InputError("mask holds NaN voxels")
-        return BinaryMask(data=grid != 0, spacing=spacing, affine=affine)
+    done, position, carry = 0, 0, b""  # voxels yielded, stream bytes seen
+    for piece in pieces:
+        skip = max(start - position, 0)
+        position += len(piece)
+        if done == count or skip >= len(piece):
+            continue
+        view = memoryview(piece)[skip:]
+        if carry:  # a voxel split across two pieces
+            take = min(size - len(carry), len(view))
+            carry += view[:take].tobytes()
+            view = view[take:]
+            if len(carry) == size:
+                yield done, np.frombuffer(carry, dtype)
+                done, carry = done + 1, b""
+        n = min(len(view) // size, count - done)
+        if n:
+            yield done, np.frombuffer(view, dtype, count=n)
+            done += n
+        if done < count:
+            carry += view[n * size:].tobytes()
+    if done < count:
+        raise _truncated(count * size, start, position)
 
+
+def _truncated(nbytes: int, start: int, length: int) -> TruncatedDataError:
+    return TruncatedDataError(f"need {nbytes} data bytes at offset {start}, file has {length - start}")
+
+
+@contextmanager
+def _naming(path: str | Path):
+    """Prefix the path to every InputError, a corrupt deflate stream included."""
+    try:
+        yield
+    except zlib.error as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    except InputError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _scaling(hdr: NiftiHeader) -> tuple[float, float]:
+    """(slope, intercept), with slope 0 or NaN read as 1 and a NaN intercept as 0."""
     slope = hdr.scl_slope
     if slope == 0.0 or np.isnan(slope):
         slope = 1.0
-    inter = 0.0 if np.isnan(hdr.scl_inter) else hdr.scl_inter
-    # in place, bit-identical to grid.astype(np.float64) * slope + inter,
-    # without relying on numpy to elide that expression's temporaries
-    data = grid.astype(np.float64)
-    data *= slope
-    data += inter
-    return Volume3D(data=data, spacing=spacing, affine=affine)
+    return slope, 0.0 if np.isnan(hdr.scl_inter) else hdr.scl_inter
+
+
+def read_volume(path: str | Path, mode: str = "intensity") -> Volume3D | BinaryMask:
+    """Read a single-file NIfTI-1 volume.
+
+    mode="mask" binarizes the raw stored values (nonzero test, before any
+    scl scaling) and returns a BinaryMask, rejecting a float mask that holds
+    NaN, which is neither foreground nor background; mode="intensity" applies
+    scl_slope/scl_inter (slope 0 treated as 1) and returns a Volume3D of
+    float64. The file is decoded block by block straight into the output
+    grid, so no more than a few blocks are held besides it. Every
+    InputError, a truncated or corrupt gzip stream included, carries a
+    message that starts with the path.
+    """
+    if mode not in ("mask", "intensity"):
+        raise ValueError(f"mode must be 'mask' or 'intensity', got {mode!r}")
+    with _naming(path), open(path, "rb") as fh:
+        stream = _stream(fh)
+        hdr = next(stream)
+        out = np.empty(math.prod(hdr.shape3d), dtype=bool if mode == "mask" else np.float64)
+        nan = False
+        for first, values in stream:
+            block = out[first:first + values.size]
+            if mode == "intensity":
+                block[:] = values
+            else:
+                np.not_equal(values, 0, out=block)
+                nan = nan or (values.dtype.kind == "f" and bool(np.isnan(values).any()))
+        if nan:
+            raise InputError("mask holds NaN voxels")
+    grid = out.reshape(hdr.shape3d, order="F")
+    spacing, affine = hdr.pixdim[1:4], affine_from_header(hdr)
+    if mode == "mask":
+        return BinaryMask(data=grid, spacing=spacing, affine=affine)
+    # in place, bit-identical to stored.astype(np.float64) * slope + inter
+    slope, inter = _scaling(hdr)
+    grid *= slope
+    grid += inter
+    return Volume3D(data=grid, spacing=spacing, affine=affine)
+
+
+def read_voxels(path: str | Path, index: np.ndarray, grid: Volume3D,
+                strict: bool = False) -> np.ndarray:
+    """Intensity values of a single-file NIfTI-1 volume at sorted flat
+    x-fastest indices (repeats allowed): read_volume(path).data.ravel("F")[index],
+    bit for bit, without building the grid.
+
+    The whole file is still decoded, so a damaged stream fails as in
+    read_volume, and the header's grid is then checked against grid as
+    ensure_same_grid does (dims, and in strict mode the affine).
+    """
+    values = np.empty(index.size)
+    with _naming(path), open(path, "rb") as fh:
+        stream = _stream(fh)
+        hdr = next(stream)
+        for first, block in stream:
+            lo, hi = np.searchsorted(index, (first, first + block.size))
+            values[lo:hi] = block[index[lo:hi] - first]
+    ensure_same_grid(hdr, grid, strict)
+    slope, inter = _scaling(hdr)
+    values *= slope
+    values += inter
+    return values
 
 
 def _check_representable(data: np.ndarray, dtype: np.dtype, code: int) -> None:

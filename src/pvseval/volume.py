@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatchError
-from .nifti import BinaryMask
+from .nifti import BinaryMask, ensure_same_grid
 
 
 @dataclass(eq=False, frozen=True)
@@ -22,18 +21,21 @@ class RoiMask:
     region: str  # conventionally "WM", "BG", or a free-form tag
 
 
-def ensure_same_grid(a: BinaryMask, b: BinaryMask, strict: bool = False) -> None:
-    """Dims must match; strict mode also compares affines within 1e-4."""
-    if a.dims != b.dims:
-        raise DimMismatchError(f"grid mismatch: {a.dims} vs {b.dims}")
-    if strict and not np.allclose(a.affine, b.affine, atol=1e-4):
-        raise DimMismatchError("affines differ beyond 1e-4 in strict grid mode")
-
-
 def intersect(a: BinaryMask, b: BinaryMask, strict: bool = False) -> BinaryMask:
-    """Voxelwise AND; spacing/affine inherited from a."""
+    """Voxelwise AND; spacing/affine inherited from a.
+
+    The result's foreground is looked up from a's foreground index, so the
+    work beyond painting the result grid scales with a's foreground, not
+    the grid; that index is preset on the result.
+    """
     ensure_same_grid(a, b, strict)
-    return BinaryMask(data=a.data & b.data, spacing=a.spacing, affine=a.affine)
+    index = a.fg_index[b.data.ravel("F")[a.fg_index]]
+    data = np.zeros(a.dims, dtype=bool, order="F")
+    data.ravel("F")[index] = True
+    out = BinaryMask(data=data, spacing=a.spacing, affine=a.affine)
+    index.setflags(write=False)
+    out.fg_index = index
+    return out
 
 
 def subtract(a: BinaryMask, b: BinaryMask, strict: bool = False) -> BinaryMask:

@@ -1,3 +1,5 @@
+import gzip
+import struct
 import sys
 from pathlib import Path
 
@@ -19,6 +21,39 @@ def make_mask(data, spacing=(1.0, 1.0, 1.0)):
     affine = np.zeros((3, 4))
     affine[0, 0], affine[1, 1], affine[2, 2] = spacing
     return BinaryMask(data=np.asarray(data, dtype=bool), spacing=spacing, affine=affine)
+
+
+def write_nifti(path, data, datatype, order="<", slope=1.0, inter=0.0, vox_offset=352,
+                affine=None, members=1):
+    """Write a single-file NIfTI-1 field by field, in either byte order: scl
+    scaling, an extension filling the bytes up to vox_offset, and, for a .gz
+    path, the stream split into `members` gzip members."""
+    from pvseval.nifti import DATATYPES
+
+    dtype, bitpix = DATATYPES[datatype]
+    data = np.asarray(data)
+    if affine is None:
+        affine = np.eye(3, 4)
+    header = bytearray(vox_offset)
+    struct.pack_into(order + "i", header, 0, 348)
+    struct.pack_into(order + "8h", header, 40, 3, *data.shape, 1, 1, 1, 1)
+    struct.pack_into(order + "2h", header, 70, datatype, bitpix)
+    struct.pack_into(order + "8f", header, 76, 1.0, *np.linalg.norm(affine[:, :3], axis=0),
+                     0, 0, 0, 0)
+    struct.pack_into(order + "3f", header, 108, vox_offset, slope, inter)
+    struct.pack_into(order + "h", header, 254, 1)  # sform_code
+    struct.pack_into(order + "12f", header, 280, *np.asarray(affine, float).ravel())
+    header[344:348] = b"n+1\x00"
+    if vox_offset > 352:  # one extension: flag, esize, ecode 0, then its content
+        header[348] = 1
+        struct.pack_into(order + "i", header, 352, vox_offset - 352)
+        header[360:vox_offset] = b"x" * (vox_offset - 360)
+    blob = bytes(header) + data.astype(dtype.newbyteorder(order)).tobytes(order="F")
+    if str(path).endswith(".gz"):
+        cuts = np.linspace(0, len(blob), members + 1).astype(int)
+        blob = b"".join(gzip.compress(blob[a:b]) for a, b in zip(cuts[:-1], cuts[1:]))
+    Path(path).write_bytes(blob)
+    return path
 
 
 @pytest.fixture

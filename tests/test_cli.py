@@ -1,15 +1,18 @@
 import csv
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pvseval.cli import main
 from pvseval.harness import SubjectRecord, write_manifest
+from pvseval.morphology import contrast_stat, contrast_stat_per_cluster
 from pvseval.nifti import BinaryMask, Volume3D, read_volume, write_volume
 from pvseval.phantom import PhantomSpec, Perturbation, generate, perturb
 
+from conftest import write_nifti
 from oracles import brute_dilate
 
 
@@ -389,6 +392,102 @@ class TestContrastCommand:
         assert "affines" in capsys.readouterr().err
 
 
+class TestContrastGather:
+    """contrast gathers the image at the mask and ring voxels only; its
+    output equals contrast_stat on the dense read, in both modes."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("gather")
+        image, truth, _ = generate(PhantomSpec(dims=(30, 26, 22), n_tubes=4,
+                                               length_range=(6.0, 12.0), seed=9))
+        rng = np.random.default_rng(9)
+        wide = image.data * 10.0 ** rng.integers(-4, 5, image.dims)
+        write_nifti(root / "f64.nii.gz", wide, 64, affine=image.affine)
+        write_nifti(root / "f32.nii", wide, 16, affine=image.affine, members=1)
+        write_nifti(root / "f32be.nii.gz", wide, 16, ">", 2.0, -1.0, affine=image.affine,
+                    members=2)
+        write_nifti(root / "i16.nii.gz", np.round(image.data * 100), 4, "<", 0.01, -3.5,
+                    affine=image.affine)
+        write_nifti(root / "i16be.nii", np.round(image.data * 100), 4, ">", 0.01, 2.0,
+                    affine=image.affine)
+        speckle = truth.data | (rng.random(truth.dims) < 0.01)
+        write_volume(BinaryMask(speckle, truth.spacing, truth.affine), root / "mask.nii.gz",
+                     datatype=2)
+        return root
+
+    @pytest.mark.parametrize("connectivity", [6, 18, 26])
+    @pytest.mark.parametrize("mode", ["global", "per_cluster"])
+    @pytest.mark.parametrize("image", ["f64.nii.gz", "f32.nii", "f32be.nii.gz",
+                                       "i16.nii.gz", "i16be.nii"])
+    def test_equals_contrast_of_the_dense_read(self, files, tmp_path, image, mode,
+                                               connectivity):
+        assert run("contrast", "--image", files / image, "--mask", files / "mask.nii.gz",
+                   "--mode", mode, "--connectivity", connectivity, "--out", tmp_path) == 0
+        row = read_csv(tmp_path / "contrast.csv")[0]
+        stat = contrast_stat if mode == "global" else contrast_stat_per_cluster
+        want = stat(read_volume(files / image, "intensity"),
+                    read_volume(files / "mask.nii.gz", "mask"), connectivity)
+        got = tuple(float(row[k]) for k in ("mask_mean", "shell_mean", "abs_contrast"))
+        assert got == want
+
+    def test_mask_on_another_grid(self, files, tmp_path, capsys):
+        data = np.zeros((30, 26, 23), bool)
+        data[5:8, 5:8, 5:8] = True
+        write_volume(BinaryMask(data, (1, 1, 1), np.eye(3, 4)), tmp_path / "m.nii.gz",
+                     datatype=2)
+        assert run("contrast", "--image", files / "f32.nii", "--mask", tmp_path / "m.nii.gz",
+                   "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            "pvseval: error: grid mismatch: (30, 26, 22) vs (30, 26, 23)\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_strict_grid_compares_the_image_header(self, files, tmp_path, capsys):
+        mask = read_volume(files / "mask.nii.gz", "mask")
+        affine = np.array(mask.affine)
+        affine[0, 3] += 1e-3
+        write_volume(BinaryMask(mask.data, mask.spacing, affine), tmp_path / "m.nii.gz",
+                     datatype=2)
+        args = ("contrast", "--image", files / "f64.nii.gz", "--mask", tmp_path / "m.nii.gz")
+        assert run(*args, "--out", tmp_path / "lenient") == 0
+        assert run(*args, "--strict-grid", "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            "pvseval: error: affines differ beyond 1e-4 in strict grid mode\n")
+
+    @pytest.mark.parametrize("kind", ["truncated", "crc", "junk"])
+    def test_damaged_image_exits_2_and_names_it(self, files, tmp_path, capsys, kind):
+        bad = tmp_path / "bad.nii.gz"
+        shutil.copy(files / "f64.nii.gz", bad)
+        if kind == "junk":
+            bad.write_bytes(bad.read_bytes() + b"junk")
+        else:
+            damage(bad, kind)
+        assert run("contrast", "--image", bad, "--mask", files / "mask.nii.gz",
+                   "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err.startswith(f"pvseval: error: {bad}: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_peak_memory_well_below_the_float64_image(self, tmp_path):
+        # a 4 MB float32 image: its float64 grid alone would be 8 MB
+        rng = np.random.default_rng(10)
+        dims = (100, 100, 100)
+        path = tmp_path / "image.nii.gz"
+        write_volume(Volume3D(rng.normal(size=dims).astype(np.float32), (1, 1, 1),
+                              np.eye(3, 4)), path, datatype=16)
+        write_volume(BinaryMask(rng.random(dims) < 0.0005, (1, 1, 1), np.eye(3, 4)),
+                     tmp_path / "mask.nii.gz", datatype=2)
+        for mode in ("global", "per_cluster"):
+            tracemalloc.start()
+            try:
+                code = run("contrast", "--image", path, "--mask", tmp_path / "mask.nii.gz",
+                           "--mode", mode, "--out", tmp_path / mode)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert peak < 8 * np.prod(dims) / 2, (mode, peak)
+
+
 class TestClustersCommand:
     def test_sizes_and_histogram(self, phantom_files, tmp_path):
         root = phantom_files["root"]
@@ -498,6 +597,61 @@ class TestFoldsCommand:
         assert run("aggregate", "--manifest", manifest, "--out", out) == 0
         payload = json.loads((out / "aggregate.json").read_text())
         assert payload["config"]["workers"] == 2
+
+
+class TestConfigTypes:
+    """A config value must already have its field's JSON type, and
+    PVSEVAL_WORKERS must be an integer: bad input exits 2, never coerced."""
+
+    @pytest.fixture
+    def manifest(self, tmp_path):
+        return build_cohort(tmp_path, {"A": 2})[0]
+
+    def test_workers_env_not_an_integer(self, manifest, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PVSEVAL_WORKERS", "abc")
+        assert run("folds", "--manifest", manifest, "--scheme", "5fcv",
+                   "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            "pvseval: error: PVSEVAL_WORKERS must be an integer, got 'abc'\n")
+
+    @pytest.mark.parametrize("key, value, want", [
+        ("strict_grid", "false", "true or false"),
+        ("strict_grid", 0, "true or false"),
+        ("connectivity", 6.9, "an integer"),
+        ("connectivity", True, "an integer"),
+        ("workers", "2", "an integer"),
+        ("fdr_q", "0.1", "a number"),
+        ("fdr_q", False, "a number"),
+        ("out_dir", 5, "a string"),
+    ])
+    def test_value_of_the_wrong_type(self, manifest, tmp_path, capsys, key, value, want):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run("folds", "--manifest", manifest, "--scheme", "5fcv", "--config", cfg,
+                   "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            f"pvseval: error: {cfg}: config key {key!r} must be {want}, "
+            f"got {json.dumps(value)}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_values_of_the_right_type(self, manifest, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"strict_grid": False, "connectivity": 6, "workers": 2,
+                                   "fdr_q": 0.1}))
+        out = tmp_path / "o"
+        assert run("folds", "--manifest", manifest, "--scheme", "5fcv", "--config", cfg,
+                   "--out", out) == 0
+        config = json.loads((out / "foldspec.json").read_text())["config"]
+        assert (config["strict_grid"], config["connectivity"], config["workers"],
+                config["fdr_q"]) == (False, 6, 2, 0.1)
+
+    def test_config_not_an_object(self, manifest, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        assert run("folds", "--manifest", manifest, "--scheme", "5fcv", "--config", cfg,
+                   "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            f"pvseval: error: {cfg}: config must be a JSON object\n")
 
 
 @pytest.mark.parametrize("argv", [

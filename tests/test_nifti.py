@@ -1,13 +1,16 @@
 import gzip
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
+from pvseval import nifti
 from pvseval.errors import (
     BadHeaderError,
     BadMagicError,
+    DimMismatchError,
     InconsistentBitpixError,
     InputError,
     RangeOverflowError,
@@ -23,10 +26,11 @@ from pvseval.nifti import (
     Volume3D,
     parse_header,
     read_volume,
+    read_voxels,
     write_volume,
 )
 
-from conftest import make_mask
+from conftest import make_mask, write_nifti
 
 
 def minimal_header(order="<", magic=b"n+1\x00", datatype=2, bitpix=None,
@@ -400,3 +404,174 @@ class TestCorruptGzip:
         write_volume(Volume3D(nan, (1, 1, 1), np.eye(3, 4)), path, datatype=64)
         assert self._read(path).count(str(path)) == 1
 
+
+
+class TestStreamingRead:
+    """read_volume and read_voxels decode the file block by block; a block
+    edge may fall anywhere, in the header or inside a voxel."""
+
+    @pytest.fixture
+    def grid(self):
+        rng = np.random.default_rng(31)
+        return rng.normal(size=(9, 8, 7)) * 10.0 ** rng.integers(-30, 30, (9, 8, 7))
+
+    def test_two_gzip_members(self, grid, tmp_path):
+        path = write_nifti(tmp_path / "two.nii.gz", grid, 64, members=2)
+        assert np.array_equal(read_volume(path, "intensity").data, grid)
+
+    def test_trailing_zero_padding_is_accepted(self, grid, tmp_path):
+        path = write_nifti(tmp_path / "pad.nii.gz", grid, 64)
+        path.write_bytes(path.read_bytes() + bytes(16))
+        assert np.array_equal(read_volume(path, "intensity").data, grid)
+
+    @pytest.mark.parametrize("junk", [b"junk", b"\x00\x00j", b"\x1f"])
+    def test_trailing_junk_is_rejected(self, grid, tmp_path, junk):
+        path = write_nifti(tmp_path / "junk.nii.gz", grid, 64)
+        path.write_bytes(path.read_bytes() + junk)
+        with pytest.raises(InputError, match="Not a gzipped file") as info:
+            read_volume(path, "intensity")
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_damage_after_a_first_good_member(self, grid, tmp_path):
+        path = write_nifti(tmp_path / "two.nii.gz", grid, 64, members=2)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-8] + bytes([blob[-8] ^ 0xFF]) + blob[-7:])
+        with pytest.raises(InputError, match="CRC check failed"):
+            read_volume(path, "intensity")
+        path.write_bytes(blob[:-3])
+        with pytest.raises(InputError, match="end-of-stream"):
+            read_voxels(path, np.arange(5), Volume3D(grid, (1, 1, 1), np.eye(3, 4)))
+
+    def test_damaged_stream_is_reported_before_its_content(self, grid, tmp_path):
+        # as when a file was read whole: the stream first, then the header,
+        # then the grid's length, then NaN in a mask
+        blob = bytearray(write_nifti(tmp_path / "g.nii", grid, 64).read_bytes())
+        blob[344:348] = b"ni1\x00"
+        packed = gzip.compress(bytes(blob))
+        path = tmp_path / "bad.nii.gz"
+        path.write_bytes(packed[:-3])
+        with pytest.raises(InputError, match="end-of-stream"):
+            read_volume(path, "mask")
+        nan = grid.copy()
+        nan[0, 0, 0] = np.nan
+        raw = write_nifti(tmp_path / "nan.nii", nan, 64).read_bytes()
+        path.write_bytes(gzip.compress(raw[:-8]))
+        with pytest.raises(TruncatedDataError):
+            read_volume(path, "mask")
+
+    @pytest.mark.parametrize("block", [3, 1 << 18])
+    def test_gzip_header_with_every_optional_field(self, grid, tmp_path, monkeypatch, block):
+        # FHCRC, FEXTRA, FNAME and FCOMMENT (RFC 1952, 2.3), in two members
+        raw = write_nifti(tmp_path / "g.nii", grid, 64).read_bytes()
+        header = (b"\x1f\x8b\x08\x1e" + bytes(6) + b"\x04\x00abcd" + b"g.nii\x00"
+                  + b"a comment\x00" + b"\x12\x34")
+        members = []
+        for part in (raw[:500], raw[500:]):
+            deflate = zlib.compressobj(6, zlib.DEFLATED, -zlib.MAX_WBITS)
+            members.append(header + deflate.compress(part) + deflate.flush()
+                           + struct.pack("<II", zlib.crc32(part), len(part)))
+        path = tmp_path / "g.nii.gz"
+        path.write_bytes(b"".join(members))
+        monkeypatch.setattr(nifti, "_BLOCK", block)
+        assert np.array_equal(read_volume(path, "intensity").data, grid)
+
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+    @pytest.mark.parametrize("block, piece", [(7, 5), (97, 131), (1000, 3)])
+    def test_block_edges_anywhere(self, grid, tmp_path, monkeypatch, suffix, block, piece):
+        # blocks far smaller than the 352-byte header, and not multiples of
+        # a voxel, so the header and many voxels straddle block edges
+        path = write_nifti(tmp_path / f"g{suffix}", grid, 64, members=3)
+        monkeypatch.setattr(nifti, "_BLOCK", block)
+        monkeypatch.setattr(nifti, "_PIECE", piece)
+        assert np.array_equal(read_volume(path, "intensity").data, grid)
+        mask = read_volume(path, "mask")
+        assert np.array_equal(mask.data, grid != 0)
+        index = np.sort(np.random.default_rng(2).choice(grid.size, 50, replace=False))
+        assert np.array_equal(read_voxels(path, index, mask), grid.ravel("F")[index])
+
+    def test_voxel_straddles_a_default_block_edge(self, tmp_path):
+        # vox_offset 356: (2**18 - 356) is not a multiple of 8, so one
+        # float64 voxel is split across the first two 256 kB file blocks
+        grid = np.arange(40 * 40 * 25, dtype=np.float64).reshape(40, 40, 25) * 1.5
+        path = write_nifti(tmp_path / "edge.nii", grid, 64, vox_offset=356)
+        assert (nifti._BLOCK - 356) % 8 != 0 and path.stat().st_size > nifti._BLOCK
+        assert np.array_equal(read_volume(path, "intensity").data, grid)
+
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+    def test_extension_bytes_before_the_voxels(self, grid, tmp_path, suffix):
+        path = write_nifti(tmp_path / f"ext{suffix}", grid, 64, vox_offset=400)
+        assert parse_header(path.read_bytes()[:348] if suffix == ".nii"
+                            else gzip.decompress(path.read_bytes())[:348]).vox_offset == 400
+        assert np.array_equal(read_volume(path, "intensity").data, grid)
+
+    @pytest.mark.parametrize("order", ["<", ">"])
+    @pytest.mark.parametrize("code", sorted(DATATYPES))
+    @pytest.mark.parametrize("slope, inter", [(1.0, 0.0), (0.0, 0.0), (2.5, -1.25),
+                                              (float("nan"), 3.0), (-0.5, float("nan"))])
+    def test_gather_equals_dense_read_bit_for_bit(self, tmp_path, order, code, slope, inter):
+        dtype = DATATYPES[code][0]
+        rng = np.random.default_rng(code)
+        if dtype.kind == "f":
+            stored = (rng.normal(size=(8, 7, 6)) * 1e3).astype(dtype)
+            stored.ravel()[:4] = [-0.0, np.nan, np.inf, -np.inf]
+        else:
+            info = np.iinfo(dtype)
+            stored = rng.integers(info.min, info.max, (8, 7, 6), endpoint=True).astype(dtype)
+        path = write_nifti(tmp_path / "v.nii.gz", stored, code, order, slope, inter)
+        dense = read_volume(path, "intensity")
+        index = np.sort(rng.choice(stored.size, 60, replace=False))
+        index[1] = index[0]  # a repeated index is gathered twice
+        got = read_voxels(path, index, dense)
+        want = dense.data.ravel("F")[index]
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_gather_checks_the_grid(self, grid, tmp_path):
+        path = write_nifti(tmp_path / "g.nii.gz", grid, 64)
+        other = make_mask(np.ones((9, 8, 6), bool))
+        with pytest.raises(DimMismatchError, match=r"^grid mismatch: \(9, 8, 7\) vs \(9, 8, 6\)$"):
+            read_voxels(path, np.arange(3), other)
+        shifted = BinaryMask(np.ones(grid.shape, bool), (1, 1, 1), np.eye(3, 4) + 0.5)
+        read_voxels(path, np.arange(3), shifted)
+        with pytest.raises(DimMismatchError, match="affines differ"):
+            read_voxels(path, np.arange(3), shifted, strict=True)
+
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+    def test_grid_beyond_any_file_of_its_size_is_truncated(self, tmp_path, suffix):
+        # a header claiming 32767^3 voxels fails as a short file would,
+        # before any output grid is allocated
+        path = tmp_path / f"huge{suffix}"
+        blob = minimal_header(datatype=16, dims=(32767, 32767, 32767)) + bytes(4) + bytes(400)
+        path.write_bytes(gzip.compress(blob) if suffix == ".nii.gz" else blob)
+        with pytest.raises(TruncatedDataError, match="file has 400$"):
+            read_volume(path, "intensity")
+
+    def test_dense_read_peaks_at_its_grid_plus_a_few_blocks(self, tmp_path):
+        # 4 MB of float32 voxels in, an 8 MB float64 grid out; holding the
+        # whole decompressed file would add its 4 MB to the 2 MB allowed
+        grid = np.random.default_rng(3).normal(size=(100, 100, 100)).astype(np.float32)
+        for suffix in (".nii", ".nii.gz"):
+            path = tmp_path / f"big{suffix}"
+            write_volume(Volume3D(grid, (1, 1, 1), np.eye(3, 4)), path, datatype=16)
+            tracemalloc.start()
+            try:
+                vol = read_volume(path, "intensity")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(vol.data, grid)
+            assert peak < vol.data.nbytes + 2**21, (suffix, peak)
+
+    def test_mask_read_peaks_at_its_grid_plus_a_few_blocks(self, tmp_path):
+        # an 8 MB bool grid from 8 MB of uint8 voxels
+        data = np.random.default_rng(4).random((200, 200, 200)) < 0.001
+        path = tmp_path / "m.nii.gz"
+        write_volume(make_mask(data), path, datatype=2)
+        tracemalloc.start()
+        try:
+            mask = read_volume(path, "mask")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(mask.data, data)
+        assert peak < data.size + 2**21, peak

@@ -37,6 +37,19 @@ class TestIntersect:
         )
         assert intersect(a, b).foreground_count == expected
 
+    @pytest.mark.parametrize("shape, density", [((8, 8, 8), 0.4), ((7, 1, 5), 0.9),
+                                                ((9, 6, 4), 0.02), ((4, 4, 4), 0.0)])
+    def test_equals_the_dense_and(self, shape, density):
+        # the result's grid and its preset, read-only foreground index are
+        # those of a & b, for C- and F-ordered inputs alike
+        rng = np.random.default_rng(len(shape) + int(100 * density))
+        a, b = rng.random(shape) < density, rng.random(shape) < 0.5
+        out = intersect(make_mask(a), make_mask(np.ascontiguousarray(b)))
+        assert np.array_equal(out.data, a & b)
+        assert out.data.flags.f_contiguous and not out.data.flags.writeable
+        assert np.array_equal(out.fg_index, np.flatnonzero((a & b).ravel("F")))
+        assert not out.fg_index.flags.writeable
+
     def test_dim_mismatch(self):
         a = make_mask(np.zeros((3, 3, 3), bool))
         b = make_mask(np.zeros((4, 3, 3), bool))

@@ -2,7 +2,17 @@
 
 Subcommands: metrics, aggregate, compare, contrast, clusters, phantom,
 folds. JSON is the canonical machine output and every JSON report embeds
-the resolved run configuration; CSVs mirror the JSON for spreadsheet use.
+the resolved run configuration. Each command builds its records once and
+writes them to `<stem>.json` under one key; `<stem>.csv` is a projection
+of the same records through one of the column maps below, which send each
+CSV header to a key path in the record. A header is its key, except:
+a metric summary nested under `{m}` (a metric in aggregate, a site or the
+average in the LOSOCV table) gives `{m}_mean`, `{m}_sd`, `{m}_n` <-
+`n_used` and, in aggregate, `{m}_excluded` <- `n_excluded`; compare writes
+`sig` <- `significant` and `r` <- `rank_biserial`; the size histogram
+writes `bin_lo`/`bin_hi` <- `lo`/`hi`. A cell is empty for None, `repr`
+for a float, Yes/No for a bool and `|`-joined for the flag tuple.
+`clusters` keeps its own JSON payload; its two CSVs use the same writer.
 Exit codes: 0 success, 2 user/input error, 1 internal failure.
 """
 
@@ -28,11 +38,11 @@ from .harness import (
     make_folds,
     read_manifest,
 )
-from .metrics import CSV_COLUMNS, METRIC_NAMES, SubjectMetrics, evaluate_subject
+from .metrics import METRIC_NAMES, SubjectMetrics, evaluate_subject
 from .morphology import contrast_stat, contrast_stat_per_cluster
 from .nifti import Volume3D, read_volume, read_voxels, write_volume
 from .phantom import PhantomSpec, Perturbation, generate, perturb
-from .stats import COMPARE_CSV_COLUMNS, compare_models
+from .stats import compare_models
 
 WORKERS_ENV = "PVSEVAL_WORKERS"
 
@@ -100,20 +110,69 @@ def _out_dir(cfg: RunConfig) -> Path:
     return path
 
 
-def _fmt(value) -> str:
-    if value is None:
+def _same(*names: str) -> dict[str, tuple]:
+    """Columns whose header is the record's own key."""
+    return {name: (name,) for name in names}
+
+
+# a MetricSummary's cells: header suffix -> field
+_SUMMARY_CELLS = {"mean": "mean", "sd": "sd", "n": "n_used", "excluded": "n_excluded"}
+
+SUBJECT_COLUMNS = _same(
+    "subject_id", "region", "connectivity", *METRIC_NAMES,
+    "vol_manual_vox", "vol_algo_vox", "vol_overlap_vox",
+    "n_manual", "n_algo", "n_manual_hit", "n_algo_hit", "degenerate_flags",
+)
+AGGREGATE_COLUMNS = {
+    **_same("region", "site", "scheme", "n_subjects"),
+    **{f"{m}_{suffix}": ("metrics", m, field)
+       for m in METRIC_NAMES for suffix, field in _SUMMARY_CELLS.items()},
+    **_same("r_vox", "r_vox_mm3", "r_num"),
+}
+COMPARE_COLUMNS = {
+    **_same("region", "metric", "n", "median_a", "median_b", "median_diff", "p_fdr"),
+    "sig": ("significant",),
+    "r": ("rank_biserial",),
+}
+CONTRAST_COLUMNS = _same("subject_id", "modality", "mask_mean", "shell_mean",
+                         "abs_contrast", "mode")
+CLUSTER_SIZE_COLUMNS = _same("cluster_id", "size_voxels", "size_mm3")
+HISTOGRAM_COLUMNS = {"bin_lo": ("lo",), "bin_hi": ("hi",), **_same("count", "density")}
+
+
+def _losocv_columns(sites) -> dict[str, tuple]:
+    """Each left-out site, then the pooled average: mean, sd and n of each."""
+    cells = [(site, ("external", site)) for site in sites] + [("average", ("average",))]
+    return {
+        **_same("region", "metric"),
+        **{f"{prefix}_{suffix}": (*path, _SUMMARY_CELLS[suffix])
+           for prefix, path in cells for suffix in ("mean", "sd", "n")},
+    }
+
+
+def _cell(record, path: tuple) -> str:
+    """The CSV text of the value at `path`; a None on the way gives ""."""
+    for key in path:
+        if record is None:
+            break
+        record = record[key]
+    if record is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    if isinstance(record, bool):
+        return "Yes" if record else "No"
+    if isinstance(record, float):
+        return repr(record)
+    if isinstance(record, tuple):
+        return "|".join(record)
+    return str(record)
 
 
-def _write_csv(path: Path, columns, rows) -> None:
+def _write_csv(path: Path, columns: dict[str, tuple], records) -> None:
+    paths = list(columns.values())
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(columns))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(row.get(k)) for k in columns})
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([_cell(rec, p) for p in paths] for rec in records)
 
 
 def _write_json(path: Path, payload: dict, cfg: RunConfig) -> None:
@@ -121,6 +180,13 @@ def _write_json(path: Path, payload: dict, cfg: RunConfig) -> None:
     payload["config"] = asdict(cfg)
     with open(path, "w") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_table(out: Path, stem: str, key: str, columns: dict[str, tuple],
+                 records: list, cfg: RunConfig) -> None:
+    """`stem.csv` through `columns`, and the same records as `stem.json`."""
+    _write_csv(out / f"{stem}.csv", columns, records)
+    _write_json(out / f"{stem}.json", {key: records}, cfg)
 
 
 def _require_file(path: str, flag: str) -> str:
@@ -142,83 +208,32 @@ def cmd_metrics(args) -> int:
     subject_id = args.subject_id or Path(args.pred).name.split(".")[0]
     records = evaluate_subject(pred, ref, rois, cfg.connectivity,
                                subject_id=subject_id, strict=cfg.strict_grid)
-    out = _out_dir(cfg)
-    _write_csv(out / "metrics.csv", CSV_COLUMNS, [r.to_row() for r in records])
-    _write_json(out / "metrics.json",
-                {"records": [r.to_json_dict() for r in records]}, cfg)
+    _write_table(_out_dir(cfg), "metrics", "records", SUBJECT_COLUMNS,
+                 [asdict(r) for r in records], cfg)
     return 0
 
 
 # -- aggregate ---------------------------------------------------------------
 
-def _aggregate_row(report) -> dict:
-    row = {
-        "region": report.region,
-        "site": report.site,
-        "scheme": report.scheme,
-        "n_subjects": report.n_subjects,
-        "r_vox": report.r_vox,
-        "r_vox_mm3": report.r_vox_mm3,
-        "r_num": report.r_num,
-    }
-    for name, cell in report.metrics.items():
-        row[f"{name}_mean"] = cell.mean
-        row[f"{name}_sd"] = cell.sd
-        row[f"{name}_n"] = cell.n_used
-        row[f"{name}_excluded"] = cell.n_excluded
-    return row
-
-
-AGGREGATE_COLUMNS = (
-    ["region", "site", "scheme", "n_subjects"]
-    + [f"{m}_{suffix}" for m in METRIC_NAMES for suffix in ("mean", "sd", "n", "excluded")]
-    + ["r_vox", "r_vox_mm3", "r_num"]
-)
-
-
-def _losocv_rows(rows, sites) -> tuple[list[str], list[dict]]:
-    columns = ["region", "metric", "internal_mean", "internal_sd", "internal_n"]
-    for site in sites:
-        columns += [f"{site}_mean", f"{site}_sd", f"{site}_n"]
-    columns += ["average_mean", "average_sd", "average_n"]
-    out = []
-    for row in rows:
-        rec = {"region": row.region, "metric": row.metric}
-        if row.internal is not None:
-            rec["internal_mean"] = row.internal.mean
-            rec["internal_sd"] = row.internal.sd
-            rec["internal_n"] = row.internal.n_used
-        for site in sites:
-            cell = row.external[site]
-            rec[f"{site}_mean"] = cell.mean
-            rec[f"{site}_sd"] = cell.sd
-            rec[f"{site}_n"] = cell.n_used
-        rec["average_mean"] = row.average.mean
-        rec["average_sd"] = row.average.sd
-        rec["average_n"] = row.average.n_used
-        out.append(rec)
-    return columns, out
-
-
 def cmd_aggregate(args) -> int:
     cfg = _resolve_config(args)
     manifest = read_manifest(_require_file(args.manifest, "--manifest"))
+    if args.scheme == "losocv" and any(r.site == "average" for r in manifest):
+        # its columns would be the pooled average's average_mean/sd/n
+        raise InputError(f"{args.manifest}: site 'average' clashes with the "
+                         f"LOSOCV table's pooled average columns")
     per_subject = evaluate_manifest(manifest, cfg.connectivity, cfg.workers,
                                     cfg.strict_grid)
     site_of = {r.subject_id: r.site for r in manifest}
     out = _out_dir(cfg)
-    _write_csv(out / "per_subject.csv", CSV_COLUMNS,
-               [r.to_row() for r in per_subject])
-    _write_json(out / "per_subject.json",
-                {"records": [r.to_json_dict() for r in per_subject]}, cfg)
+    _write_table(out, "per_subject", "records", SUBJECT_COLUMNS,
+                 [asdict(r) for r in per_subject], cfg)
 
     scheme = args.scheme or ""
     reports = aggregate(per_subject, site_of, per_site=args.per_site or
                         scheme == "losocv", scheme=scheme)
-    _write_csv(out / "aggregate.csv", AGGREGATE_COLUMNS,
-               [_aggregate_row(r) for r in reports])
-    _write_json(out / "aggregate.json",
-                {"reports": [_report_json(r) for r in reports]}, cfg)
+    _write_table(out, "aggregate", "reports", AGGREGATE_COLUMNS,
+                 [asdict(r) for r in reports], cfg)
 
     if scheme == "losocv":
         sites = sorted({r.site for r in manifest})
@@ -226,35 +241,9 @@ def cmd_aggregate(args) -> int:
         for rec in per_subject:
             per_site_records[site_of[rec.subject_id]].append(rec)
         rows = losocv_table(per_site_records, sites)
-        columns, csv_rows = _losocv_rows(rows, sites)
-        _write_csv(out / "losocv_table.csv", columns, csv_rows)
-        _write_json(out / "losocv_table.json",
-                    {"rows": [_losocv_json(r) for r in rows]}, cfg)
+        _write_table(out, "losocv_table", "rows", _losocv_columns(sites),
+                     [asdict(r) for r in rows], cfg)
     return 0
-
-
-def _report_json(report) -> dict:
-    d = {
-        "region": report.region,
-        "site": report.site,
-        "scheme": report.scheme,
-        "n_subjects": report.n_subjects,
-        "metrics": {k: asdict(v) for k, v in report.metrics.items()},
-        "r_vox": report.r_vox,
-        "r_vox_mm3": report.r_vox_mm3,
-        "r_num": report.r_num,
-    }
-    return d
-
-
-def _losocv_json(row) -> dict:
-    return {
-        "region": row.region,
-        "metric": row.metric,
-        "internal": asdict(row.internal) if row.internal is not None else None,
-        "external": {site: asdict(cell) for site, cell in row.external.items()},
-        "average": asdict(row.average),
-    }
 
 
 # -- compare ---------------------------------------------------------------
@@ -336,30 +325,11 @@ def cmd_compare(args) -> int:
             results = compare_models(a[region], b[region], metrics, cfg.fdr_q)
             rows.extend((region, res.metric, res) for res in results)
 
-    out = _out_dir(cfg)
-    csv_rows = [
-        {
-            "region": region,
-            "metric": metric,
-            "n": res.n,
-            "median_a": res.median_a,
-            "median_b": res.median_b,
-            "median_diff": res.median_diff,
-            "p_fdr": res.p_fdr,
-            "sig": "Yes" if res.significant else "No",
-            "r": res.rank_biserial,
-        }
-        for region, metric, res in rows
-    ]
-    _write_csv(out / "compare.csv", COMPARE_CSV_COLUMNS, csv_rows)
-    _write_json(
-        out / "compare.json",
-        {"rows": [
-            {"region": region, "metric": metric, **res.to_json_dict()}
-            for region, metric, res in rows
-        ]},
-        cfg,
-    )
+    # the bare region and metric go last: in the table family res.metric
+    # holds the qualified family name
+    records = [{**asdict(res), "region": region, "metric": metric}
+               for region, metric, res in rows]
+    _write_table(_out_dir(cfg), "compare", "rows", COMPARE_COLUMNS, records, cfg)
     return 0
 
 
@@ -377,7 +347,6 @@ def cmd_contrast(args) -> int:
             image, mask, cfg.connectivity)
     else:
         mask_mean, shell_mean, contrast = contrast_stat(image, mask, cfg.connectivity)
-    out = _out_dir(cfg)
     row = {
         "subject_id": subject_id,
         "modality": args.modality,
@@ -386,8 +355,7 @@ def cmd_contrast(args) -> int:
         "abs_contrast": contrast,
         "mode": args.mode,
     }
-    _write_csv(out / "contrast.csv", list(row), [row])
-    _write_json(out / "contrast.json", {"rows": [row]}, cfg)
+    _write_table(_out_dir(cfg), "contrast", "rows", CONTRAST_COLUMNS, [row], cfg)
     return 0
 
 
@@ -404,21 +372,17 @@ def cmd_clusters(args) -> int:
         {"cluster_id": cid, "size_voxels": size, "size_mm3": size * voxel_mm3}
         for cid, size in enumerate(sizes, start=1)
     ]
-    _write_csv(out / "cluster_sizes.csv",
-               ("cluster_id", "size_voxels", "size_mm3"), size_rows)
+    _write_csv(out / "cluster_sizes.csv", CLUSTER_SIZE_COLUMNS, size_rows)
     payload = {
         "component_count": lm.component_count,
         "connectivity": lm.connectivity,
         "sizes_voxels": sizes,
     }
     if lm.component_count > 0:
-        bins = size_histogram(sizes, log_binning=args.log_binning)
-        _write_csv(out / "size_histogram.csv",
-                   ("bin_lo", "bin_hi", "count", "density"),
-                   [{"bin_lo": b.lo, "bin_hi": b.hi, "count": b.count,
-                     "density": b.density} for b in bins])
-        payload["histogram"] = [{"lo": b.lo, "hi": b.hi, "count": b.count,
-                                 "density": b.density} for b in bins]
+        # vars, not asdict: asdict deep-copies each of up to ~15 k bins
+        bins = [vars(b) for b in size_histogram(sizes, log_binning=args.log_binning)]
+        _write_csv(out / "size_histogram.csv", HISTOGRAM_COLUMNS, bins)
+        payload["histogram"] = bins
     _write_json(out / "clusters.json", payload, cfg)
     if args.save_labels:
         label_vol = Volume3D(data=lm.data, spacing=mask.spacing, affine=mask.affine)

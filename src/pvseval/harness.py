@@ -284,7 +284,6 @@ def aggregate(
 class LosocvRow:
     region: str
     metric: str
-    internal: MetricSummary | None
     external: dict[str, MetricSummary]  # site -> cell
     average: MetricSummary  # pooled over the union of external subjects
 
@@ -292,7 +291,6 @@ class LosocvRow:
 def losocv_table(
     per_site: dict[str, list[SubjectMetrics]],
     sites: list[str],
-    internal: list[SubjectMetrics] | None = None,
 ) -> list[LosocvRow]:
     """Leave-one-site-out matrix: one external column per left-out site and
     a subject-weighted pooled Average over all external subjects."""
@@ -312,16 +310,10 @@ def losocv_table(
                 values = [getattr(r, metric) for r in site_rows]
                 external[site] = summarize_metric(values)
                 pooled_values.extend(values)
-            internal_cell = None
-            if internal is not None:
-                internal_cell = summarize_metric(
-                    [getattr(r, metric) for r in internal if r.region == region]
-                )
             rows.append(
                 LosocvRow(
                     region=region,
                     metric=metric,
-                    internal=internal_cell,
                     external=external,
                     average=summarize_metric(pooled_values),
                 )

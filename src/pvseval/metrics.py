@@ -14,7 +14,7 @@ aggregation can exclude and count them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,26 +24,6 @@ from .nifti import BinaryMask
 from .volume import RoiMask, ensure_same_grid, intersect
 
 METRIC_NAMES = ("dsc_vox", "sen_vox", "ppv_vox", "dsc_num", "sen_num", "ppv_num")
-
-CSV_COLUMNS = (
-    "subject_id",
-    "region",
-    "connectivity",
-    "dsc_vox",
-    "sen_vox",
-    "ppv_vox",
-    "dsc_num",
-    "sen_num",
-    "ppv_num",
-    "vol_manual_vox",
-    "vol_algo_vox",
-    "vol_overlap_vox",
-    "n_manual",
-    "n_algo",
-    "n_manual_hit",
-    "n_algo_hit",
-    "degenerate_flags",
-)
 
 
 @dataclass(frozen=True)
@@ -84,23 +64,6 @@ class SubjectMetrics:
     n_manual_hit: int
     n_algo_hit: int
     degenerate_flags: tuple[str, ...] = field(default_factory=tuple)
-
-    def to_row(self) -> dict[str, str]:
-        row = {}
-        for col in CSV_COLUMNS:
-            value = getattr(self, col)
-            if col == "degenerate_flags":
-                row[col] = "|".join(value)
-            elif value is None:
-                row[col] = ""
-            else:
-                row[col] = str(value)
-        return row
-
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["degenerate_flags"] = list(self.degenerate_flags)
-        return d
 
 
 def _ratios(hit_ref: int, hit_pred: int, manual: int, algo: int):

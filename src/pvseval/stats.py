@@ -12,7 +12,7 @@ family of metrics, and the matched-pairs rank-biserial correlation
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,18 +25,6 @@ from .errors import (
 )
 
 EXACT_LIMIT = 25
-
-COMPARE_CSV_COLUMNS = (
-    "region",
-    "metric",
-    "n",
-    "median_a",
-    "median_b",
-    "median_diff",
-    "p_fdr",
-    "sig",
-    "r",
-)
 
 
 @dataclass(frozen=True)
@@ -65,9 +53,6 @@ class StatResult:
     significant: bool
     rank_biserial: float | None
     method: str
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:

@@ -169,6 +169,15 @@ class TestAggregateCommand:
             assert f"{site}_mean" in rows[0]
         assert "average_mean" in rows[0]
 
+    def test_site_named_average_rejected(self, tmp_path, capsys):
+        manifest, _ = build_cohort(tmp_path, {"A": 2, "average": 2})
+        out = tmp_path / "out"
+        assert run("aggregate", "--manifest", manifest, "--out", out) == 0
+        assert run("aggregate", "--manifest", manifest, "--out", out / "losocv",
+                   "--scheme", "losocv") == 2
+        assert "site 'average'" in capsys.readouterr().err
+        assert not (out / "losocv").exists()
+
     def test_parallel_matches_serial(self, tmp_path):
         manifest, _ = build_cohort(tmp_path, {"A": 3})
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
@@ -685,3 +694,176 @@ def test_flag_rejected_where_unused(tmp_path, capsys, argv, flag):
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} 6" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+# -- every CSV mirrors its JSON ------------------------------------------------
+
+METRICS = ("dsc_vox", "sen_vox", "ppv_vox", "dsc_num", "sen_num", "ppv_num")
+# a subject id and a modality that need CSV quoting: comma, quote, newline
+AWKWARD = 'sub,01 "x"\nT2'
+
+
+def same(*names):
+    return {name: (name,) for name in names}
+
+
+SUMMARY = (("mean", "mean"), ("sd", "sd"), ("n", "n_used"))
+
+
+def summary(prefix, path, cells=SUMMARY):
+    return {f"{prefix}_{suffix}": (*path, key) for suffix, key in cells}
+
+
+SUBJECT_MAP = same("subject_id", "region", "connectivity", *METRICS,
+                   "vol_manual_vox", "vol_algo_vox", "vol_overlap_vox",
+                   "n_manual", "n_algo", "n_manual_hit", "n_algo_hit", "degenerate_flags")
+SUBJECT_KEYS = {*SUBJECT_MAP, "vol_manual_mm3", "vol_algo_mm3"}
+AGGREGATE_MAP = {
+    **same("region", "site", "scheme", "n_subjects"),
+    **{col: path for m in METRICS for col, path in summary(
+        m, ("metrics", m), SUMMARY + (("excluded", "n_excluded"),)).items()},
+    **same("r_vox", "r_vox_mm3", "r_num"),
+}
+AGGREGATE_KEYS = {"region", "site", "scheme", "n_subjects", "metrics",
+                  "r_vox", "r_vox_mm3", "r_num"}
+LOSOCV_MAP = {**same("region", "metric"),
+              **summary("A", ("external", "A")), **summary("B", ("external", "B")),
+              **summary("C", ("external", "C")), **summary("average", ("average",))}
+COMPARE_MAP = {**same("region", "metric", "n", "median_a", "median_b", "median_diff", "p_fdr"),
+               "sig": ("significant",), "r": ("rank_biserial",)}
+COMPARE_KEYS = {"region", "metric", "n", "n_pairs", "median_a", "median_b", "median_diff",
+                "w_plus", "w_minus", "p_raw", "p_fdr", "significant", "rank_biserial",
+                "method"}
+CONTRAST_MAP = same("subject_id", "modality", "mask_mean", "shell_mean", "abs_contrast",
+                    "mode")
+HISTOGRAM_MAP = {"bin_lo": ("lo",), "bin_hi": ("hi",), **same("count", "density")}
+HISTOGRAM_KEYS = {"lo", "hi", "count", "density"}
+
+# case -> (run, csv file, json file, json key, column map, json record keys)
+MIRRORS = {
+    "metrics": ("metrics", "metrics.csv", "metrics.json", "records",
+                SUBJECT_MAP, SUBJECT_KEYS),
+    "per_subject": ("aggregate", "per_subject.csv", "per_subject.json", "records",
+                    SUBJECT_MAP, SUBJECT_KEYS),
+    "aggregate": ("aggregate", "aggregate.csv", "aggregate.json", "reports",
+                  AGGREGATE_MAP, AGGREGATE_KEYS),
+    "losocv_table": ("aggregate", "losocv_table.csv", "losocv_table.json", "rows",
+                     LOSOCV_MAP, {"region", "metric", "external", "average"}),
+    **{f"compare_{family}": (f"compare_{family}", "compare.csv", "compare.json", "rows",
+                             COMPARE_MAP, COMPARE_KEYS) for family in ("region", "table")},
+    **{f"contrast_{mode}": (f"contrast_{mode}", "contrast.csv", "contrast.json", "rows",
+                            CONTRAST_MAP, set(CONTRAST_MAP))
+       for mode in ("global", "per_cluster")},
+    **{f"histogram_{bins}": (f"clusters_{bins}", "size_histogram.csv", "clusters.json",
+                             "histogram", HISTOGRAM_MAP, HISTOGRAM_KEYS)
+       for bins in ("linear", "log")},
+}
+
+
+def expected_cell(value):
+    """The CSV text of a JSON value: None empty, float repr, bool Yes/No,
+    the flag list |-joined."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "Yes" if value else "No"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, list):
+        return "|".join(value)
+    return str(value)
+
+
+@pytest.fixture(scope="module")
+def mirror_outputs(tmp_path_factory, phantom_files):
+    """Run each command once; returns run name -> output directory."""
+    root = tmp_path_factory.mktemp("mirror")
+    manifest, records = build_cohort(root, {"A": 2, "B": 2, "C": 2})
+    truth = phantom_files["truth"]
+    # an empty WM ROI (all undefined, two flags) and a whole-grid BG ROI
+    for name, fill in (("empty", False), ("full", True)):
+        write_volume(BinaryMask(np.full(truth.dims, fill), truth.spacing, truth.affine),
+                     root / f"{name}.nii.gz", datatype=2)
+    ref0 = read_volume(records[0].ref_path, "mask")
+    cohort_roi = np.zeros(ref0.dims, bool)
+    cohort_roi[: ref0.dims[0] // 2] = True
+    for name, data in (("cwm", cohort_roi), ("cbg", ~cohort_roi)):
+        write_volume(BinaryMask(data, ref0.spacing, ref0.affine), root / f"{name}.nii.gz",
+                     datatype=2)
+    rois = {"roi_wm_path": str(root / "cwm.nii.gz"), "roi_bg_path": str(root / "cbg.nii.gz")}
+    write_manifest([SubjectRecord(r.subject_id, r.site, r.pred_path, r.ref_path, **rois)
+                    for r in records], manifest)
+    perfect = root / "perfect.csv"
+    write_manifest([SubjectRecord(r.subject_id, r.site, r.ref_path, r.ref_path, **rois)
+                    for r in records], perfect)
+    src = phantom_files["root"]
+    runs = {
+        "metrics": ["metrics", "--pred", root / "empty.nii.gz", "--ref", src / "truth.nii.gz",
+                    "--roi-wm", root / "empty.nii.gz", "--roi-bg", root / "full.nii.gz",
+                    "--subject-id", AWKWARD],
+        "aggregate": ["aggregate", "--manifest", manifest, "--scheme", "losocv", "--per-site"],
+        "perfect": ["aggregate", "--manifest", perfect],
+        "contrast_global": ["contrast", "--image", src / "image.nii.gz",
+                            "--mask", src / "truth.nii.gz",
+                            "--subject-id", AWKWARD, "--modality", AWKWARD],
+        "contrast_per_cluster": ["contrast", "--image", src / "image.nii.gz",
+                                 "--mask", src / "half.nii.gz", "--mode", "per_cluster"],
+        "clusters_linear": ["clusters", "--mask", src / "truth.nii.gz"],
+        "clusters_log": ["clusters", "--mask", src / "half.nii.gz", "--log-binning"],
+    }
+    for family in ("region", "table"):
+        runs[f"compare_{family}"] = [
+            "compare", "--a", root / "aggregate" / "per_subject.csv",
+            "--b", root / "perfect" / "per_subject.csv", "--fdr-family", family]
+    for name, argv in runs.items():
+        assert run(*argv, "--out", root / name) == 0, name
+    return root
+
+
+class TestCsvMirrorsJson:
+    @pytest.mark.parametrize("case", list(MIRRORS))
+    def test_every_cell_is_its_json_value(self, mirror_outputs, case):
+        run_name, csv_name, json_name, key, columns, record_keys = MIRRORS[case]
+        out = mirror_outputs / run_name
+        with open(out / csv_name, newline="") as fh:
+            header = tuple(next(csv.reader(fh)))
+        assert header == tuple(columns)
+        records = json.loads((out / json_name).read_text())[key]
+        rows = read_csv(out / csv_name)
+        assert len(rows) == len(records) > 0
+        for row, record in zip(rows, records):
+            assert set(record) == record_keys
+            for column, path in columns.items():
+                value = record
+                for step in path:
+                    value = value[step]
+                assert row[column] == expected_cell(value), (column, path)
+
+    def test_none_and_flags_occur(self, mirror_outputs):
+        """The empty prediction leaves undefined metrics and flags to mirror."""
+        wm, bg = read_csv(mirror_outputs / "metrics" / "metrics.csv")
+        assert wm["degenerate_flags"] == "both_empty|empty_region"
+        assert wm["dsc_vox"] == wm["sen_num"] == ""
+        assert bg["degenerate_flags"] == "pred_empty"
+        assert (bg["sen_vox"], bg["ppv_vox"]) == ("0.0", "")
+
+    @pytest.mark.parametrize("run_name,stem,key,columns", [
+        ("metrics", "metrics", "records", ("subject_id",)),
+        ("contrast_global", "contrast", "rows", ("subject_id", "modality")),
+    ])
+    def test_awkward_text_round_trips(self, mirror_outputs, run_name, stem, key, columns):
+        out = mirror_outputs / run_name
+        record = json.loads((out / f"{stem}.json").read_text())[key][0]
+        row = read_csv(out / f"{stem}.csv")[0]
+        for column in columns:
+            assert row[column] == record[column] == AWKWARD
+
+
+@pytest.mark.parametrize("family", ["region", "table"])
+def test_compare_json_names_the_bare_metric(mirror_outputs, family):
+    out = mirror_outputs / f"compare_{family}"
+    names = [(r["region"], r["metric"]) for r in read_csv(out / "compare.csv")]
+    records = json.loads((out / "compare.json").read_text())["rows"]
+    assert [(r["region"], r["metric"]) for r in records] == names
+    assert {region for region, _ in names} == {"WM", "BG"}
+    assert {metric for _, metric in names} == set(METRICS)

@@ -222,9 +222,3 @@ class TestLosocvTable:
     def test_missing_fold(self):
         with pytest.raises(MissingFoldError, match="B"):
             losocv_table({"A": [metric_record("a1")]}, ["A", "B"])
-
-    def test_internal_column(self):
-        per_site = {"A": [metric_record("a1")], "B": [metric_record("b1")]}
-        rows = losocv_table(per_site, ["A", "B"], internal=[metric_record("i1", dsc_vox=0.77)])
-        row = next(r for r in rows if r.metric == "dsc_vox")
-        assert row.internal.mean == 0.77

@@ -1,6 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
+from pvseval.cli import main
 from pvseval.errors import DimMismatchError, LengthMismatchError
 from pvseval.metrics import (
     cluster_metrics,
@@ -8,6 +11,7 @@ from pvseval.metrics import (
     pearson_r,
     voxel_metrics,
 )
+from pvseval.nifti import write_volume
 from pvseval.volume import RoiMask
 
 from conftest import make_mask
@@ -255,10 +259,16 @@ class TestEvaluateSubject:
         assert sum(p.vol_manual_vox for p in parts) == whole.vol_manual_vox
         assert sum(p.vol_algo_vox for p in parts) == whole.vol_algo_vox
 
-    def test_csv_row_shape(self):
+    def test_csv_row_shape(self, tmp_path):
         pred, ref = seeded_pair(9)
         (record,) = evaluate_subject(pred, ref, None, 26, "s5")
-        row = record.to_row()
+        write_volume(pred, tmp_path / "pred.nii", datatype=2)
+        write_volume(ref, tmp_path / "ref.nii", datatype=2)
+        assert main(["metrics", "--pred", str(tmp_path / "pred.nii"),
+                     "--ref", str(tmp_path / "ref.nii"), "--subject-id", "s5",
+                     "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "metrics.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
         assert row["subject_id"] == "s5"
         assert row["connectivity"] == "26"
         assert row["degenerate_flags"] == ""

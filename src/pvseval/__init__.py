@@ -29,7 +29,7 @@ from .nifti import (
 )
 from .phantom import Perturbation, PhantomSpec, generate, perturb
 from .stats import StatResult, bh_fdr, compare_models, rank_biserial, wilcoxon_signed_rank
-from .volume import RoiMask, foreground_volume, intersect, subtract
+from .volume import RoiMask, intersect
 
 __all__ = [
     "BinaryMask",
@@ -49,7 +49,6 @@ __all__ = [
     "contrast_stat",
     "dilate_once",
     "evaluate_subject",
-    "foreground_volume",
     "generate",
     "intersect",
     "label_components",
@@ -61,7 +60,6 @@ __all__ = [
     "read_voxels",
     "shell",
     "size_histogram",
-    "subtract",
     "voxel_metrics",
     "wilcoxon_signed_rank",
     "write_volume",

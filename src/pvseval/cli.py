@@ -31,6 +31,7 @@ from . import __version__
 from .ccl import CONNECTIVITIES, label_components, size_histogram
 from .errors import InputError
 from .harness import (
+    ALL_SITES,
     aggregate,
     evaluate_manifest,
     load_rois,
@@ -38,7 +39,7 @@ from .harness import (
     make_folds,
     read_manifest,
 )
-from .metrics import METRIC_NAMES, SubjectMetrics, evaluate_subject
+from .metrics import METRIC_NAMES, evaluate_subject
 from .morphology import contrast_stat, contrast_stat_per_cluster
 from .nifti import Volume3D, read_volume, read_voxels, write_volume
 from .phantom import PhantomSpec, Perturbation, generate, perturb
@@ -201,10 +202,12 @@ def _require_file(path: str, flag: str) -> str:
 
 def cmd_metrics(args) -> int:
     cfg = _resolve_config(args)
+    # the prediction sets the grid; each later volume is checked as it is read
     pred = read_volume(_require_file(args.pred, "--pred"), "mask")
-    ref = read_volume(_require_file(args.ref, "--ref"), "mask")
+    read = functools.partial(read_volume, mode="mask", grid=pred, strict=cfg.strict_grid)
+    ref = read(_require_file(args.ref, "--ref"))
     rois = load_rois(args.roi_wm and _require_file(args.roi_wm, "--roi-wm"),
-                     args.roi_bg and _require_file(args.roi_bg, "--roi-bg"))
+                     args.roi_bg and _require_file(args.roi_bg, "--roi-bg"), read)
     subject_id = args.subject_id or Path(args.pred).name.split(".")[0]
     records = evaluate_subject(pred, ref, rois, cfg.connectivity,
                                subject_id=subject_id, strict=cfg.strict_grid)
@@ -218,39 +221,43 @@ def cmd_metrics(args) -> int:
 def cmd_aggregate(args) -> int:
     cfg = _resolve_config(args)
     manifest = read_manifest(_require_file(args.manifest, "--manifest"))
-    if args.scheme == "losocv" and any(r.site == "average" for r in manifest):
-        # its columns would be the pooled average's average_mean/sd/n
-        raise InputError(f"{args.manifest}: site 'average' clashes with the "
-                         f"LOSOCV table's pooled average columns")
+    scheme = args.scheme or ""
+    per_site = args.per_site or scheme == "losocv"
+    sites = sorted({r.site for r in manifest})
+    if per_site and ALL_SITES in sites:
+        # its per-site rows would share the key of each region's pooled row
+        raise InputError(f"{args.manifest}: site {ALL_SITES!r} clashes with the "
+                         f"pooled rows of every region")
+    if scheme == "losocv":
+        make_folds(manifest, scheme)  # rejects a single site, as folds does
+        if "average" in sites:
+            # its columns would be the pooled average's average_mean/sd/n
+            raise InputError(f"{args.manifest}: site 'average' clashes with the "
+                             f"LOSOCV table's pooled average columns")
     per_subject = evaluate_manifest(manifest, cfg.connectivity, cfg.workers,
                                     cfg.strict_grid)
-    site_of = {r.subject_id: r.site for r in manifest}
     out = _out_dir(cfg)
     _write_table(out, "per_subject", "records", SUBJECT_COLUMNS,
                  [asdict(r) for r in per_subject], cfg)
 
-    scheme = args.scheme or ""
-    reports = aggregate(per_subject, site_of, per_site=args.per_site or
-                        scheme == "losocv", scheme=scheme)
+    site_of = {r.subject_id: r.site for r in manifest}
+    reports = aggregate(per_subject, site_of, per_site=per_site, scheme=scheme)
     _write_table(out, "aggregate", "reports", AGGREGATE_COLUMNS,
                  [asdict(r) for r in reports], cfg)
 
     if scheme == "losocv":
-        sites = sorted({r.site for r in manifest})
-        per_site_records: dict[str, list[SubjectMetrics]] = {s: [] for s in sites}
-        for rec in per_subject:
-            per_site_records[site_of[rec.subject_id]].append(rec)
-        rows = losocv_table(per_site_records, sites)
         _write_table(out, "losocv_table", "rows", _losocv_columns(sites),
-                     [asdict(r) for r in rows], cfg)
+                     [asdict(r) for r in losocv_table(reports)], cfg)
     return 0
 
 
 # -- compare ---------------------------------------------------------------
 
 def _read_per_subject_csv(path: str):
-    """(region -> subject_id -> {metric: value or None}, connectivity values)."""
-    by_region: dict[str, dict[str, dict[str, float | None]]] = {}
+    """(subject_id -> {"region:metric": value or None}, the regions in
+    first-seen order, the connectivity values)."""
+    by_subject: dict[str, dict[str, float | None]] = {}
+    regions: dict[str, set[str]] = {}  # region -> its subject ids
     connectivities = set()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -265,33 +272,30 @@ def _read_per_subject_csv(path: str):
             region = (row.get("region") or "").strip()
             if not sid or not region:
                 raise InputError(f"{path}: row {i}: empty subject_id or region")
-            if sid in by_region.get(region, {}):
+            if sid in regions.setdefault(region, set()):
                 raise InputError(
                     f"{path}: row {i}: duplicate row for subject {sid!r}, region {region!r}")
+            regions[region].add(sid)
             if row.get("connectivity"):
                 connectivities.add(row["connectivity"].strip())
-            values: dict[str, float | None] = {}
+            values = by_subject.setdefault(sid, {})
             for metric in METRIC_NAMES:
                 text = (row.get(metric) or "").strip()
-                if not text:
-                    values[metric] = None
-                    continue
                 try:
-                    values[metric] = float(text)
+                    values[f"{region}:{metric}"] = float(text) if text else None
                 except ValueError as exc:
                     raise InputError(
                         f"{path}: row {i}, column {metric}: not a number: {text!r}"
                     ) from exc
-            by_region.setdefault(region, {})[sid] = values
-    if not by_region:
+    if not by_subject:
         raise InputError(f"{path}: no rows")
-    return by_region, connectivities
+    return by_subject, list(regions), connectivities
 
 
 def cmd_compare(args) -> int:
     cfg = _resolve_config(args)
-    a, conn_a = _read_per_subject_csv(_require_file(args.a, "--a"))
-    b, conn_b = _read_per_subject_csv(_require_file(args.b, "--b"))
+    a, regions_a, conn_a = _read_per_subject_csv(_require_file(args.a, "--a"))
+    b, regions_b, conn_b = _read_per_subject_csv(_require_file(args.b, "--b"))
     if conn_a and conn_b and conn_a != conn_b:
         raise InputError(f"--a and --b were computed at different connectivity: "
                          f"{sorted(conn_a)} vs {sorted(conn_b)}")
@@ -299,36 +303,20 @@ def cmd_compare(args) -> int:
     for m in metrics:
         if m not in METRIC_NAMES:
             raise InputError(f"unknown metric {m!r}; choose from {METRIC_NAMES}")
-    regions = [r for r in a if r in b]
+    regions = [r for r in regions_a if r in regions_b]
     if not regions:
         raise InputError("the two reports share no region")
 
-    rows = []
+    # one set of paired tests keyed region:metric; the FDR family is each
+    # region's keys, or all of them for the whole table
+    families = [[f"{region}:{m}" for m in metrics] for region in regions]
     if args.fdr_family == "table":
-        # one family across all regions: qualify metric names per region
-        merged_a: dict[str, dict[str, float | None]] = {}
-        merged_b: dict[str, dict[str, float | None]] = {}
-        for region in regions:
-            for sid, values in a[region].items():
-                merged_a.setdefault(sid, {}).update(
-                    {f"{region}:{m}": values[m] for m in metrics})
-            for sid, values in b[region].items():
-                merged_b.setdefault(sid, {}).update(
-                    {f"{region}:{m}": values[m] for m in metrics})
-        family = [f"{region}:{m}" for region in regions for m in metrics]
-        results = compare_models(merged_a, merged_b, family, cfg.fdr_q)
-        for res in results:
-            region, metric = res.metric.split(":", 1)
-            rows.append((region, metric, res))
-    else:
-        for region in regions:
-            results = compare_models(a[region], b[region], metrics, cfg.fdr_q)
-            rows.extend((region, res.metric, res) for res in results)
-
-    # the bare region and metric go last: in the table family res.metric
-    # holds the qualified family name
-    records = [{**asdict(res), "region": region, "metric": metric}
-               for region, metric, res in rows]
+        families = [[key for family in families for key in family]]
+    records = []
+    for family in families:
+        for res in compare_models(a, b, family, cfg.fdr_q):
+            region, _, metric = res.metric.rpartition(":")  # metric names hold no ":"
+            records.append({**asdict(res), "region": region, "metric": metric})
     _write_table(_out_dir(cfg), "compare", "rows", COMPARE_COLUMNS, records, cfg)
     return 0
 

@@ -97,10 +97,6 @@ class EmptyManifestError(InputError):
     """Manifest contains no subjects."""
 
 
-class MissingFoldError(InputError):
-    """A site expected in the fold table has no records."""
-
-
 # phantom
 
 class InfeasiblePackingError(InputError):

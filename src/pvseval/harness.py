@@ -3,7 +3,8 @@
 Folds exist so external training pipelines and this evaluator share one
 deterministic split definition; no training happens here. Aggregation
 averages per-subject metrics over defined values only, reporting exclusion
-counts, and pools leave-one-site-out cells subject-weighted.
+counts; the leave-one-site-out matrix is read off the per-site and All
+Sites reports, so its pooled average is subject-weighted.
 """
 
 from __future__ import annotations
@@ -17,13 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DimMismatchError,
-    EmptyManifestError,
-    InputError,
-    MissingFoldError,
-    TooFewSitesError,
-)
+from .errors import EmptyManifestError, InputError, TooFewSitesError
 from .metrics import METRIC_NAMES, SubjectMetrics, evaluate_subject, pearson_r
 from .nifti import read_volume
 from .volume import RoiMask
@@ -38,6 +33,7 @@ MANIFEST_COLUMNS = (
 )
 
 N_FOLDS = 5
+ALL_SITES = "All Sites"  # the site of each region's pooled report
 
 
 @dataclass(frozen=True)
@@ -79,7 +75,7 @@ class MetricSummary:
 @dataclass
 class AggregateReport:
     region: str
-    site: str  # a site name or "All Sites"
+    site: str  # a site name or ALL_SITES
     scheme: str
     n_subjects: int
     metrics: dict[str, MetricSummary]
@@ -170,9 +166,8 @@ def make_folds(manifest: list[SubjectRecord], scheme: str, seed: int = 0) -> Fol
     return FoldSpec("5fcv", assignments, seed)
 
 
-def load_rois(wm_path: str | None, bg_path: str | None,
-              read=lambda path: read_volume(path, "mask")) -> list[RoiMask]:
-    """The WM and BG ROI masks, skipping an empty path."""
+def load_rois(wm_path: str | None, bg_path: str | None, read) -> list[RoiMask]:
+    """The WM and BG ROI masks, each read by read(path), skipping an empty path."""
     rois = []
     if wm_path:
         rois.append(RoiMask(read(wm_path), "WM"))
@@ -184,24 +179,24 @@ def load_rois(wm_path: str | None, bg_path: str | None,
 def evaluate_record(
     record: SubjectRecord, connectivity: int = 26, strict: bool = False
 ) -> list[SubjectMetrics]:
-    """Metrics of one manifest row. Read and grid errors are re-raised as
-    InputError with a message that starts with the subject id and the file."""
-    def read(path: str):
+    """Metrics of one manifest row. The prediction sets the grid that every
+    later volume is checked against as it is read. Read and grid errors are
+    re-raised as InputError with a message that starts with the subject id
+    and the file."""
+    def read(path: str, grid=None):
         try:
-            return read_volume(path, "mask")
+            return read_volume(path, "mask", grid, strict)
         except OSError as exc:  # strerror leaves out the path already named
             raise InputError(
                 f"{record.subject_id}: {path}: {exc.strerror or exc}") from exc
         except InputError as exc:  # read_volume has already named the file
             raise InputError(f"{record.subject_id}: {exc}") from exc
 
-    pred, ref = read(record.pred_path), read(record.ref_path)
-    rois = load_rois(record.roi_wm_path, record.roi_bg_path, read)
-    try:
-        return evaluate_subject(pred, ref, rois, connectivity,
-                                subject_id=record.subject_id, strict=strict)
-    except DimMismatchError as exc:
-        raise InputError(f"{record.subject_id}: {record.pred_path}: {exc}") from exc
+    pred = read(record.pred_path)
+    ref = read(record.ref_path, pred)
+    rois = load_rois(record.roi_wm_path, record.roi_bg_path, lambda path: read(path, pred))
+    return evaluate_subject(pred, ref, rois, connectivity,
+                            subject_id=record.subject_id, strict=strict)
 
 
 def evaluate_manifest(
@@ -268,7 +263,7 @@ def aggregate(
     reports = []
     for region in regions:
         rows = [r for r in per_subject if r.region == region]
-        reports.append(_group_report(region, "All Sites", scheme, rows))
+        reports.append(_group_report(region, ALL_SITES, scheme, rows))
         if per_site:
             if site_by_subject is None:
                 raise InputError("per-site aggregation needs a subject->site mapping")
@@ -285,37 +280,24 @@ class LosocvRow:
     region: str
     metric: str
     external: dict[str, MetricSummary]  # site -> cell
-    average: MetricSummary  # pooled over the union of external subjects
+    average: MetricSummary  # the region's All Sites cell
 
 
-def losocv_table(
-    per_site: dict[str, list[SubjectMetrics]],
-    sites: list[str],
-) -> list[LosocvRow]:
-    """Leave-one-site-out matrix: one external column per left-out site and
-    a subject-weighted pooled Average over all external subjects."""
-    missing = [s for s in sites if s not in per_site or not per_site[s]]
-    if missing:
-        raise MissingFoldError(f"no external records for site(s) {missing}")
-    regions = list(dict.fromkeys(
-        r.region for s in sites for r in per_site[s]
-    ))
-    rows = []
-    for region in regions:
-        for metric in METRIC_NAMES:
-            external = {}
-            pooled_values = []
-            for site in sites:
-                site_rows = [r for r in per_site[site] if r.region == region]
-                values = [getattr(r, metric) for r in site_rows]
-                external[site] = summarize_metric(values)
-                pooled_values.extend(values)
-            rows.append(
-                LosocvRow(
-                    region=region,
-                    metric=metric,
-                    external=external,
-                    average=summarize_metric(pooled_values),
-                )
-            )
-    return rows
+def losocv_table(reports: list[AggregateReport]) -> list[LosocvRow]:
+    """Leave-one-site-out matrix read off aggregate's per-site reports: one
+    external column per left-out site, that site's cell, and the region's
+    All Sites cell as the subject-weighted pooled average. A site with no
+    record in a region gets an empty cell."""
+    cells = {(r.region, r.site): r.metrics for r in reports}
+    sites = sorted({r.site for r in reports if r.site != ALL_SITES})
+    no_records = dict.fromkeys(METRIC_NAMES, MetricSummary(None, None, 0, 0))
+    return [
+        LosocvRow(
+            region=region,
+            metric=metric,
+            external={site: cells.get((region, site), no_records)[metric] for site in sites},
+            average=cells[region, ALL_SITES][metric],
+        )
+        for region in dict.fromkeys(r.region for r in reports)
+        for metric in METRIC_NAMES
+    ]

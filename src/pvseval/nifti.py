@@ -462,7 +462,8 @@ def _scaling(hdr: NiftiHeader) -> tuple[float, float]:
     return slope, 0.0 if np.isnan(hdr.scl_inter) else hdr.scl_inter
 
 
-def read_volume(path: str | Path, mode: str = "intensity") -> Volume3D | BinaryMask:
+def read_volume(path: str | Path, mode: str = "intensity", grid: Volume3D | None = None,
+                strict: bool = False) -> Volume3D | BinaryMask:
     """Read a single-file NIfTI-1 volume.
 
     mode="mask" binarizes the raw stored values (nonzero test, before any
@@ -470,9 +471,11 @@ def read_volume(path: str | Path, mode: str = "intensity") -> Volume3D | BinaryM
     NaN, which is neither foreground nor background; mode="intensity" applies
     scl_slope/scl_inter (slope 0 treated as 1) and returns a Volume3D of
     float64. The file is decoded block by block straight into the output
-    grid, so no more than a few blocks are held besides it. Every
-    InputError, a truncated or corrupt gzip stream included, carries a
-    message that starts with the path.
+    grid, so no more than a few blocks are held besides it. Given a grid,
+    the header is then checked against it as ensure_same_grid does (dims,
+    and in strict mode the affine). Every InputError, a truncated or
+    corrupt gzip stream and a grid mismatch included, carries a message
+    that starts with the path.
     """
     if mode not in ("mask", "intensity"):
         raise ValueError(f"mode must be 'mask' or 'intensity', got {mode!r}")
@@ -490,15 +493,17 @@ def read_volume(path: str | Path, mode: str = "intensity") -> Volume3D | BinaryM
                 nan = nan or (values.dtype.kind == "f" and bool(np.isnan(values).any()))
         if nan:
             raise InputError("mask holds NaN voxels")
-    grid = out.reshape(hdr.shape3d, order="F")
+        if grid is not None:
+            ensure_same_grid(hdr, grid, strict)
+    data = out.reshape(hdr.shape3d, order="F")
     spacing, affine = hdr.pixdim[1:4], affine_from_header(hdr)
     if mode == "mask":
-        return BinaryMask(data=grid, spacing=spacing, affine=affine)
+        return BinaryMask(data=data, spacing=spacing, affine=affine)
     # in place, bit-identical to stored.astype(np.float64) * slope + inter
     slope, inter = _scaling(hdr)
-    grid *= slope
-    grid += inter
-    return Volume3D(data=grid, spacing=spacing, affine=affine)
+    data *= slope
+    data += inter
+    return Volume3D(data=data, spacing=spacing, affine=affine)
 
 
 def read_voxels(path: str | Path, index: np.ndarray, grid: Volume3D,
@@ -508,8 +513,8 @@ def read_voxels(path: str | Path, index: np.ndarray, grid: Volume3D,
     bit for bit, without building the grid.
 
     The whole file is still decoded, so a damaged stream fails as in
-    read_volume, and the header's grid is then checked against grid as
-    ensure_same_grid does (dims, and in strict mode the affine).
+    read_volume, and the header's grid is then checked against grid as in
+    read_volume, with the path named.
     """
     values = np.empty(index.size)
     with _naming(path), open(path, "rb") as fh:
@@ -518,7 +523,7 @@ def read_voxels(path: str | Path, index: np.ndarray, grid: Volume3D,
         for first, block in stream:
             lo, hi = np.searchsorted(index, (first, first + block.size))
             values[lo:hi] = block[index[lo:hi] - first]
-    ensure_same_grid(hdr, grid, strict)
+        ensure_same_grid(hdr, grid, strict)
     slope, inter = _scaling(hdr)
     values *= slope
     values += inter

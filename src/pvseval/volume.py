@@ -1,4 +1,4 @@
-"""Binary-mask algebra and ROI restriction.
+"""ROI masks and the restriction of a binary mask to one.
 
 All metric ratios downstream are computed on voxel counts (spacing cancels
 in every ratio); mm^3 is offered only for report columns.
@@ -37,18 +37,3 @@ def intersect(a: BinaryMask, b: BinaryMask, strict: bool = False) -> BinaryMask:
     out.fg_index = index
     return out
 
-
-def subtract(a: BinaryMask, b: BinaryMask, strict: bool = False) -> BinaryMask:
-    """Voxels true in a and false in b."""
-    ensure_same_grid(a, b, strict)
-    return BinaryMask(data=a.data & ~b.data, spacing=a.spacing, affine=a.affine)
-
-
-def foreground_volume(m: BinaryMask, units: str = "voxels") -> float:
-    """Foreground size, as a voxel count or in mm^3."""
-    count = m.foreground_count
-    if units == "voxels":
-        return float(count)
-    if units == "mm3":
-        return count * m.voxel_volume_mm3
-    raise ValueError(f"units must be 'voxels' or 'mm3', got {units!r}")

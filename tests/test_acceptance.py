@@ -189,7 +189,7 @@ SITE_SIZES = {"ADNI": 10, "AF": 10, "ASC": 4, "HBA": 5, "FTD": 4, "MCIS": 7}
 
 def test_harness_shapes():
     """6-site/40-subject LOSOCV matrix, hand pooling, balanced 5FCV."""
-    from test_harness import cohort_manifest, metric_record
+    from test_harness import cohort_manifest, metric_record, site_records
 
     manifest = cohort_manifest()
     assert len(manifest) == 40
@@ -206,7 +206,8 @@ def test_harness_shapes():
         site_values.setdefault(record.site, []).append(value)
 
     sites = sorted(SITE_SIZES)
-    rows = losocv_table(per_site, sites)
+    records, site_of = site_records(per_site)
+    rows = losocv_table(aggregate(records, site_of, per_site=True))
     row = next(r for r in rows if r.metric == "dsc_vox")
     assert sorted(row.external) == sites  # 6 external columns
     pooled = [v for site in sites for v in site_values[site]]

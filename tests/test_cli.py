@@ -118,6 +118,38 @@ class TestMetricsCommand:
         err = capsys.readouterr().err
         assert str(path) in err and "NaN" in err
 
+    @pytest.mark.parametrize("flag", ["--ref", "--roi-wm", "--roi-bg"])
+    def test_grid_mismatch_names_the_file(self, phantom_files, tmp_path, capsys, flag):
+        """The prediction sets the grid; the error names the file off it."""
+        root = phantom_files["root"]
+        small = tmp_path / "small.nii.gz"
+        write_volume(BinaryMask(np.ones((8, 8, 8), bool), (1, 1, 1), np.eye(3, 4)), small,
+                     datatype=2)
+        files = {"--ref": root / "truth.nii.gz", "--roi-wm": root / "truth.nii.gz",
+                 "--roi-bg": root / "truth.nii.gz", flag: small}
+        argv = [a for pair in files.items() for a in pair]
+        assert run("metrics", "--pred", root / "half.nii.gz", *argv,
+                   "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            f"pvseval: error: {small}: grid mismatch: (8, 8, 8) vs (40, 40, 40)\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", ["--ref", "--roi-bg"])
+    def test_strict_grid_names_the_shifted_file(self, phantom_files, tmp_path, capsys, flag):
+        root, truth = phantom_files["root"], phantom_files["truth"]
+        affine = np.array(truth.affine)
+        affine[2, 3] += 1e-3
+        shifted = tmp_path / "shifted.nii.gz"
+        write_volume(BinaryMask(truth.data, truth.spacing, affine), shifted, datatype=2)
+        files = {"--ref": root / "truth.nii.gz", "--roi-bg": root / "truth.nii.gz",
+                 flag: shifted}
+        argv = ["metrics", "--pred", root / "half.nii.gz",
+                *[a for pair in files.items() for a in pair]]
+        assert run(*argv, "--out", tmp_path / "lenient") == 0
+        assert run(*argv, "--strict-grid", "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            f"pvseval: error: {shifted}: affines differ beyond 1e-4 in strict grid mode\n")
+
 
 def build_cohort(root, n_per_site, seed0=0):
     records = []
@@ -226,9 +258,75 @@ class TestAggregateCommand:
         code = run("aggregate", "--manifest", manifest, "--out", tmp_path / "o",
                    "--workers", 2)
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"pvseval: error: A01: {records[1].pred_path}: ")
-        assert "(8, 8, 8)" in err
+        assert capsys.readouterr().err == (
+            f"pvseval: error: A01: {roi}: grid mismatch: (8, 8, 8) vs (32, 32, 32)\n")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ref_grid_mismatch_names_the_ref(self, tmp_path, capsys, workers):
+        manifest, records = build_cohort(tmp_path, {"A": 3})
+        write_volume(BinaryMask(np.ones((8, 8, 8), bool), (1.0, 1.0, 1.0), np.eye(3, 4)),
+                     records[2].ref_path, datatype=2)
+        code = run("aggregate", "--manifest", manifest, "--out", tmp_path / "o",
+                   "--workers", workers)
+        assert code == 2
+        assert capsys.readouterr().err == (f"pvseval: error: A02: {records[2].ref_path}: "
+                                           "grid mismatch: (8, 8, 8) vs (32, 32, 32)\n")
+
+    def test_losocv_cells_are_aggregate_cells(self, tmp_path):
+        """Each LOSOCV cell is aggregate's cell, byte for byte: a site's own
+        row, and the All Sites row for the average. The manifest lists the
+        sites out of order, so a pooled mean summed site by site would
+        differ in its last digits."""
+        manifest, records = build_cohort(tmp_path, {"C": 5, "A": 6, "B": 5})
+        half = read_volume(records[0].ref_path, "mask")
+        roi = np.zeros(half.dims, bool)
+        roi[: half.dims[0] // 2] = True
+        for name, data in (("wm", roi), ("bg", ~roi)):
+            write_volume(BinaryMask(data, half.spacing, half.affine),
+                         tmp_path / f"{name}.nii.gz", datatype=2)
+        write_manifest([SubjectRecord(r.subject_id, r.site, r.pred_path, r.ref_path,
+                                      str(tmp_path / "wm.nii.gz"), str(tmp_path / "bg.nii.gz"))
+                        for r in records], manifest)
+        out = tmp_path / "out"
+        assert run("aggregate", "--manifest", manifest, "--scheme", "losocv",
+                   "--out", out) == 0
+        cells = {(r["region"], r["site"]): r for r in read_csv(out / "aggregate.csv")}
+        rows = read_csv(out / "losocv_table.csv")
+        assert [(r["region"], r["metric"]) for r in rows] == [
+            (region, m) for region in ("WM", "BG") for m in METRICS]
+        for row in rows:
+            for prefix, site in (("A", "A"), ("B", "B"), ("C", "C"),
+                                 ("average", "All Sites")):
+                cell = cells[row["region"], site]
+                for field in ("mean", "sd", "n"):
+                    assert row[f"{prefix}_{field}"] == cell[f"{row['metric']}_{field}"], (
+                        row["region"], row["metric"], prefix, field)
+
+    def test_single_site_losocv_rejected(self, tmp_path, capsys, monkeypatch):
+        """Rejected before any subject is read, with folds' message."""
+        import pvseval.cli as cli_mod
+        manifest, _ = build_cohort(tmp_path, {"A": 2})
+        assert run("folds", "--manifest", manifest, "--scheme", "losocv",
+                   "--out", tmp_path / "folds") == 2
+        folds_err = capsys.readouterr().err
+        assert folds_err == "pvseval: error: LOSOCV needs >= 2 sites, got ['A']\n"
+        monkeypatch.setattr(cli_mod, "evaluate_manifest", None)  # never reached
+        assert run("aggregate", "--manifest", manifest, "--scheme", "losocv",
+                   "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == folds_err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags", [("--per-site",), ("--scheme", "losocv")])
+    def test_site_named_all_sites_rejected(self, tmp_path, capsys, flags):
+        manifest, _ = build_cohort(tmp_path, {"A": 2, "All Sites": 2})
+        out = tmp_path / "out"
+        assert run("aggregate", "--manifest", manifest, "--out", out) == 0
+        assert run("aggregate", "--manifest", manifest, "--out", out / "per_site",
+                   *flags) == 2
+        assert capsys.readouterr().err == (
+            f"pvseval: error: {manifest}: site 'All Sites' clashes with the pooled "
+            "rows of every region\n")
+        assert not (out / "per_site").exists()
 
 
 def damage(path, kind):
@@ -289,6 +387,15 @@ class TestDamagedGzip:
         err = capsys.readouterr().err
         assert err.startswith(f"pvseval: error: A01: {records[1].pred_path}: ")
         assert "NaN" in err and err.count(records[1].pred_path) == 1
+
+
+def write_per_subject(path, rows):
+    """A per-subject CSV of (subject_id, region, six metric values) rows."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["subject_id", "region", *METRICS])
+        writer.writerows([sid, region, *values] for sid, region, values in rows)
+    return path
 
 
 class TestCompareCommand:
@@ -366,6 +473,78 @@ class TestCompareCommand:
                    "--b", tmp_path / "c6" / "per_subject.csv", "--out", tmp_path / "cmp")
         assert code == 2
         assert "connectivity" in capsys.readouterr().err
+
+    def test_families_agree_when_a_region_shares_no_subjects(self, tmp_path):
+        """BG has no subject in both CSVs: its rows are undefined in both
+        families, and WM's are the same, as BG adds no p-value to BH."""
+        rng = np.random.default_rng(4)
+        wm = [(f"s{i}", "WM") for i in range(8)]
+        a = write_per_subject(tmp_path / "a.csv", [
+            *[(sid, region, rng.random(6)) for sid, region in wm],
+            *[(f"a{i}", "BG", rng.random(6)) for i in range(3)]])
+        b = write_per_subject(tmp_path / "b.csv", [
+            *[(sid, region, rng.random(6)) for sid, region in wm],
+            *[(f"b{i}", "BG", rng.random(6)) for i in range(3)]])
+        outputs = {}
+        for family in ("region", "table"):
+            out = tmp_path / family
+            assert run("compare", "--a", a, "--b", b, "--fdr-family", family,
+                       "--out", out) == 0
+            outputs[family] = out
+        region, table = (read_csv(out / "compare.csv") for out in outputs.values())
+        assert region == table
+        assert [(r["region"], r["metric"]) for r in region] == [
+            (name, m) for name in ("WM", "BG") for m in METRICS]
+        assert all(r["p_fdr"] for r in region[:6])
+        undefined = json.loads((outputs["region"] / "compare.json").read_text())["rows"][6:]
+        assert [r["method"] for r in undefined] == ["undefined"] * 6
+
+    def test_fdr_families_group_the_keys(self, tmp_path):
+        """BH runs over each region's p-values, or over all of them."""
+        from pvseval.stats import bh_fdr
+        rng = np.random.default_rng(6)
+        rows = [(f"s{i}", region, rng.random(6)) for region in ("WM", "BG") for i in range(9)]
+        a = write_per_subject(tmp_path / "a.csv", rows)
+        b = write_per_subject(tmp_path / "b.csv", [
+            (sid, region, values + rng.normal(0.3 if region == "WM" else 0.0, 0.2, 6))
+            for sid, region, values in rows])
+        got = {}
+        for family in ("region", "table"):
+            assert run("compare", "--a", a, "--b", b, "--fdr-family", family,
+                       "--out", tmp_path / family) == 0
+            got[family] = json.loads((tmp_path / family / "compare.json").read_text())["rows"]
+        assert [r["p_raw"] for r in got["region"]] == [r["p_raw"] for r in got["table"]]
+        p_raw = [r["p_raw"] for r in got["table"]]
+        assert [r["p_fdr"] for r in got["table"]] == bh_fdr(p_raw)
+        assert [r["p_fdr"] for r in got["region"]] == bh_fdr(p_raw[:6]) + bh_fdr(p_raw[6:])
+        assert [r["p_fdr"] for r in got["region"]] != [r["p_fdr"] for r in got["table"]]
+
+    def test_no_subject_in_common_exit_2(self, tmp_path, capsys):
+        values = [0.5] * 6
+        a = write_per_subject(tmp_path / "a.csv", [("a1", "WM", values)])
+        b = write_per_subject(tmp_path / "b.csv", [("b1", "WM", values)])
+        for family in ("region", "table"):
+            assert run("compare", "--a", a, "--b", b, "--fdr-family", family,
+                       "--out", tmp_path / "o") == 2
+            assert capsys.readouterr().err == (
+                "pvseval: error: reports share no subject ids\n")
+
+    @pytest.mark.parametrize("family", ["region", "table"])
+    def test_region_with_a_colon_round_trips(self, tmp_path, family):
+        rng = np.random.default_rng(5)
+        rows = [(f"s{i}", region, rng.random(6)) for region in ("L:WM", "BG")
+                for i in range(6)]
+        a = write_per_subject(tmp_path / "a.csv", rows)
+        b = write_per_subject(tmp_path / "b.csv", [(sid, region, values + 0.1)
+                                                   for sid, region, values in rows])
+        out = tmp_path / "out"
+        assert run("compare", "--a", a, "--b", b, "--metrics", "dsc_vox,sen_num",
+                   "--fdr-family", family, "--out", out) == 0
+        want = [(region, m) for region in ("L:WM", "BG") for m in ("dsc_vox", "sen_num")]
+        assert [(r["region"], r["metric"]) for r in read_csv(out / "compare.csv")] == want
+        records = json.loads((out / "compare.json").read_text())["rows"]
+        assert [(r["region"], r["metric"]) for r in records] == want
+        assert all(float(r["median_diff"]) == pytest.approx(-0.1) for r in records)
 
 
 class TestContrastCommand:
@@ -448,7 +627,7 @@ class TestContrastGather:
         assert run("contrast", "--image", files / "f32.nii", "--mask", tmp_path / "m.nii.gz",
                    "--out", tmp_path / "o") == 2
         assert capsys.readouterr().err == (
-            "pvseval: error: grid mismatch: (30, 26, 22) vs (30, 26, 23)\n")
+            f"pvseval: error: {files / 'f32.nii'}: grid mismatch: (30, 26, 22) vs (30, 26, 23)\n")
         assert not (tmp_path / "o").exists()
 
     def test_strict_grid_compares_the_image_header(self, files, tmp_path, capsys):
@@ -460,8 +639,8 @@ class TestContrastGather:
         args = ("contrast", "--image", files / "f64.nii.gz", "--mask", tmp_path / "m.nii.gz")
         assert run(*args, "--out", tmp_path / "lenient") == 0
         assert run(*args, "--strict-grid", "--out", tmp_path / "o") == 2
-        assert capsys.readouterr().err == (
-            "pvseval: error: affines differ beyond 1e-4 in strict grid mode\n")
+        assert capsys.readouterr().err == (f"pvseval: error: {files / 'f64.nii.gz'}: "
+                                           "affines differ beyond 1e-4 in strict grid mode\n")
 
     @pytest.mark.parametrize("kind", ["truncated", "crc", "junk"])
     def test_damaged_image_exits_2_and_names_it(self, files, tmp_path, capsys, kind):

@@ -7,7 +7,6 @@ import pytest
 from pvseval.errors import (
     EmptyManifestError,
     InputError,
-    MissingFoldError,
     TooFewSitesError,
 )
 from pvseval.harness import (
@@ -45,6 +44,12 @@ def metric_record(subject_id, region="WM", **overrides) -> SubjectMetrics:
     )
     values.update(overrides)
     return SubjectMetrics(subject_id=subject_id, region=region, connectivity=26, **values)
+
+
+def site_records(per_site):
+    """(records, subject_id -> site) of a site -> records mapping."""
+    records = [r for site_rows in per_site.values() for r in site_rows]
+    return records, {r.subject_id: site for site, rows in per_site.items() for r in rows}
 
 
 class TestManifest:
@@ -199,7 +204,8 @@ class TestLosocvTable:
             "A": [metric_record("a1", dsc_vox=0.2), metric_record("a2", dsc_vox=0.4)],
             "B": [metric_record("b1", dsc_vox=0.9)],
         }
-        rows = losocv_table(per_site, ["A", "B"])
+        records, site_of = site_records(per_site)
+        rows = losocv_table(aggregate(records, site_of, per_site=True))
         row = next(r for r in rows if r.metric == "dsc_vox")
         assert row.external["A"].mean == pytest.approx(0.3, abs=1e-15)
         assert row.external["B"].mean == 0.9
@@ -215,10 +221,7 @@ class TestLosocvTable:
             "A": [metric_record("a1"), metric_record("a1b", region="BG")],
             "B": [metric_record("b1"), metric_record("b1b", region="BG")],
         }
-        rows = losocv_table(per_site, ["A", "B"])
+        records, site_of = site_records(per_site)
+        rows = losocv_table(aggregate(records, site_of, per_site=True))
         assert len(rows) == 2 * len(METRIC_NAMES)
         assert {r.region for r in rows} == {"WM", "BG"}
-
-    def test_missing_fold(self):
-        with pytest.raises(MissingFoldError, match="B"):
-            losocv_table({"A": [metric_record("a1")]}, ["A", "B"])

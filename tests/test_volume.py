@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pvseval.errors import DimMismatchError
-from pvseval.volume import foreground_volume, intersect, subtract
+from pvseval.volume import intersect
 
 from conftest import make_mask
 
@@ -64,45 +64,6 @@ class TestIntersect:
             intersect(a, b, strict=True)
 
 
-class TestSubtract:
-    def test_self_is_empty(self):
-        a, _ = seeded_pair(3)
-        assert subtract(a, a).foreground_count == 0
-
-    def test_empty_is_identity(self):
-        a, _ = seeded_pair(4)
-        empty = make_mask(np.zeros((8, 8, 8), bool))
-        assert np.array_equal(subtract(a, empty).data, a.data)
-
-    def test_against_voxel_loop(self):
-        a, b = seeded_pair(12)
-        expected = a.data & ~b.data
-        assert np.array_equal(subtract(a, b).data, expected)
-
-
-class TestForegroundVolume:
-    def test_empty(self):
-        assert foreground_volume(make_mask(np.zeros((4, 4, 4), bool))) == 0.0
-
-    def test_mm3(self):
-        data = np.zeros((5, 5, 5), bool)
-        data.flat[:10] = True
-        m = make_mask(data, spacing=(0.8, 0.8, 0.8))
-        assert foreground_volume(m, "voxels") == 10.0
-        assert abs(foreground_volume(m, "mm3") - 5.12) < 1e-12
-
-    def test_random_matches_loop(self):
-        a, _ = seeded_pair(9)
-        expected = sum(
-            1 for x in range(8) for y in range(8) for z in range(8) if a.data[x, y, z]
-        )
-        assert foreground_volume(a) == expected
-
-    def test_bad_units(self):
-        with pytest.raises(ValueError):
-            foreground_volume(make_mask(np.zeros((2, 2, 2), bool)), "litres")
-
-
 @given(st.integers(0, 2**31 - 1))
 def test_intersect_algebra(seed):
     a, b = seeded_pair(seed, shape=(5, 5, 5))
@@ -115,9 +76,3 @@ def test_intersect_algebra(seed):
     )
     assert ab.foreground_count <= min(a.foreground_count, b.foreground_count)
 
-
-@given(st.integers(0, 2**31 - 1))
-def test_wm_bg_disjoint_after_subtraction(seed):
-    wm_initial, bg = seeded_pair(seed, shape=(6, 6, 6), density=0.5)
-    wm = subtract(wm_initial, bg)
-    assert intersect(wm, bg).foreground_count == 0

@@ -160,34 +160,38 @@ def label_components(mask: BinaryMask, connectivity: int = 26) -> LabelMap:
                     connectivity, mask.spacing, mask.affine)
 
 
-@dataclass(frozen=True)
-class HistogramBin:
-    lo: float  # inclusive
-    hi: float  # exclusive
-    count: int
-    density: float
+@dataclass(frozen=True, eq=False)
+class SizeHistogram:
+    """Normalized cluster-size histogram as columns, one entry per bin."""
+
+    lo: np.ndarray  # float64, inclusive
+    hi: np.ndarray  # float64, exclusive
+    count: np.ndarray  # int64
+    density: np.ndarray  # float64, count / number of sizes
 
 
-def size_histogram(sizes, log_binning: bool = False) -> list[HistogramBin]:
+def size_histogram(sizes, log_binning: bool = False) -> SizeHistogram:
     """Normalized density of cluster sizes.
 
     Linear mode uses unit-width integer bins over [min, max]; log mode uses
-    base-2 geometric bin edges starting at 1. Densities sum to 1.
+    base-2 geometric bin edges starting at 1. Densities sum to 1. Every
+    value equals its scalar Python form: float(v) for an edge v, and
+    count / len(sizes) for a density.
     """
     sizes = np.asarray(list(sizes), dtype=np.int64)
     if sizes.size == 0:
         raise EmptyInputError("size_histogram needs at least one cluster size")
     if sizes.min() < 1:
         raise ValueError("cluster sizes must be >= 1")
-    total = sizes.size
     if log_binning:
         # bin i holds [2^i, 2^(i+1)): the bit length of the size, less one
         _, bit_length = np.frexp(sizes)
         counts = np.bincount(bit_length - 1)
-        edges = [(2.0**i, 2.0 ** (i + 1)) for i in range(counts.size)]
+        lo = np.ldexp(1.0, np.arange(counts.size))
+        hi = 2.0 * lo
     else:
         low = int(sizes.min())
         counts = np.bincount(sizes - low)
-        edges = [(float(v), float(v + 1)) for v in range(low, low + counts.size)]
-    return [HistogramBin(lo, hi, count, count / total)
-            for (lo, hi), count in zip(edges, counts.tolist())]
+        edges = np.arange(low, low + counts.size + 1).astype(np.float64)
+        lo, hi = edges[:-1], edges[1:]
+    return SizeHistogram(lo, hi, counts.astype(np.int64, copy=False), counts / sizes.size)

@@ -9,10 +9,13 @@ CSV header to a key path in the record. A header is its key, except:
 a metric summary nested under `{m}` (a metric in aggregate, a site or the
 average in the LOSOCV table) gives `{m}_mean`, `{m}_sd`, `{m}_n` <-
 `n_used` and, in aggregate, `{m}_excluded` <- `n_excluded`; compare writes
-`sig` <- `significant` and `r` <- `rank_biserial`; the size histogram
-writes `bin_lo`/`bin_hi` <- `lo`/`hi`. A cell is empty for None, `repr`
-for a float, Yes/No for a bool and `|`-joined for the flag tuple.
-`clusters` keeps its own JSON payload; its two CSVs use the same writer.
+`sig` <- `significant` and `r` <- `rank_biserial`. A cell is empty for
+None, `repr` for a float, Yes/No for a bool and `|`-joined for the flag
+tuple. `clusters` works from numpy columns instead: it renders each
+column's cell text once (`repr` of each value, as the cell rule gives),
+and the same strings feed `cluster_sizes.csv`, `size_histogram.csv`
+(`bin_lo`/`bin_hi` <- `lo`/`hi`) and the `histogram` list of
+`clusters.json`, which `_write_json` lays out as json.dumps would.
 Exit codes: 0 success, 2 user/input error, 1 internal failure.
 """
 
@@ -137,8 +140,9 @@ COMPARE_COLUMNS = {
 }
 CONTRAST_COLUMNS = _same("subject_id", "modality", "mask_mean", "shell_mean",
                          "abs_contrast", "mode")
-CLUSTER_SIZE_COLUMNS = _same("cluster_id", "size_voxels", "size_mm3")
-HISTOGRAM_COLUMNS = {"bin_lo": ("lo",), "bin_hi": ("hi",), **_same("count", "density")}
+CLUSTER_SIZE_COLUMNS = ("cluster_id", "size_voxels", "size_mm3")
+# size_histogram.csv header -> SizeHistogram column, also the JSON record key
+HISTOGRAM_COLUMNS = {"bin_lo": "lo", "bin_hi": "hi", "count": "count", "density": "density"}
 
 
 def _losocv_columns(sites) -> dict[str, tuple]:
@@ -168,25 +172,54 @@ def _cell(record, path: tuple) -> str:
     return str(record)
 
 
-def _write_csv(path: Path, columns: dict[str, tuple], records) -> None:
-    paths = list(columns.values())
+def _texts(column) -> list[str]:
+    """The cell text of each value of a numpy column: repr of the Python
+    float or int, as _cell writes it and as json writes a finite float."""
+    return list(map(repr, column.tolist()))
+
+
+def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows([_cell(rec, p) for p in paths] for rec in records)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _write_json(path: Path, payload: dict, cfg: RunConfig) -> None:
+def _write_json(path: Path, payload: dict, cfg: RunConfig,
+                columns: tuple[str, dict[str, list[str]]] | None = None) -> None:
+    """`payload` and the run config as json.dumps(indent=2, sort_keys=True).
+
+    `columns`, if given, is (key, {field: JSON text of each record's
+    value}): a top-level list of flat records held as rendered columns. It
+    is laid out with one template per record, byte for byte as json.dumps
+    would, and spliced into the text of the rest at its key's line;
+    json's indenting encoder is pure Python and slow on ~10^4 records.
+    """
     payload = dict(payload)
     payload["config"] = asdict(cfg)
+    if columns is not None:
+        key, cells = columns
+        payload[key] = []
+    pieces = [json.dumps(payload, indent=2, sort_keys=True), "\n"]
+    if columns is not None:
+        fields = sorted(cells)
+        template = "    {\n" + ",\n".join(f"      {json.dumps(f)}: %s" for f in fields) + "\n    }"
+        records = ",\n".join(map(template.__mod__, zip(*(cells[f] for f in fields))))
+        if records:
+            # a JSON string holds no raw newline, so only the key's own line
+            # matches; the records go between its brackets, written uncopied
+            head, anchor, tail = pieces[0].partition(f"\n  {json.dumps(key)}: [")
+            pieces[:1] = [head, anchor, "\n", records, "\n  ", tail]
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.writelines(pieces)
 
 
 def _write_table(out: Path, stem: str, key: str, columns: dict[str, tuple],
                  records: list, cfg: RunConfig) -> None:
     """`stem.csv` through `columns`, and the same records as `stem.json`."""
-    _write_csv(out / f"{stem}.csv", columns, records)
+    paths = list(columns.values())
+    _write_csv(out / f"{stem}.csv", columns,
+               ([_cell(rec, p) for p in paths] for rec in records))
     _write_json(out / f"{stem}.json", {key: records}, cfg)
 
 
@@ -299,6 +332,13 @@ def cmd_compare(args) -> int:
     if conn_a and conn_b and conn_a != conn_b:
         raise InputError(f"--a and --b were computed at different connectivity: "
                          f"{sorted(conn_a)} vs {sorted(conn_b)}")
+    if len(conn_a) == 1 and conn_a == conn_b:
+        # the config records the connectivity the CSVs were computed at
+        (text,) = conn_a
+        if text not in map(str, CONNECTIVITIES):
+            raise InputError(f"--a and --b: connectivity {text!r} is not one of "
+                             f"{CONNECTIVITIES}")
+        cfg.connectivity = int(text)
     metrics = args.metrics.split(",") if args.metrics else list(METRIC_NAMES)
     for m in metrics:
         if m not in METRIC_NAMES:
@@ -354,24 +394,23 @@ def cmd_clusters(args) -> int:
     mask = read_volume(_require_file(args.mask, "--mask"), "mask")
     lm = label_components(mask, cfg.connectivity)
     out = _out_dir(cfg)
-    voxel_mm3 = mask.voxel_volume_mm3
-    sizes = lm.component_sizes.tolist()
-    size_rows = [
-        {"cluster_id": cid, "size_voxels": size, "size_mm3": size * voxel_mm3}
-        for cid, size in enumerate(sizes, start=1)
-    ]
-    _write_csv(out / "cluster_sizes.csv", CLUSTER_SIZE_COLUMNS, size_rows)
+    sizes = lm.component_sizes
+    # the same IEEE product as the int size times the float voxel volume
+    _write_csv(out / "cluster_sizes.csv", CLUSTER_SIZE_COLUMNS,
+               zip(map(str, range(1, sizes.size + 1)), _texts(sizes),
+                   _texts(sizes * mask.voxel_volume_mm3)))
     payload = {
         "component_count": lm.component_count,
         "connectivity": lm.connectivity,
-        "sizes_voxels": sizes,
+        "sizes_voxels": sizes.tolist(),
     }
+    histogram = None
     if lm.component_count > 0:
-        # vars, not asdict: asdict deep-copies each of up to ~15 k bins
-        bins = [vars(b) for b in size_histogram(sizes, log_binning=args.log_binning)]
-        _write_csv(out / "size_histogram.csv", HISTOGRAM_COLUMNS, bins)
-        payload["histogram"] = bins
-    _write_json(out / "clusters.json", payload, cfg)
+        hist = size_histogram(payload["sizes_voxels"], log_binning=args.log_binning)
+        cells = {field: _texts(getattr(hist, field)) for field in HISTOGRAM_COLUMNS.values()}
+        _write_csv(out / "size_histogram.csv", HISTOGRAM_COLUMNS, zip(*cells.values()))
+        histogram = ("histogram", cells)
+    _write_json(out / "clusters.json", payload, cfg, histogram)
     if args.save_labels:
         label_vol = Volume3D(data=lm.data, spacing=mask.spacing, affine=mask.affine)
         write_volume(label_vol, args.save_labels, datatype=8)

@@ -1,8 +1,9 @@
 """Single-file NIfTI-1 reader/writer.
 
 Covers exactly what the evaluation pipeline ingests: 3D volumes in the
-single-file ("n+1") flavor, optionally gzip-compressed, with datatypes
-u8/i16/i32/f32/f64. Dual-file pairs and NIfTI-2 are rejected explicitly.
+single-file ("n+1") flavor, optionally gzip-compressed. It reads datatypes
+u8/i8/i16/u16/i32/u32/f32/f64 and writes u8/i16/i32/f32/f64. Dual-file
+pairs and NIfTI-2 are rejected explicitly.
 Voxel data is held x-fastest in memory (Fortran order over (nx, ny, nz));
 orientation lives in the affine, never in the array layout.
 
@@ -49,13 +50,22 @@ MAGIC_SINGLE = b"n+1\x00"
 MAGIC_PAIR = b"ni1\x00"
 NIFTI2_HEADER_SIZE = 540
 
-# datatype code -> (numpy dtype, bitpix)
+# datatype code -> (numpy dtype, bitpix), the codes write_volume writes
 DATATYPES: dict[int, tuple[np.dtype, int]] = {
     2: (np.dtype(np.uint8), 8),
     4: (np.dtype(np.int16), 16),
     8: (np.dtype(np.int32), 32),
     16: (np.dtype(np.float32), 32),
     64: (np.dtype(np.float64), 64),
+}
+# the codes read_volume/read_voxels read: also the int8 and unsigned label
+# types of segmentation tools, each exact in float64; the 64-bit integer
+# codes are not, and stay rejected
+READ_DATATYPES: dict[int, tuple[np.dtype, int]] = {
+    **DATATYPES,
+    256: (np.dtype(np.int8), 8),
+    512: (np.dtype(np.uint16), 16),
+    768: (np.dtype(np.uint32), 32),
 }
 
 GZIP_MAGIC = b"\x1f\x8b"
@@ -89,7 +99,7 @@ class NiftiHeader:
 
     @property
     def dtype(self) -> np.dtype:
-        return DATATYPES[self.datatype_code][0]
+        return READ_DATATYPES[self.datatype_code][0]
 
     # dims and affine let a header be checked with ensure_same_grid
     @property
@@ -213,13 +223,14 @@ def parse_header(raw: bytes) -> NiftiHeader:
         raise BadHeaderError(f"dim[0]={dim[0]} outside 1..7")
 
     datatype = int(values["datatype"])
-    if datatype not in DATATYPES:
-        raise UnsupportedDatatypeError(f"datatype code {datatype} not in {sorted(DATATYPES)}")
+    if datatype not in READ_DATATYPES:
+        raise UnsupportedDatatypeError(
+            f"datatype code {datatype} not in {sorted(READ_DATATYPES)}")
     bitpix = int(values["bitpix"])
-    if bitpix != DATATYPES[datatype][1]:
+    if bitpix != READ_DATATYPES[datatype][1]:
         raise InconsistentBitpixError(
             f"bitpix {bitpix} inconsistent with datatype {datatype} "
-            f"(expected {DATATYPES[datatype][1]})"
+            f"(expected {READ_DATATYPES[datatype][1]})"
         )
 
     return NiftiHeader(

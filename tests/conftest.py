@@ -27,10 +27,11 @@ def write_nifti(path, data, datatype, order="<", slope=1.0, inter=0.0, vox_offse
                 affine=None, members=1):
     """Write a single-file NIfTI-1 field by field, in either byte order: scl
     scaling, an extension filling the bytes up to vox_offset, and, for a .gz
-    path, the stream split into `members` gzip members."""
-    from pvseval.nifti import DATATYPES
+    path, the stream split into `members` gzip members. Any datatype the
+    reader takes is written, the read-only ones included."""
+    from pvseval.nifti import READ_DATATYPES
 
-    dtype, bitpix = DATATYPES[datatype]
+    dtype, bitpix = READ_DATATYPES[datatype]
     data = np.asarray(data)
     if affine is None:
         affine = np.eye(3, 4)

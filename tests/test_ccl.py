@@ -185,43 +185,67 @@ def test_painted_grid_matches_fg_labels(conn):
     assert np.array_equal(lm.data, expected)
 
 
+def bins_of(hist):
+    """(lo, hi, count, density) of each bin, as Python scalars."""
+    return list(zip(hist.lo.tolist(), hist.hi.tolist(), hist.count.tolist(),
+                    hist.density.tolist()))
+
+
 class TestSizeHistogram:
     def test_small_linear(self):
-        bins = size_histogram([1, 1, 2])
-        assert [(b.lo, b.count) for b in bins] == [(1.0, 2), (2.0, 1)]
-        assert bins[0].density == pytest.approx(2 / 3)
-        assert bins[1].density == pytest.approx(1 / 3)
+        hist = size_histogram([1, 1, 2])
+        assert [(lo, count) for lo, _, count, _ in bins_of(hist)] == [(1.0, 2), (2.0, 1)]
+        assert hist.density[0] == pytest.approx(2 / 3)
+        assert hist.density[1] == pytest.approx(1 / 3)
 
     def test_single_value(self):
-        bins = size_histogram([7, 7, 7])
-        assert len(bins) == 1
-        assert bins[0].density == 1.0
+        hist = size_histogram([7, 7, 7])
+        assert bins_of(hist) == [(7.0, 8.0, 3, 1.0)]
 
     def test_log_bins_are_powers_of_two(self):
-        bins = size_histogram([1, 2, 3, 4, 9], log_binning=True)
-        assert [(b.lo, b.hi) for b in bins] == [(1, 2), (2, 4), (4, 8), (8, 16)]
-        assert [b.count for b in bins] == [1, 2, 1, 1]
+        hist = size_histogram([1, 2, 3, 4, 9], log_binning=True)
+        assert [(lo, hi) for lo, hi, _, _ in bins_of(hist)] == [(1, 2), (2, 4), (4, 8), (8, 16)]
+        assert hist.count.tolist() == [1, 2, 1, 1]
 
     def test_log_bins_at_powers_of_two(self):
         sizes = [2**k for k in range(41)] + [2**k - 1 for k in range(1, 41)]
-        bins = size_histogram(sizes, log_binning=True)
-        assert [(b.lo, b.hi) for b in bins] == [(2.0**i, 2.0 ** (i + 1)) for i in range(41)]
+        hist = size_histogram(sizes, log_binning=True)
+        bins = bins_of(hist)
+        assert [(lo, hi) for lo, hi, _, _ in bins] == [(2.0**i, 2.0 ** (i + 1))
+                                                       for i in range(41)]
         # 2^k - 1 belongs to the bin below 2^k
-        assert [b.count for b in bins] == [2] * 40 + [1]
-        for b in bins:
-            assert b.count == sum(1 for s in sizes if b.lo <= s < b.hi)
-            assert b.density == b.count / len(sizes)
+        assert hist.count.tolist() == [2] * 40 + [1]
+        for lo, hi, count, density in bins:
+            assert count == sum(1 for s in sizes if lo <= s < hi)
+            assert density == count / len(sizes)
+
+    def test_columns_equal_their_scalar_forms(self):
+        # each edge is float(v), each density the Python quotient, bit for bit
+        sizes = [3, 3, 5, 12, 12, 12, 40]
+        for log_binning in (False, True):
+            hist = size_histogram(sizes, log_binning=log_binning)
+            assert (hist.lo.dtype, hist.hi.dtype, hist.count.dtype, hist.density.dtype) == (
+                np.float64, np.float64, np.int64, np.float64)
+            assert hist.lo.size == hist.hi.size == hist.count.size == hist.density.size
+            for lo, hi, count, density in bins_of(hist):
+                assert (type(lo), type(hi), type(count), type(density)) == (
+                    float, float, int, float)
+                assert repr(density) == repr(count / len(sizes))
+                if not log_binning:
+                    assert (lo, hi) == (float(int(lo)), float(int(lo) + 1))
+        assert size_histogram(sizes).lo.tolist() == [float(v) for v in range(3, 41)]
 
     def test_random_counts_match_direct(self):
         rng = np.random.default_rng(3)
         sizes = rng.integers(1, 200, size=1000).tolist()
         for log_binning in (False, True):
-            bins = size_histogram(sizes, log_binning=log_binning)
-            assert abs(sum(b.density for b in bins) - 1.0) < 1e-12
-            for b in bins:
-                direct = sum(1 for s in sizes if b.lo <= s < b.hi)
-                assert b.count == direct
-        assert sum(b.count for b in bins) == 1000
+            hist = size_histogram(sizes, log_binning=log_binning)
+            assert abs(sum(hist.density.tolist()) - 1.0) < 1e-12
+            for lo, hi, count, density in bins_of(hist):
+                direct = sum(1 for s in sizes if lo <= s < hi)
+                assert count == direct
+                assert density == count / len(sizes)
+        assert sum(hist.count.tolist()) == 1000
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):

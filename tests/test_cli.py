@@ -1,11 +1,20 @@
 import csv
+import dataclasses
+import io
 import json
+import math
 import shutil
+import tempfile
 import tracemalloc
+from collections import Counter
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from pvseval import cli
 from pvseval.cli import main
 from pvseval.harness import SubjectRecord, write_manifest
 from pvseval.morphology import contrast_stat, contrast_stat_per_cluster
@@ -62,6 +71,26 @@ class TestMetricsCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "(40, 40, 40)" in err and "(8, 8, 8)" in err
+
+    @pytest.mark.parametrize("order", ["<", ">"])
+    def test_uint16_reference_reads_as_its_nonzero_voxels(self, phantom_files, tmp_path,
+                                                          monkeypatch, order):
+        # a label map as ITK-SNAP saves it: uint16, labels 1 and 65535
+        root, truth = phantom_files["root"], phantom_files["truth"]
+        labels = np.where(truth.data, 1, 0).astype(np.uint16)
+        labels[: truth.dims[0] // 2][truth.data[: truth.dims[0] // 2]] = 65535
+        ref16 = write_nifti(tmp_path / "ref16.nii.gz", labels, 512, order,
+                            affine=truth.affine)
+        monkeypatch.chdir(tmp_path)
+        for name, ref in (("u16", ref16), ("u8", root / "truth.nii.gz")):
+            assert run("metrics", "--pred", root / "half.nii.gz", "--ref", ref,
+                       "--subject-id", "s", "--out", name) == 0
+            assert run("clusters", "--mask", ref, "--out", f"c{name}") == 0
+        for got, want in (("u16/metrics.csv", "u8/metrics.csv"),
+                          ("cu16/cluster_sizes.csv", "cu8/cluster_sizes.csv"),
+                          ("cu16/size_histogram.csv", "cu8/size_histogram.csv")):
+            assert (tmp_path / got).read_bytes() == (tmp_path / want).read_bytes()
+        assert read_csv(tmp_path / "u16" / "metrics.csv")[0]["dsc_vox"] != ""
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         code = run("metrics", "--pred", tmp_path / "nope.nii",
@@ -474,6 +503,45 @@ class TestCompareCommand:
         assert code == 2
         assert "connectivity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("connectivity", [6, 18])
+    def test_config_records_the_csvs_connectivity(self, tmp_path, connectivity):
+        manifest, _ = build_cohort(tmp_path, {"A": 3})
+        for name in ("a", "b"):
+            assert run("aggregate", "--manifest", manifest, "--out", tmp_path / name,
+                       "--connectivity", connectivity) == 0
+        assert run("compare", "--a", tmp_path / "a" / "per_subject.csv",
+                   "--b", tmp_path / "b" / "per_subject.csv", "--out", tmp_path / "cmp") == 0
+        config = json.loads((tmp_path / "cmp" / "compare.json").read_text())["config"]
+        assert config["connectivity"] == connectivity
+
+    def test_config_keeps_its_connectivity_without_the_column(self, tmp_path):
+        # per-subject CSVs with no connectivity column say nothing to record
+        values = ["0.5"] * len(METRICS)
+        a = write_per_subject(tmp_path / "a.csv", [("s1", "WM", values)])
+        b = write_per_subject(tmp_path / "b.csv", [("s1", "WM", values)])
+        config_file = tmp_path / "c.json"
+        config_file.write_text(json.dumps({"connectivity": 18}))
+        assert run("compare", "--a", a, "--b", b, "--config", config_file,
+                   "--out", tmp_path / "cmp") == 0
+        config = json.loads((tmp_path / "cmp" / "compare.json").read_text())["config"]
+        assert config["connectivity"] == 18
+
+    def test_connectivity_not_a_class_exit_2(self, tmp_path, capsys):
+        rows = [("s1", "WM", ["0.5"] * len(METRICS))]
+        paths = []
+        for name in ("a", "b"):
+            path = write_per_subject(tmp_path / f"{name}.csv", rows)
+            with open(path, newline="") as fh:
+                table = list(csv.reader(fh))
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows([row + [cell] for row, cell
+                                          in zip(table, ["connectivity", "8"])])
+            paths.append(path)
+        assert run("compare", "--a", paths[0], "--b", paths[1],
+                   "--out", tmp_path / "cmp") == 2
+        assert "connectivity '8'" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
     def test_families_agree_when_a_region_shares_no_subjects(self, tmp_path):
         """BG has no subject in both CSVs: its rows are undefined in both
         families, and WM's are the same, as BG adds no p-value to BH."""
@@ -698,6 +766,137 @@ class TestClustersCommand:
         assert run("clusters", "--mask", tmp_path / "e.nii", "--out", tmp_path) == 0
         payload = json.loads((tmp_path / "clusters.json").read_text())
         assert payload["component_count"] == 0
+
+
+# -- clusters outputs, byte for byte against the scalar path --------------------
+
+def clusters_reference(sizes, voxel_mm3, log_binning, config):
+    """{file name: bytes} of what clusters writes, rendered the scalar way:
+    bins as dicts, json.dumps(indent=2, sort_keys=True), and csv.writer over
+    repr/str cells."""
+    def csv_bytes(header, rows):
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue().encode()
+
+    files = {"cluster_sizes.csv": csv_bytes(
+        ("cluster_id", "size_voxels", "size_mm3"),
+        [(str(cid), str(size), repr(size * voxel_mm3))
+         for cid, size in enumerate(sizes, start=1)])}
+    payload = {"component_count": len(sizes), "connectivity": config["connectivity"],
+               "sizes_voxels": sizes, "config": config}
+    if sizes:
+        if log_binning:
+            counts = Counter(s.bit_length() - 1 for s in sizes)
+            edges = [(2.0**i, 2.0 ** (i + 1), counts[i])
+                     for i in range(max(sizes).bit_length())]
+        else:
+            counts = Counter(sizes)
+            edges = [(float(v), float(v + 1), counts[v])
+                     for v in range(min(sizes), max(sizes) + 1)]
+        bins = [{"lo": lo, "hi": hi, "count": n, "density": n / len(sizes)}
+                for lo, hi, n in edges]
+        payload["histogram"] = bins
+        files["size_histogram.csv"] = csv_bytes(
+            ("bin_lo", "bin_hi", "count", "density"),
+            [(repr(b["lo"]), repr(b["hi"]), str(b["count"]), repr(b["density"])) for b in bins])
+    files["clusters.json"] = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    return files
+
+
+SPACING = (0.8, 1.0, 1.25)
+# the spacing as the header stores it, float32
+VOXEL_MM3 = math.prod(float(np.float32(v)) for v in SPACING)
+
+
+def bars_mask(path, sizes):
+    """One x-bar per size, every other y-line, so the bars are disjoint
+    clusters at any connectivity, numbered in the order given."""
+    data = np.zeros((max(sizes, default=1), 2 * len(sizes) + 1, 1), bool)
+    for j, size in enumerate(sizes):
+        data[:size, 2 * j, 0] = True
+    write_volume(BinaryMask(data, SPACING, np.diag([*SPACING, 1.0])[:3]), path, datatype=2)
+    return path
+
+
+def assert_clusters_bytes(out, sizes, log_binning, connectivity=26):
+    config = {"connectivity": connectivity, "fdr_q": 0.05, "out_dir": str(out),
+              "workers": 1, "strict_grid": False}
+    want = clusters_reference(sizes, VOXEL_MM3, log_binning, config)
+    assert sorted(p.name for p in Path(out).iterdir()) == sorted(want)
+    for name, blob in want.items():
+        assert (Path(out) / name).read_bytes() == blob, name
+
+
+@pytest.fixture
+def no_workers_env(monkeypatch):
+    monkeypatch.delenv("PVSEVAL_WORKERS", raising=False)
+
+
+@pytest.mark.usefixtures("no_workers_env")
+class TestClustersBytes:
+    @pytest.mark.parametrize("log_binning", [False, True], ids=["linear", "log"])
+    @pytest.mark.parametrize("sizes", [[5], [], [3, 1, 4, 1, 5, 9, 2, 6]],
+                             ids=["one_bin", "empty", "mixed"])
+    def test_mask(self, tmp_path, sizes, log_binning):
+        mask = bars_mask(tmp_path / "m.nii.gz", sizes)
+        flags = ["--log-binning"] if log_binning else []
+        assert run("clusters", "--mask", mask, "--out", tmp_path / "out", *flags) == 0
+        assert_clusters_bytes(tmp_path / "out", sizes, log_binning)
+        if not sizes:
+            payload = json.loads((tmp_path / "out" / "clusters.json").read_text())
+            assert "histogram" not in payload
+
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=12), st.booleans(),
+           st.sampled_from([6, 18, 26]))
+    def test_drawn_sizes(self, sizes, log_binning, connectivity):
+        with tempfile.TemporaryDirectory() as tmp:
+            mask = bars_mask(Path(tmp) / "m.nii", sizes)
+            out = Path(tmp) / "out"
+            flags = ["--log-binning"] if log_binning else []
+            assert run("clusters", "--mask", mask, "--out", out,
+                       "--connectivity", connectivity, *flags) == 0
+            assert_clusters_bytes(out, sizes, log_binning, connectivity)
+
+    @pytest.mark.parametrize("log_binning", [False, True], ids=["linear", "log"])
+    def test_out_path_holding_the_histogram_key(self, tmp_path, log_binning):
+        # the splice anchor, with and without its newline, inside the config's out_dir
+        out = tmp_path / '"histogram": []\n  "histogram": '
+        mask = bars_mask(tmp_path / "m.nii.gz", [2, 7, 2])
+        flags = ["--log-binning"] if log_binning else []
+        assert run("clusters", "--mask", mask, "--out", out, *flags) == 0
+        assert_clusters_bytes(out, [2, 7, 2], log_binning)
+
+    def test_powers_of_two_up_to_2_40(self, tmp_path, monkeypatch):
+        # sizes no test mask can hold: only the labeling is replaced
+        sizes = [2**k for k in range(41)] + [2**k - 1 for k in range(1, 41)]
+        labels = SimpleNamespace(component_sizes=np.array(sizes, np.int64),
+                                 component_count=len(sizes), connectivity=26)
+        monkeypatch.setattr(cli, "label_components", lambda mask, connectivity: labels)
+        mask = bars_mask(tmp_path / "m.nii", [1])
+        assert run("clusters", "--mask", mask, "--out", tmp_path / "out", "--log-binning") == 0
+        assert_clusters_bytes(tmp_path / "out", sizes, True)
+
+
+@given(st.lists(st.tuples(st.integers(0, 2**62), st.floats(allow_nan=False,
+                                                            allow_infinity=False)),
+                max_size=20))
+def test_json_columns_lay_out_as_json_dumps(records):
+    """Any finite floats and ints, 5e-324 and 1e16 among them."""
+    records += [(3, 5e-324), (2**53 + 1, 1e16), (0, 1 / 3), (7, -0.0)]
+    ints = np.array([i for i, _ in records], np.int64)
+    floats = np.array([f for _, f in records], np.float64)
+    cfg = cli.RunConfig(out_dir='x\n  "rows": []')
+    payload = {"a": 1, "zz": [1.5]}
+    want = json.dumps({**payload, "rows": [{"n": i, "v": f} for i, f in records],
+                       "config": dataclasses.asdict(cfg)}, indent=2, sort_keys=True) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.json"
+        cli._write_json(path, payload, cfg,
+                        ("rows", {"v": cli._texts(floats), "n": cli._texts(ints)}))
+        assert path.read_text() == want
 
 
 class TestPhantomCommand:

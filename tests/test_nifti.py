@@ -588,3 +588,73 @@ class TestStreamingRead:
             tracemalloc.stop()
         assert np.array_equal(mask.data, data)
         assert peak < data.size + 2**21, peak
+
+
+# the read-only integer codes, with their numpy types written out here
+READ_ONLY = {256: "i1", 512: "u2", 768: "u4"}
+
+
+class TestReadOnlyDatatypes:
+    """int8, uint16 and uint32, as label tools save segmentations."""
+
+    @staticmethod
+    def stored(code):
+        dtype = np.dtype(READ_ONLY[code])
+        info = np.iinfo(dtype)
+        rng = np.random.default_rng(code)
+        data = rng.integers(info.min, info.max, (8, 7, 6), endpoint=True).astype(dtype)
+        data[rng.random(data.shape) < 0.5] = 0
+        data.ravel()[:2] = [info.min, info.max]  # both ends of the range
+        return data
+
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+    @pytest.mark.parametrize("order", ["<", ">"])
+    @pytest.mark.parametrize("code", sorted(READ_ONLY))
+    def test_mask_and_intensity_read(self, tmp_path, code, order, suffix):
+        stored = self.stored(code)
+        path = write_nifti(tmp_path / f"v{suffix}", stored, code, order)
+        assert parse_header(path.read_bytes() if suffix == ".nii"
+                            else gzip.decompress(path.read_bytes())).byte_order == order
+        mask = read_volume(path, "mask")
+        assert mask.data.dtype == bool
+        assert np.array_equal(mask.data, stored != 0)
+        dense = read_volume(path, "intensity")
+        assert dense.data.dtype == np.float64
+        # every stored value is exact in float64
+        assert np.array_equal(dense.data, stored.astype(np.float64))
+        assert np.array_equal(dense.data.astype(stored.dtype), stored)
+        index = np.sort(np.random.default_rng(1).choice(stored.size, 60, replace=False))
+        got = read_voxels(path, index, mask)
+        want = dense.data.ravel("F")[index]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("code", sorted(READ_ONLY))
+    def test_scaled_gather_equals_dense_read_bit_for_bit(self, tmp_path, code):
+        stored = self.stored(code)
+        path = write_nifti(tmp_path / "v.nii.gz", stored, code, ">", 2.5, -1.25)
+        dense = read_volume(path, "intensity")
+        index = np.arange(0, stored.size, 3)
+        got = read_voxels(path, index, dense)
+        want = dense.data.ravel("F")[index]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("code", sorted(READ_ONLY))
+    def test_writer_keeps_its_five_codes(self, tmp_path, code):
+        vol = Volume3D(np.ones((2, 2, 2)), (1, 1, 1), np.eye(3, 4))
+        with pytest.raises(UnsupportedDatatypeError, match=f"datatype code {code} not in "
+                                                           r"\[2, 4, 8, 16, 64\]$"):
+            write_volume(vol, tmp_path / "w.nii", datatype=code)
+        assert not (tmp_path / "w.nii").exists()
+
+    @pytest.mark.parametrize("code", [1024, 1280])
+    def test_64_bit_integers_stay_rejected(self, tmp_path, code):
+        path = tmp_path / "v.nii"
+        write_raw(path, minimal_header(datatype=code, bitpix=64), bytes(8 * 64))
+        with pytest.raises(UnsupportedDatatypeError) as info:
+            read_volume(path, "mask")
+        assert str(info.value) == (f"{path}: datatype code {code} not in "
+                                   f"[2, 4, 8, 16, 64, 256, 512, 768]")
+
+    def test_bitpix_checked_for_a_read_only_code(self):
+        with pytest.raises(InconsistentBitpixError):
+            parse_header(minimal_header(datatype=512, bitpix=8))

@@ -10,10 +10,12 @@ __version__ = "0.1.0"
 from .ccl import LabelMap, label_components, size_histogram
 from .metrics import (
     ClusterCounts,
+    RoiMask,
     SubjectMetrics,
     VoxelCounts,
     cluster_metrics,
     evaluate_subject,
+    intersect,
     pearson_r,
     voxel_metrics,
 )
@@ -29,7 +31,6 @@ from .nifti import (
 )
 from .phantom import Perturbation, PhantomSpec, generate, perturb
 from .stats import StatResult, bh_fdr, compare_models, rank_biserial, wilcoxon_signed_rank
-from .volume import RoiMask, intersect
 
 __all__ = [
     "BinaryMask",

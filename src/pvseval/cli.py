@@ -1,11 +1,12 @@
 """Command-line surface.
 
 Subcommands: metrics, aggregate, compare, contrast, clusters, phantom,
-folds. JSON is the canonical machine output and every JSON report embeds
-the resolved run configuration. Each command builds its records once and
-writes them to `<stem>.json` under one key; `<stem>.csv` is a projection
-of the same records through one of the column maps below, which send each
-CSV header to a key path in the record. A header is its key, except:
+folds. JSON is the canonical machine output and every JSON report embeds,
+as `config`, the settings its command read (its COMMAND_SETTINGS row).
+Each command builds its records once and writes them to `<stem>.json`
+under one key; `<stem>.csv` is a projection of the same records through
+one of the column maps below, which send each CSV header to a key path in
+the record. A header is its key, except:
 a metric summary nested under `{m}` (a metric in aggregate, a site or the
 average in the LOSOCV table) gives `{m}_mean`, `{m}_sd`, `{m}_n` <-
 `n_used` and, in aggregate, `{m}_excluded` <- `n_excluded`; compare writes
@@ -27,7 +28,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -50,66 +51,77 @@ from .stats import compare_models
 
 WORKERS_ENV = "PVSEVAL_WORKERS"
 
+# setting -> (default, flag, the flag's argparse options); a flag not given
+# is None, so the config file's value stands
+SETTINGS = {
+    "connectivity": (26, "--connectivity", {
+        "type": int, "choices": CONNECTIVITIES, "help": "cluster adjacency (default 26)"}),
+    "strict_grid": (False, "--strict-grid", {
+        "action": "store_true", "help": "also require affines to match within 1e-4"}),
+    "workers": (1, "--workers", {
+        "type": int, "help": f"worker processes (default ${WORKERS_ENV} or 1)"}),
+    "fdr_q": (0.05, "--fdr-q", {"type": float}),
+    "out_dir": (".", "--out", {"help": "output directory (default: current)"}),
+}
+# command -> the settings it reads: its flags, and its JSON `config` block
+COMMAND_SETTINGS = {
+    "metrics": ("connectivity", "strict_grid", "out_dir"),
+    "aggregate": ("connectivity", "strict_grid", "out_dir", "workers"),
+    "compare": ("fdr_q", "out_dir"),
+    "contrast": ("connectivity", "strict_grid", "out_dir"),
+    "clusters": ("connectivity", "out_dir"),
+    "phantom": ("connectivity", "out_dir"),
+    "folds": ("out_dir",),
+}
 
-@dataclass
-class RunConfig:
-    connectivity: int = 26
-    fdr_q: float = 0.05
-    out_dir: str = "."
-    workers: int = 1
-    strict_grid: bool = False
-
-
-# what the config file must hold for each field's type; no coercion, so
+# what the config file must hold for each setting's type; no coercion, so
 # "false" is not a bool and 6.9 is not an int (nor is true a number)
 _JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Explicit flags override the config file, which overrides defaults."""
-    cfg = RunConfig()
+def _resolve_config(args: argparse.Namespace) -> dict:
+    """The settings `args.command` reads: explicit flags override the config
+    file, which overrides $PVSEVAL_WORKERS and the defaults. Every setting
+    the file or the environment gives is checked, read or not, so one file
+    serves every command."""
+    cfg = {key: default for key, (default, _, _) in SETTINGS.items()}
     workers = os.environ.get(WORKERS_ENV)
     if workers is not None:
         try:
-            cfg.workers = int(workers)
+            cfg["workers"] = int(workers)
         except ValueError:
             raise InputError(f"{WORKERS_ENV} must be an integer, got {workers!r}") from None
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path) as fh:
+    if args.config:
+        with open(args.config) as fh:
             try:
                 loaded = json.load(fh)
             except json.JSONDecodeError as exc:
-                raise InputError(f"{config_path}: invalid JSON config: {exc}") from exc
+                raise InputError(f"{args.config}: invalid JSON config: {exc}") from exc
         if not isinstance(loaded, dict):
-            raise InputError(f"{config_path}: config must be a JSON object")
+            raise InputError(f"{args.config}: config must be a JSON object")
         for key, value in loaded.items():
-            if not hasattr(cfg, key):
-                raise InputError(f"{config_path}: unknown config key {key!r}")
-            want = type(getattr(cfg, key))
+            if key not in SETTINGS:
+                raise InputError(f"{args.config}: unknown config key {key!r}")
+            want = type(SETTINGS[key][0])
             if type(value) is not want and not (want is float and type(value) is int):
-                raise InputError(f"{config_path}: config key {key!r} must be "
+                raise InputError(f"{args.config}: config key {key!r} must be "
                                  f"{_JSON_TYPES[want]}, got {json.dumps(value)}")
-            setattr(cfg, key, want(value))
-    for key in ("connectivity", "fdr_q", "workers"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    if getattr(args, "out", None) is not None:
-        cfg.out_dir = args.out
-    if getattr(args, "strict_grid", False):
-        cfg.strict_grid = True
-    if cfg.connectivity not in CONNECTIVITIES:
+            cfg[key] = want(value)
+    row = COMMAND_SETTINGS[args.command]
+    for key in row:
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+    if cfg["connectivity"] not in CONNECTIVITIES:
         raise InputError(f"connectivity must be one of {CONNECTIVITIES}")
-    if not 0.0 < cfg.fdr_q < 1.0:
+    if not 0.0 < cfg["fdr_q"] < 1.0:
         raise InputError("fdr q must lie in (0, 1)")
-    if cfg.workers < 1:
+    if cfg["workers"] < 1:
         raise InputError("workers must be >= 1")
-    return cfg
+    return {key: cfg[key] for key in row}
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    path = Path(cfg.out_dir)
+def _out_dir(cfg: dict) -> Path:
+    path = Path(cfg["out_dir"])
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -185,9 +197,10 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_json(path: Path, payload: dict, cfg: RunConfig,
+def _write_json(path: Path, payload: dict, cfg: dict,
                 columns: tuple[str, dict[str, list[str]]] | None = None) -> None:
-    """`payload` and the run config as json.dumps(indent=2, sort_keys=True).
+    """`payload`, with `cfg` under `config`, as json.dumps(indent=2,
+    sort_keys=True).
 
     `columns`, if given, is (key, {field: JSON text of each record's
     value}): a top-level list of flat records held as rendered columns. It
@@ -196,7 +209,7 @@ def _write_json(path: Path, payload: dict, cfg: RunConfig,
     json's indenting encoder is pure Python and slow on ~10^4 records.
     """
     payload = dict(payload)
-    payload["config"] = asdict(cfg)
+    payload["config"] = cfg
     if columns is not None:
         key, cells = columns
         payload[key] = []
@@ -215,7 +228,7 @@ def _write_json(path: Path, payload: dict, cfg: RunConfig,
 
 
 def _write_table(out: Path, stem: str, key: str, columns: dict[str, tuple],
-                 records: list, cfg: RunConfig) -> None:
+                 records: list, cfg: dict) -> None:
     """`stem.csv` through `columns`, and the same records as `stem.json`."""
     paths = list(columns.values())
     _write_csv(out / f"{stem}.csv", columns,
@@ -237,13 +250,13 @@ def cmd_metrics(args) -> int:
     cfg = _resolve_config(args)
     # the prediction sets the grid; each later volume is checked as it is read
     pred = read_volume(_require_file(args.pred, "--pred"), "mask")
-    read = functools.partial(read_volume, mode="mask", grid=pred, strict=cfg.strict_grid)
+    read = functools.partial(read_volume, mode="mask", grid=pred, strict=cfg["strict_grid"])
     ref = read(_require_file(args.ref, "--ref"))
     rois = load_rois(args.roi_wm and _require_file(args.roi_wm, "--roi-wm"),
                      args.roi_bg and _require_file(args.roi_bg, "--roi-bg"), read)
     subject_id = args.subject_id or Path(args.pred).name.split(".")[0]
-    records = evaluate_subject(pred, ref, rois, cfg.connectivity,
-                               subject_id=subject_id, strict=cfg.strict_grid)
+    records = evaluate_subject(pred, ref, rois, cfg["connectivity"],
+                               subject_id=subject_id, strict=cfg["strict_grid"])
     _write_table(_out_dir(cfg), "metrics", "records", SUBJECT_COLUMNS,
                  [asdict(r) for r in records], cfg)
     return 0
@@ -267,8 +280,8 @@ def cmd_aggregate(args) -> int:
             # its columns would be the pooled average's average_mean/sd/n
             raise InputError(f"{args.manifest}: site 'average' clashes with the "
                              f"LOSOCV table's pooled average columns")
-    per_subject = evaluate_manifest(manifest, cfg.connectivity, cfg.workers,
-                                    cfg.strict_grid)
+    per_subject = evaluate_manifest(manifest, cfg["connectivity"], cfg["workers"],
+                                    cfg["strict_grid"])
     out = _out_dir(cfg)
     _write_table(out, "per_subject", "records", SUBJECT_COLUMNS,
                  [asdict(r) for r in per_subject], cfg)
@@ -288,7 +301,7 @@ def cmd_aggregate(args) -> int:
 
 def _read_per_subject_csv(path: str):
     """(subject_id -> {"region:metric": value or None}, the regions in
-    first-seen order, the connectivity values)."""
+    first-seen order, the one connectivity the rows name or None)."""
     by_subject: dict[str, dict[str, float | None]] = {}
     regions: dict[str, set[str]] = {}  # region -> its subject ids
     connectivities = set()
@@ -322,7 +335,10 @@ def _read_per_subject_csv(path: str):
                     ) from exc
     if not by_subject:
         raise InputError(f"{path}: no rows")
-    return by_subject, list(regions), connectivities
+    if len(connectivities) > 1:
+        raise InputError(f"{path}: rows name more than one connectivity: "
+                         f"{sorted(connectivities)}")
+    return by_subject, list(regions), min(connectivities, default=None)
 
 
 def cmd_compare(args) -> int:
@@ -331,18 +347,20 @@ def cmd_compare(args) -> int:
     b, regions_b, conn_b = _read_per_subject_csv(_require_file(args.b, "--b"))
     if conn_a and conn_b and conn_a != conn_b:
         raise InputError(f"--a and --b were computed at different connectivity: "
-                         f"{sorted(conn_a)} vs {sorted(conn_b)}")
-    if len(conn_a) == 1 and conn_a == conn_b:
+                         f"{conn_a!r} vs {conn_b!r}")
+    if conn_a and conn_a == conn_b:
         # the config records the connectivity the CSVs were computed at
-        (text,) = conn_a
-        if text not in map(str, CONNECTIVITIES):
-            raise InputError(f"--a and --b: connectivity {text!r} is not one of "
+        if conn_a not in map(str, CONNECTIVITIES):
+            raise InputError(f"--a and --b: connectivity {conn_a!r} is not one of "
                              f"{CONNECTIVITIES}")
-        cfg.connectivity = int(text)
+        cfg["connectivity"] = int(conn_a)
     metrics = args.metrics.split(",") if args.metrics else list(METRIC_NAMES)
-    for m in metrics:
+    for i, m in enumerate(metrics):
         if m not in METRIC_NAMES:
             raise InputError(f"unknown metric {m!r}; choose from {METRIC_NAMES}")
+        if m in metrics[:i]:
+            # a repeat would be tested twice and enlarge the FDR family
+            raise InputError(f"--metrics names {m!r} more than once")
     regions = [r for r in regions_a if r in regions_b]
     if not regions:
         raise InputError("the two reports share no region")
@@ -354,7 +372,7 @@ def cmd_compare(args) -> int:
         families = [[key for family in families for key in family]]
     records = []
     for family in families:
-        for res in compare_models(a, b, family, cfg.fdr_q):
+        for res in compare_models(a, b, family, cfg["fdr_q"]):
             region, _, metric = res.metric.rpartition(":")  # metric names hold no ":"
             records.append({**asdict(res), "region": region, "metric": metric})
     _write_table(_out_dir(cfg), "compare", "rows", COMPARE_COLUMNS, records, cfg)
@@ -368,13 +386,13 @@ def cmd_contrast(args) -> int:
     image_path = _require_file(args.image, "--image")
     mask = read_volume(_require_file(args.mask, "--mask"), "mask")
     # the image is read only where contrast needs it, at the mask and ring voxels
-    image = functools.partial(read_voxels, image_path, grid=mask, strict=cfg.strict_grid)
+    image = functools.partial(read_voxels, image_path, grid=mask, strict=cfg["strict_grid"])
     subject_id = args.subject_id or Path(args.mask).name.split(".")[0]
     if args.mode == "per_cluster":
         mask_mean, shell_mean, contrast = contrast_stat_per_cluster(
-            image, mask, cfg.connectivity)
+            image, mask, cfg["connectivity"])
     else:
-        mask_mean, shell_mean, contrast = contrast_stat(image, mask, cfg.connectivity)
+        mask_mean, shell_mean, contrast = contrast_stat(image, mask, cfg["connectivity"])
     row = {
         "subject_id": subject_id,
         "modality": args.modality,
@@ -392,7 +410,7 @@ def cmd_contrast(args) -> int:
 def cmd_clusters(args) -> int:
     cfg = _resolve_config(args)
     mask = read_volume(_require_file(args.mask, "--mask"), "mask")
-    lm = label_components(mask, cfg.connectivity)
+    lm = label_components(mask, cfg["connectivity"])
     out = _out_dir(cfg)
     sizes = lm.component_sizes
     # the same IEEE product as the int size times the float voxel volume
@@ -472,7 +490,7 @@ def cmd_phantom(args) -> int:
     write_volume(truth, out / "truth.nii.gz", datatype=2)
     payload = {"spec": asdict(spec), "cluster_count": count}
     if args.perturb:
-        p = _parse_perturbation(args.perturb, cfg.connectivity)
+        p = _parse_perturbation(args.perturb, cfg["connectivity"])
         pred = perturb(truth, p, seed=args.perturb_seed)
         write_volume(pred, out / "pred.nii.gz", datatype=2)
         payload["perturbation"] = asdict(p)
@@ -502,64 +520,50 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="output directory (default: current)")
-    common.add_argument("--config", help="JSON config file merged under explicit flags")
-    # only the commands that label clusters take --connectivity, and only
-    # the commands that compare grids take --strict-grid
-    conn = argparse.ArgumentParser(add_help=False)
-    conn.add_argument("--connectivity", type=int, choices=CONNECTIVITIES,
-                      default=None, help="cluster adjacency (default 26)")
-    strict = argparse.ArgumentParser(add_help=False)
-    strict.add_argument("--strict-grid", action="store_true",
-                        help="also require affines to match within 1e-4")
+    def command(name, func, help):
+        """A subcommand with the flags of the settings it reads, and --config."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        for key in COMMAND_SETTINGS[name]:
+            _, flag, options = SETTINGS[key]
+            p.add_argument(flag, dest=key, default=None, **options)
+        p.add_argument("--config", help="JSON config file merged under explicit flags")
+        return p
 
-    p = sub.add_parser("metrics", parents=[common, conn, strict],
-                       help="evaluate one prediction against one reference")
+    p = command("metrics", cmd_metrics, "evaluate one prediction against one reference")
     p.add_argument("--pred", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--roi-wm")
     p.add_argument("--roi-bg")
     p.add_argument("--subject-id")
-    p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("aggregate", parents=[common, conn, strict],
-                       help="evaluate a manifest and aggregate per region/site")
+    p = command("aggregate", cmd_aggregate,
+                "evaluate a manifest and aggregate per region/site")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--workers", type=int, default=None,
-                   help=f"worker processes (default ${WORKERS_ENV} or 1)")
     p.add_argument("--per-site", action="store_true")
     p.add_argument("--scheme", choices=["5fcv", "losocv"],
                    help="labels the report; losocv also emits the site matrix")
-    p.set_defaults(func=cmd_aggregate)
 
-    p = sub.add_parser("compare", parents=[common],
-                       help="paired Wilcoxon + FDR between two per-subject CSVs")
+    p = command("compare", cmd_compare,
+                "paired Wilcoxon + FDR between two per-subject CSVs")
     p.add_argument("--a", required=True, help="per-subject CSV of model A")
     p.add_argument("--b", required=True, help="per-subject CSV of model B")
     p.add_argument("--metrics", help="comma-separated metric subset")
-    p.add_argument("--fdr-q", type=float, default=None, dest="fdr_q")
     p.add_argument("--fdr-family", choices=["region", "table"], default="region")
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("contrast", parents=[common, conn, strict],
-                       help="mask-vs-surroundings intensity contrast")
+    p = command("contrast", cmd_contrast, "mask-vs-surroundings intensity contrast")
     p.add_argument("--image", required=True)
     p.add_argument("--mask", required=True)
     p.add_argument("--mode", choices=["global", "per_cluster"], default="global")
     p.add_argument("--subject-id")
     p.add_argument("--modality", default="")
-    p.set_defaults(func=cmd_contrast)
 
-    p = sub.add_parser("clusters", parents=[common, conn],
-                       help="cluster sizes and size histogram of one mask")
+    p = command("clusters", cmd_clusters, "cluster sizes and size histogram of one mask")
     p.add_argument("--mask", required=True)
     p.add_argument("--log-binning", action="store_true")
     p.add_argument("--save-labels", help="write the label map as NIfTI i32")
-    p.set_defaults(func=cmd_clusters)
 
-    p = sub.add_parser("phantom", parents=[common, conn],
-                       help="generate a synthetic tubular phantom")
+    p = command("phantom", cmd_phantom, "generate a synthetic tubular phantom")
     p.add_argument("--dims", default="64,64,64")
     p.add_argument("--spacing", default="1,1,1")
     p.add_argument("--n-tubes", type=int, default=5)
@@ -575,14 +579,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write pred.nii.gz, e.g. delete_fraction:0.5, "
                         "drop_clusters:2, dilate_once, translate:1,0,0")
     p.add_argument("--perturb-seed", type=int, default=0)
-    p.set_defaults(func=cmd_phantom)
 
-    p = sub.add_parser("folds", parents=[common],
-                       help="deterministic 5-fold or leave-one-site-out split")
+    p = command("folds", cmd_folds, "deterministic 5-fold or leave-one-site-out split")
     p.add_argument("--manifest", required=True)
     p.add_argument("--scheme", choices=["5fcv", "losocv"], required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_folds)
     return parser
 
 

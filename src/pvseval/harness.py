@@ -19,9 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyManifestError, InputError, TooFewSitesError
-from .metrics import METRIC_NAMES, SubjectMetrics, evaluate_subject, pearson_r
+from .metrics import METRIC_NAMES, RoiMask, SubjectMetrics, evaluate_subject, pearson_r
 from .nifti import read_volume
-from .volume import RoiMask
 
 MANIFEST_COLUMNS = (
     "subject_id",

@@ -4,7 +4,8 @@ Voxel level works on foreground counts: dice = 2*overlap/(manual+algo),
 sensitivity = overlap/manual, precision = overlap/algo. Cluster level works
 on connected components with the any-voxel overlap rule: a predicted
 cluster counts as a true positive if any of its voxels touches the
-reference, and vice versa. Both levels read the masks' sorted foreground
+reference, and vice versa. An ROI restricts both masks first
+(`intersect`). Both levels read the masks' sorted foreground
 indices, so the overlap and the hit tests cost time in proportion to the
 foreground, not the grid. Degenerate cases (either side empty) are
 reported as undefined rather than forced to 0 or 1, with flags so
@@ -20,10 +21,34 @@ import numpy as np
 
 from .ccl import label_components
 from .errors import LengthMismatchError
-from .nifti import BinaryMask
-from .volume import RoiMask, ensure_same_grid, intersect
+from .nifti import BinaryMask, ensure_same_grid
 
 METRIC_NAMES = ("dsc_vox", "sen_vox", "ppv_vox", "dsc_num", "sen_num", "ppv_num")
+
+
+@dataclass(eq=False, frozen=True)
+class RoiMask:
+    """A region-of-interest mask tagged with its anatomical name."""
+
+    mask: BinaryMask
+    region: str  # conventionally "WM", "BG", or a free-form tag
+
+
+def intersect(a: BinaryMask, b: BinaryMask, strict: bool = False) -> BinaryMask:
+    """Voxelwise AND; spacing/affine inherited from a.
+
+    The result's foreground is looked up from a's foreground index, so the
+    work beyond painting the result grid scales with a's foreground, not
+    the grid; that index is preset on the result.
+    """
+    ensure_same_grid(a, b, strict)
+    index = a.fg_index[b.data.ravel("F")[a.fg_index]]
+    data = np.zeros(a.dims, dtype=bool, order="F")
+    data.ravel("F")[index] = True
+    out = BinaryMask(data=data, spacing=a.spacing, affine=a.affine)
+    index.setflags(write=False)
+    out.fg_index = index
+    return out
 
 
 @dataclass(frozen=True)

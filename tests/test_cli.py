@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -58,8 +57,7 @@ class TestMetricsCommand:
             assert float(rows[0][metric]) == 1.0
         payload = json.loads((tmp_path / "metrics.json").read_text())
         assert payload["config"]["connectivity"] == 26
-        assert set(payload["config"]) == {
-            "connectivity", "fdr_q", "out_dir", "workers", "strict_grid"}
+        assert set(payload["config"]) == {"connectivity", "strict_grid", "out_dir"}
 
     def test_dim_mismatch_exit_2(self, phantom_files, tmp_path, capsys):
         root = phantom_files["root"]
@@ -524,7 +522,7 @@ class TestCompareCommand:
         assert run("compare", "--a", a, "--b", b, "--config", config_file,
                    "--out", tmp_path / "cmp") == 0
         config = json.loads((tmp_path / "cmp" / "compare.json").read_text())["config"]
-        assert config["connectivity"] == 18
+        assert config == {"fdr_q": 0.05, "out_dir": str(tmp_path / "cmp")}
 
     def test_connectivity_not_a_class_exit_2(self, tmp_path, capsys):
         rows = [("s1", "WM", ["0.5"] * len(METRICS))]
@@ -540,6 +538,29 @@ class TestCompareCommand:
         assert run("compare", "--a", paths[0], "--b", paths[1],
                    "--out", tmp_path / "cmp") == 2
         assert "connectivity '8'" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
+    def test_rows_at_two_connectivities_exit_2(self, tmp_path, capsys):
+        path = write_per_subject(tmp_path / "a.csv", [("s1", "WM", ["0.5"] * len(METRICS)),
+                                                      ("s2", "WM", ["0.4"] * len(METRICS))])
+        with open(path, newline="") as fh:
+            table = list(csv.reader(fh))
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([row + [cell] for row, cell
+                                      in zip(table, ["connectivity", "6", "26"])])
+        assert run("compare", "--a", path, "--b", path, "--out", tmp_path / "cmp") == 2
+        assert capsys.readouterr().err == (
+            f"pvseval: error: {path}: rows name more than one connectivity: ['26', '6']\n")
+        assert not (tmp_path / "cmp").exists()
+
+    def test_metric_named_twice_exit_2(self, tmp_path, capsys):
+        # a repeat would enter the BH family twice and move every p_fdr
+        rows = [(f"s{i}", "WM", [str(0.1 * i)] * len(METRICS)) for i in range(1, 5)]
+        a = write_per_subject(tmp_path / "a.csv", rows)
+        assert run("compare", "--a", a, "--b", a, "--out", tmp_path / "cmp",
+                   "--metrics", "dsc_vox,dsc_vox,dsc_vox,sen_vox,ppv_vox") == 2
+        assert capsys.readouterr().err == (
+            "pvseval: error: --metrics names 'dsc_vox' more than once\n")
         assert not (tmp_path / "cmp").exists()
 
     def test_families_agree_when_a_region_shares_no_subjects(self, tmp_path):
@@ -822,8 +843,7 @@ def bars_mask(path, sizes):
 
 
 def assert_clusters_bytes(out, sizes, log_binning, connectivity=26):
-    config = {"connectivity": connectivity, "fdr_q": 0.05, "out_dir": str(out),
-              "workers": 1, "strict_grid": False}
+    config = {"connectivity": connectivity, "out_dir": str(out)}
     want = clusters_reference(sizes, VOXEL_MM3, log_binning, config)
     assert sorted(p.name for p in Path(out).iterdir()) == sorted(want)
     for name, blob in want.items():
@@ -888,10 +908,10 @@ def test_json_columns_lay_out_as_json_dumps(records):
     records += [(3, 5e-324), (2**53 + 1, 1e16), (0, 1 / 3), (7, -0.0)]
     ints = np.array([i for i, _ in records], np.int64)
     floats = np.array([f for _, f in records], np.float64)
-    cfg = cli.RunConfig(out_dir='x\n  "rows": []')
+    cfg = {"connectivity": 26, "out_dir": 'x\n  "rows": []'}
     payload = {"a": 1, "zz": [1.5]}
     want = json.dumps({**payload, "rows": [{"n": i, "v": f} for i, f in records],
-                       "config": dataclasses.asdict(cfg)}, indent=2, sort_keys=True) + "\n"
+                       "config": cfg}, indent=2, sort_keys=True) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.json"
         cli._write_json(path, payload, cfg,
@@ -1028,9 +1048,9 @@ class TestConfigTypes:
         out = tmp_path / "o"
         assert run("folds", "--manifest", manifest, "--scheme", "5fcv", "--config", cfg,
                    "--out", out) == 0
+        # accepted, and dropped: folds reads none of them
         config = json.loads((out / "foldspec.json").read_text())["config"]
-        assert (config["strict_grid"], config["connectivity"], config["workers"],
-                config["fdr_q"]) == (False, 6, 2, 0.1)
+        assert config == {"out_dir": str(out)}
 
     def test_config_not_an_object(self, manifest, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -1039,6 +1059,57 @@ class TestConfigTypes:
                    "--out", tmp_path / "o") == 2
         assert capsys.readouterr().err == (
             f"pvseval: error: {cfg}: config must be a JSON object\n")
+
+
+# the settings each command reads, and so the keys of its JSON `config` block
+CONFIG_ROWS = {
+    "metrics": {"connectivity", "strict_grid", "out_dir"},
+    "aggregate": {"connectivity", "strict_grid", "out_dir", "workers"},
+    "compare": {"fdr_q", "out_dir"},
+    "contrast": {"connectivity", "strict_grid", "out_dir"},
+    "clusters": {"connectivity", "out_dir"},
+    "phantom": {"connectivity", "out_dir"},
+    "folds": {"out_dir"},
+}
+# every setting away from its default; one file serves every command
+SHARED_CONFIG = {"connectivity": 6, "strict_grid": True, "workers": 2, "fdr_q": 0.1,
+                 "out_dir": "never-written"}
+
+
+@pytest.fixture(scope="module")
+def command_argv(tmp_path_factory, phantom_files):
+    """command -> its inputs; compare's CSVs were computed at connectivity 18."""
+    root = tmp_path_factory.mktemp("rows")
+    manifest, _ = build_cohort(root, {"A": 2, "B": 2})
+    assert run("aggregate", "--manifest", manifest, "--connectivity", 18,
+               "--out", root / "agg") == 0
+    vols = phantom_files["root"]
+    return {
+        "metrics": ["--pred", vols / "half.nii.gz", "--ref", vols / "truth.nii.gz"],
+        "aggregate": ["--manifest", manifest],
+        "compare": ["--a", root / "agg" / "per_subject.csv",
+                    "--b", root / "agg" / "per_subject.csv"],
+        "contrast": ["--image", vols / "image.nii.gz", "--mask", vols / "truth.nii.gz"],
+        "clusters": ["--mask", vols / "truth.nii.gz"],
+        "phantom": ["--dims", "16,16,16", "--n-tubes", "1"],
+        "folds": ["--manifest", manifest, "--scheme", "5fcv"],
+    }
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_ROWS))
+def test_config_block_is_the_commands_row(command_argv, tmp_path, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SHARED_CONFIG))
+    out = tmp_path / "out"
+    assert run(command, *command_argv[command], "--config", cfg, "--out", out) == 0
+    want = {key: SHARED_CONFIG[key] for key in CONFIG_ROWS[command]}
+    want["out_dir"] = str(out)
+    if command == "compare":
+        want["connectivity"] = 18  # what its CSVs name, not the file's 6
+    written = sorted(out.glob("*.json"))
+    assert written
+    for path in written:
+        assert json.loads(path.read_text())["config"] == want, path.name
 
 
 @pytest.mark.parametrize("argv", [

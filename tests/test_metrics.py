@@ -6,13 +6,13 @@ import pytest
 from pvseval.cli import main
 from pvseval.errors import DimMismatchError, LengthMismatchError
 from pvseval.metrics import (
+    RoiMask,
     cluster_metrics,
     evaluate_subject,
     pearson_r,
     voxel_metrics,
 )
 from pvseval.nifti import write_volume
-from pvseval.volume import RoiMask
 
 from conftest import make_mask
 from oracles import bfs_label, pearson_two_pass

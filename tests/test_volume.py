@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pvseval.errors import DimMismatchError
-from pvseval.volume import intersect
+from pvseval.metrics import intersect
 
 from conftest import make_mask
 

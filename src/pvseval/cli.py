@@ -437,31 +437,37 @@ def cmd_clusters(args) -> int:
 
 # -- phantom ---------------------------------------------------------------
 
-def _parse_triple(text: str, flag: str, cast=int) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise InputError(f"{flag} expects three comma-separated values, got {text!r}")
+def _cast(parts: list[str], flag: str, cast) -> tuple:
     try:
         return tuple(cast(p) for p in parts)
     except ValueError as exc:
         raise InputError(f"{flag}: {exc}") from exc
 
 
+def _parse_triple(text: str, flag: str, cast=int) -> tuple:
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise InputError(f"{flag} expects three comma-separated values, got {text!r}")
+    return _cast(parts, flag, cast)
+
+
 def _parse_range(text: str, flag: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise InputError(f"{flag} expects lo,hi, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    return _cast(parts, flag, float)
 
 
 def _parse_perturbation(text: str, connectivity: int) -> Perturbation:
     kind, _, param = text.partition(":")
     if kind == "delete_fraction":
-        fields = {"fraction": float(param)}
+        (fraction,) = _cast([param], "--perturb delete_fraction", float)
+        fields = {"fraction": fraction}
     elif kind == "dilate_once":
         fields = {}
     elif kind == "drop_clusters":
-        fields = {"k": int(param)}
+        (k,) = _cast([param], "--perturb drop_clusters", int)
+        fields = {"k": k}
     elif kind == "translate":
         fields = {"offset": _parse_triple(param, "--perturb translate")}
     else:
@@ -471,6 +477,7 @@ def _parse_perturbation(text: str, connectivity: int) -> Perturbation:
 
 def cmd_phantom(args) -> int:
     cfg = _resolve_config(args)
+    p = _parse_perturbation(args.perturb, cfg["connectivity"]) if args.perturb else None
     spec = PhantomSpec(
         dims=_parse_triple(args.dims, "--dims"),
         spacing=_parse_triple(args.spacing, "--spacing", float),
@@ -489,8 +496,7 @@ def cmd_phantom(args) -> int:
     write_volume(image, out / "image.nii.gz", datatype=64)
     write_volume(truth, out / "truth.nii.gz", datatype=2)
     payload = {"spec": asdict(spec), "cluster_count": count}
-    if args.perturb:
-        p = _parse_perturbation(args.perturb, cfg["connectivity"])
+    if p is not None:
         pred = perturb(truth, p, seed=args.perturb_seed)
         write_volume(pred, out / "pred.nii.gz", datatype=2)
         payload["perturbation"] = asdict(p)

@@ -2,8 +2,8 @@
 
 Covers exactly what the evaluation pipeline ingests: 3D volumes in the
 single-file ("n+1") flavor, optionally gzip-compressed. It reads datatypes
-u8/i8/i16/u16/i32/u32/f32/f64 and writes u8/i16/i32/f32/f64. Dual-file
-pairs and NIfTI-2 are rejected explicitly.
+u8/i8/i16/u16/i32/u32/i64/u64/f32/f64 and writes u8/i16/i32/f32/f64.
+Dual-file pairs and NIfTI-2 are rejected explicitly.
 Voxel data is held x-fastest in memory (Fortran order over (nx, ny, nz));
 orientation lives in the affine, never in the array layout.
 
@@ -58,15 +58,18 @@ DATATYPES: dict[int, tuple[np.dtype, int]] = {
     16: (np.dtype(np.float32), 32),
     64: (np.dtype(np.float64), 64),
 }
-# the codes read_volume/read_voxels read: also the int8 and unsigned label
-# types of segmentation tools, each exact in float64; the 64-bit integer
-# codes are not, and stay rejected
+# the codes read_volume/read_voxels read: also the int8, unsigned and 64-bit
+# label types of segmentation tools. A 64-bit integer is exact in float64
+# only up to 2**53 in magnitude, so an intensity read rejects a larger one
 READ_DATATYPES: dict[int, tuple[np.dtype, int]] = {
     **DATATYPES,
     256: (np.dtype(np.int8), 8),
     512: (np.dtype(np.uint16), 16),
     768: (np.dtype(np.uint32), 32),
+    1024: (np.dtype(np.int64), 64),
+    1280: (np.dtype(np.uint64), 64),
 }
+_EXACT_INT = 2**53
 
 GZIP_MAGIC = b"\x1f\x8b"
 
@@ -473,6 +476,16 @@ def _scaling(hdr: NiftiHeader) -> tuple[float, float]:
     return slope, 0.0 if np.isnan(hdr.scl_inter) else hdr.scl_inter
 
 
+def _exact(values: np.ndarray) -> np.ndarray:
+    """values, after checking that float64 holds each of them exactly."""
+    if values.dtype.itemsize == 8 and values.dtype.kind in "iu" and values.size:
+        for v in (int(values.min()), int(values.max())):
+            if abs(v) > _EXACT_INT:
+                raise RangeOverflowError(
+                    f"voxel value {v} is beyond 2**53 and has no exact float64 value")
+    return values
+
+
 def read_volume(path: str | Path, mode: str = "intensity", grid: Volume3D | None = None,
                 strict: bool = False) -> Volume3D | BinaryMask:
     """Read a single-file NIfTI-1 volume.
@@ -481,12 +494,13 @@ def read_volume(path: str | Path, mode: str = "intensity", grid: Volume3D | None
     scl scaling) and returns a BinaryMask, rejecting a float mask that holds
     NaN, which is neither foreground nor background; mode="intensity" applies
     scl_slope/scl_inter (slope 0 treated as 1) and returns a Volume3D of
-    float64. The file is decoded block by block straight into the output
-    grid, so no more than a few blocks are held besides it. Given a grid,
-    the header is then checked against it as ensure_same_grid does (dims,
-    and in strict mode the affine). Every InputError, a truncated or
-    corrupt gzip stream and a grid mismatch included, carries a message
-    that starts with the path.
+    float64, rejecting a 64-bit integer beyond 2**53 in magnitude, which
+    float64 would round. The file is decoded block by block straight into
+    the output grid, so no more than a few blocks are held besides it.
+    Given a grid, the header is then checked against it as
+    ensure_same_grid does (dims, and in strict mode the affine). Every
+    InputError, a truncated or corrupt gzip stream and a grid mismatch
+    included, carries a message that starts with the path.
     """
     if mode not in ("mask", "intensity"):
         raise ValueError(f"mode must be 'mask' or 'intensity', got {mode!r}")
@@ -498,7 +512,7 @@ def read_volume(path: str | Path, mode: str = "intensity", grid: Volume3D | None
         for first, values in stream:
             block = out[first:first + values.size]
             if mode == "intensity":
-                block[:] = values
+                block[:] = _exact(values)
             else:
                 np.not_equal(values, 0, out=block)
                 nan = nan or (values.dtype.kind == "f" and bool(np.isnan(values).any()))
@@ -523,9 +537,10 @@ def read_voxels(path: str | Path, index: np.ndarray, grid: Volume3D,
     x-fastest indices (repeats allowed): read_volume(path).data.ravel("F")[index],
     bit for bit, without building the grid.
 
-    The whole file is still decoded, so a damaged stream fails as in
-    read_volume, and the header's grid is then checked against grid as in
-    read_volume, with the path named.
+    The whole file is still decoded, so a damaged stream, or a 64-bit
+    integer beyond 2**53 anywhere in it, fails as in read_volume, and the
+    header's grid is then checked against grid as in read_volume, with the
+    path named.
     """
     values = np.empty(index.size)
     with _naming(path), open(path, "rb") as fh:
@@ -533,7 +548,7 @@ def read_voxels(path: str | Path, index: np.ndarray, grid: Volume3D,
         hdr = next(stream)
         for first, block in stream:
             lo, hi = np.searchsorted(index, (first, first + block.size))
-            values[lo:hi] = block[index[lo:hi] - first]
+            values[lo:hi] = _exact(block)[index[lo:hi] - first]
         ensure_same_grid(hdr, grid, strict)
     slope, inter = _scaling(hdr)
     values *= slope

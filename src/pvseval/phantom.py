@@ -1,9 +1,14 @@
 """Synthetic tubular phantoms with known ground truth.
 
-Tubes are capsules around a straight or gently bent centerline, rasterized
-by Euclidean distance in voxel units, packed by rejection sampling with a
-pairwise clearance that guarantees the tubes stay 26-disconnected (so the
-cluster count of the truth mask equals the tube count by construction).
+Tubes are capsules around a straight or gently bent centerline, sampled as
+a polyline every 0.5 voxels and rasterized by Euclidean distance in voxel
+units: each segment tests only the voxels of its own box (its endpoints'
+extent padded by radius + 1), so the cost follows the tube's volume, not
+its bounding box times its length. Tubes are packed by rejection sampling
+with a pairwise clearance that guarantees the tubes stay 26-disconnected
+(so the cluster count of the truth mask equals the tube count by
+construction); a candidate's point distances are computed only to the
+placed tubes whose boxes come near enough to matter.
 Perturbations with analytically known metric values turn the truth into a
 controlled "prediction".
 """
@@ -23,6 +28,8 @@ from .nifti import BinaryMask, Volume3D
 # thin tubes non-empty and 26-connected); effective radius for clearance
 _BACKBONE_REACH = 0.87
 _SAMPLE_STEP = 0.5
+# voxels; far above the rounding of a box gap or a point distance
+_BOX_PAD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -40,6 +47,11 @@ class PhantomSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("spacing", "radius_range", "length_range", "clearance",
+                     "bend_amplitude", "bg_mean", "bg_sd", "tube_offset"):
+            value = getattr(self, name)
+            if not np.isfinite(value).all():
+                raise BadParameterError(f"{name} must be finite, got {value}")
         if self.n_tubes < 0:
             raise BadParameterError("n_tubes must be >= 0")
         if self.radius_range[0] <= 0 or self.radius_range[0] > self.radius_range[1]:
@@ -103,28 +115,36 @@ def _min_point_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _rasterize(mask: np.ndarray, points: np.ndarray, radius: float) -> None:
+    # Each segment tests only the voxels of its own box: its endpoints'
+    # extent padded by radius + 1, clipped to the grid. A voxel outside that
+    # box is farther than radius from the segment, so OR-ing the segments'
+    # `dist <= radius` marks the voxels whose least distance is <= radius.
+    # The arithmetic per voxel is that of the dense reference in
+    # tests/oracles.py, so boundary voxels round the same way. grid holds
+    # the coordinates of the tube's box; each segment takes its own from it.
+    top = np.array(mask.shape) - 1
     lo = np.maximum(np.floor(points.min(axis=0) - radius - 1), 0).astype(int)
-    hi = np.minimum(np.ceil(points.max(axis=0) + radius + 1),
-                    np.array(mask.shape) - 1).astype(int)
+    hi = np.minimum(np.ceil(points.max(axis=0) + radius + 1), top).astype(int)
     xs = np.arange(lo[0], hi[0] + 1)
     ys = np.arange(lo[1], hi[1] + 1)
     zs = np.arange(lo[2], hi[2] + 1)
     grid = np.stack(np.meshgrid(xs, ys, zs, indexing="ij"), axis=-1).astype(np.float64)
-    coords = grid.reshape(-1, 3)
-    best = np.full(coords.shape[0], np.inf)
+    tube = mask[lo[0] : hi[0] + 1, lo[1] : hi[1] + 1, lo[2] : hi[2] + 1]
     for p0, p1 in zip(points[:-1], points[1:]):
+        s_lo = np.maximum(np.floor(np.minimum(p0, p1) - radius - 1), 0).astype(int)
+        s_hi = np.minimum(np.ceil(np.maximum(p0, p1) + radius + 1), top).astype(int)
+        box = tuple(slice(a, b + 1) for a, b in zip(s_lo - lo, s_hi - lo))
+        sub = grid[box]
+        coords = sub.reshape(-1, 3)
         seg = p1 - p0
         denom = float(seg @ seg)
         if denom == 0.0:
             closest = p0[None, :]
-            t = None
         else:
             t = np.clip((coords - p0) @ seg / denom, 0.0, 1.0)
             closest = p0[None, :] + t[:, None] * seg[None, :]
         dist = np.sqrt(((coords - closest) ** 2).sum(axis=1))
-        np.minimum(best, dist, out=best)
-    inside = (best <= radius).reshape(grid.shape[:3])
-    mask[lo[0] : hi[0] + 1, lo[1] : hi[1] + 1, lo[2] : hi[2] + 1] |= inside
+        tube[box] |= (dist <= radius).reshape(sub.shape[:3])
     backbone = np.round(points).astype(int)
     mask[backbone[:, 0], backbone[:, 1], backbone[:, 2]] = True
 
@@ -135,6 +155,8 @@ def generate(spec: PhantomSpec) -> tuple[Volume3D, BinaryMask, int]:
     rng = np.random.default_rng(spec.seed)
     mask = np.zeros(spec.dims, dtype=bool, order="F")
     placed: list[tuple[np.ndarray, float]] = []
+    # placed tubes' point boxes and reaches, one row per tube
+    box_lo, box_hi, reach = np.empty((0, 3)), np.empty((0, 3)), np.empty(0)
     attempts_left = 300 * max(spec.n_tubes, 1)
     while len(placed) < spec.n_tubes:
         if attempts_left <= 0:
@@ -147,8 +169,15 @@ def generate(spec: PhantomSpec) -> tuple[Volume3D, BinaryMask, int]:
         if not _in_bounds(points, radius, spec.dims):
             continue
         r_eff = max(radius, _BACKBONE_REACH)
+        lo, hi = points.min(axis=0), points.max(axis=0)
+        # the gap between two point boxes never exceeds the least point
+        # distance, so a tube whose box gap clears the test by the pad passes
+        gap = np.maximum(np.maximum(box_lo - hi, lo - box_hi), 0.0)
+        near = np.flatnonzero(np.sqrt((gap**2).sum(axis=1))
+                              < r_eff + reach + spec.clearance + _SAMPLE_STEP + _BOX_PAD)
         ok = True
-        for other_points, other_radius in placed:
+        for i in near:
+            other_points, other_radius = placed[i]
             required = r_eff + max(other_radius, _BACKBONE_REACH) + spec.clearance
             # polylines are sampled every 0.5 voxels; pad for the gap
             if _min_point_distance(points, other_points) < required + _SAMPLE_STEP:
@@ -156,6 +185,8 @@ def generate(spec: PhantomSpec) -> tuple[Volume3D, BinaryMask, int]:
                 break
         if not ok:
             continue
+        box_lo, box_hi = np.vstack((box_lo, lo)), np.vstack((box_hi, hi))
+        reach = np.append(reach, r_eff)
         placed.append((points, radius))
         _rasterize(mask, points, radius)
 
@@ -163,7 +194,11 @@ def generate(spec: PhantomSpec) -> tuple[Volume3D, BinaryMask, int]:
     affine[0, 0], affine[1, 1], affine[2, 2] = spec.spacing
     truth = BinaryMask(data=mask, spacing=spec.spacing, affine=affine)
     noise = rng.normal(spec.bg_mean, spec.bg_sd, size=spec.dims)
-    image_data = np.asfortranarray(noise + spec.tube_offset * mask)
+    # noise + offset * mask in Fortran order; adding offset * 0.0 off the
+    # tubes too keeps that sum's signed zeros
+    image_data = np.asfortranarray(noise)
+    image_data += spec.tube_offset * 0.0
+    np.add(image_data, spec.tube_offset, out=image_data, where=mask)
     image = Volume3D(data=image_data, spacing=spec.spacing, affine=affine)
     return image, truth, len(placed)
 

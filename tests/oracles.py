@@ -155,3 +155,32 @@ def bh_direct(p_values) -> list[float]:
 
 def random_mask(rng: np.random.Generator, shape, density: float) -> np.ndarray:
     return rng.random(shape) < density
+
+
+def dense_rasterize(mask: np.ndarray, points: np.ndarray, radius: float) -> None:
+    """The phantom rasterizer over the tube's whole box: every segment's
+    distance at every voxel of the box, the least one tested against radius."""
+    lo = np.maximum(np.floor(points.min(axis=0) - radius - 1), 0).astype(int)
+    hi = np.minimum(np.ceil(points.max(axis=0) + radius + 1),
+                    np.array(mask.shape) - 1).astype(int)
+    xs = np.arange(lo[0], hi[0] + 1)
+    ys = np.arange(lo[1], hi[1] + 1)
+    zs = np.arange(lo[2], hi[2] + 1)
+    grid = np.stack(np.meshgrid(xs, ys, zs, indexing="ij"), axis=-1).astype(np.float64)
+    coords = grid.reshape(-1, 3)
+    best = np.full(coords.shape[0], np.inf)
+    for p0, p1 in zip(points[:-1], points[1:]):
+        seg = p1 - p0
+        denom = float(seg @ seg)
+        if denom == 0.0:
+            closest = p0[None, :]
+            t = None
+        else:
+            t = np.clip((coords - p0) @ seg / denom, 0.0, 1.0)
+            closest = p0[None, :] + t[:, None] * seg[None, :]
+        dist = np.sqrt(((coords - closest) ** 2).sum(axis=1))
+        np.minimum(best, dist, out=best)
+    inside = (best <= radius).reshape(grid.shape[:3])
+    mask[lo[0] : hi[0] + 1, lo[1] : hi[1] + 1, lo[2] : hi[2] + 1] |= inside
+    backbone = np.round(points).astype(int)
+    mask[backbone[:, 0], backbone[:, 1], backbone[:, 2]] = True

@@ -90,6 +90,21 @@ class TestMetricsCommand:
             assert (tmp_path / got).read_bytes() == (tmp_path / want).read_bytes()
         assert read_csv(tmp_path / "u16" / "metrics.csv")[0]["dsc_vox"] != ""
 
+    @pytest.mark.parametrize("code, label", [(1024, -2**63), (1280, 2**64 - 1)])
+    def test_64_bit_reference_reads_as_its_nonzero_voxels(self, phantom_files, tmp_path,
+                                                         monkeypatch, code, label):
+        # labels beyond 2**53 still binarize; only an intensity read rejects them
+        root, truth = phantom_files["root"], phantom_files["truth"]
+        labels = np.where(truth.data, 1, 0).astype("i8" if code == 1024 else "u8")
+        labels[: truth.dims[0] // 2][truth.data[: truth.dims[0] // 2]] = label
+        ref64 = write_nifti(tmp_path / "ref64.nii.gz", labels, code, ">", affine=truth.affine)
+        monkeypatch.chdir(tmp_path)
+        for name, ref in (("w64", ref64), ("u8", root / "truth.nii.gz")):
+            assert run("metrics", "--pred", root / "half.nii.gz", "--ref", ref,
+                       "--subject-id", "s", "--out", name) == 0
+        assert (tmp_path / "w64/metrics.csv").read_bytes() == (
+            tmp_path / "u8/metrics.csv").read_bytes()
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         code = run("metrics", "--pred", tmp_path / "nope.nii",
                    "--ref", tmp_path / "nope.nii", "--out", tmp_path)
@@ -669,6 +684,18 @@ class TestContrastCommand:
         assert "affines" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("mode", ["global", "per_cluster"])
+    def test_64_bit_image_beyond_2_53_exit_2(self, phantom_files, tmp_path, capsys, mode):
+        root, truth = phantom_files["root"], phantom_files["truth"]
+        stored = np.zeros(truth.dims, dtype=np.int64)
+        stored[0, 0, 0] = 2**53 + 1  # on neither the mask nor its ring
+        image = write_nifti(tmp_path / "image64.nii", stored, 1024, affine=truth.affine)
+        assert run("contrast", "--image", image, "--mask", root / "truth.nii.gz",
+                   "--out", tmp_path / "o", "--mode", mode) == 2
+        assert f"{image}: voxel value {2**53 + 1} is beyond 2**53" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "contrast.csv").exists()
+
+
 class TestContrastGather:
     """contrast gathers the image at the mask and ring voxels only; its
     output equals contrast_stat on the dense read, in both modes."""
@@ -964,6 +991,37 @@ class TestPhantomCommand:
         code = run("phantom", "--out", tmp_path, "--perturb", "explode:1")
         assert code == 2
         assert "unknown perturbation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, flag", [
+        (("--perturb", "delete_fraction:abc"), "--perturb delete_fraction"),
+        (("--perturb", "drop_clusters:x"), "--perturb drop_clusters"),
+        (("--radius-range", "1,x"), "--radius-range"),
+        (("--length-range", "x,1"), "--length-range"),
+    ])
+    def test_number_that_does_not_parse_exit_2(self, tmp_path, capsys, args, flag):
+        out = tmp_path / "p"
+        assert run("phantom", "--out", out, "--dims", "16,16,16", "--n-tubes", "1", *args) == 2
+        assert capsys.readouterr().err.startswith(f"pvseval: error: {flag}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--clearance", "nan", "clearance"),
+        ("--offset", "nan", "tube_offset"),
+        ("--bg-mean", "inf", "bg_mean"),
+        ("--radius-range", "1,nan", "radius_range"),
+        ("--bend-amplitude", "nan", "bend_amplitude"),
+        ("--length-range", "inf,inf", "length_range"),
+        ("--spacing", "nan,1,1", "spacing"),
+        ("--bg-sd", "inf", "bg_sd"),
+    ])
+    def test_non_finite_value_exit_2(self, tmp_path, capsys, flag, value, field):
+        # at --clearance nan no placement was ever rejected: the spec claimed
+        # 8 clusters over a truth mask of 5
+        out = tmp_path / "p"
+        assert run("phantom", "--out", out, "--dims", "32,32,32", "--n-tubes", "8",
+                   "--seed", "3", f"{flag}={value}") == 2
+        assert capsys.readouterr().err.startswith(f"pvseval: error: {field} must be finite")
+        assert not out.exists()
 
 
 class TestFoldsCommand:

@@ -646,15 +646,89 @@ class TestReadOnlyDatatypes:
             write_volume(vol, tmp_path / "w.nii", datatype=code)
         assert not (tmp_path / "w.nii").exists()
 
-    @pytest.mark.parametrize("code", [1024, 1280])
-    def test_64_bit_integers_stay_rejected(self, tmp_path, code):
+    @pytest.mark.parametrize("code, bitpix", [(32, 64), (128, 24), (1536, 128)])
+    def test_codes_outside_the_read_set_stay_rejected(self, tmp_path, code, bitpix):
         path = tmp_path / "v.nii"
-        write_raw(path, minimal_header(datatype=code, bitpix=64), bytes(8 * 64))
+        write_raw(path, minimal_header(datatype=code, bitpix=bitpix), bytes(8 * 64))
         with pytest.raises(UnsupportedDatatypeError) as info:
             read_volume(path, "mask")
         assert str(info.value) == (f"{path}: datatype code {code} not in "
-                                   f"[2, 4, 8, 16, 64, 256, 512, 768]")
+                                   f"[2, 4, 8, 16, 64, 256, 512, 768, 1024, 1280]")
 
     def test_bitpix_checked_for_a_read_only_code(self):
         with pytest.raises(InconsistentBitpixError):
             parse_header(minimal_header(datatype=512, bitpix=8))
+
+
+INT64 = {1024: "i8", 1280: "u8"}
+
+
+class TestSixtyFourBitIntegers:
+    """int64 and uint64: a mask binarizes with != 0 whatever its values; an
+    intensity read is exact up to 2**53 in magnitude and rejects a larger
+    value, naming the file, rather than rounding it."""
+
+    @staticmethod
+    def stored(code):
+        dtype = np.dtype(INT64[code])
+        lo = -2**53 if dtype.kind == "i" else 0
+        rng = np.random.default_rng(code)
+        data = rng.integers(lo, 2**53, (8, 7, 6), endpoint=True, dtype=dtype)
+        data[rng.random(data.shape) < 0.5] = 0
+        data.ravel()[:3] = [lo, 2**53, 2**53 - 1]  # both ends of the exact range
+        return data
+
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+    @pytest.mark.parametrize("order", ["<", ">"])
+    @pytest.mark.parametrize("code", sorted(INT64))
+    def test_mask_and_intensity_read(self, tmp_path, code, order, suffix):
+        stored = self.stored(code)
+        path = write_nifti(tmp_path / f"v{suffix}", stored, code, order)
+        mask = read_volume(path, "mask")
+        assert np.array_equal(mask.data, stored != 0)
+        dense = read_volume(path, "intensity")
+        assert dense.data.dtype == np.float64
+        assert np.array_equal(dense.data.astype(stored.dtype), stored)
+        index = np.sort(np.random.default_rng(1).choice(stored.size, 60, replace=False))
+        got = read_voxels(path, index, mask)
+        want = dense.data.ravel("F")[index]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("code", sorted(INT64))
+    def test_scaled_gather_equals_dense_read_bit_for_bit(self, tmp_path, code):
+        stored = self.stored(code)
+        path = write_nifti(tmp_path / "v.nii.gz", stored, code, ">", 2.5, -1.25)
+        dense = read_volume(path, "intensity")
+        index = np.arange(0, stored.size, 3)
+        got = read_voxels(path, index, dense)
+        want = dense.data.ravel("F")[index]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @staticmethod
+    def beyond(code, value, tmp_path, order, suffix):
+        stored = np.zeros((8, 7, 6), dtype=INT64[code])
+        stored[5, 4, 3] = value  # off the gathered voxels below
+        return stored, write_nifti(tmp_path / f"v{suffix}", stored, code, order)
+
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+    @pytest.mark.parametrize("order", ["<", ">"])
+    @pytest.mark.parametrize("code, value", [(1024, 2**53 + 1), (1024, -2**53 - 1),
+                                             (1024, -2**63), (1280, 2**64 - 1)])
+    def test_beyond_2_53_is_rejected_not_rounded(self, tmp_path, code, value, order, suffix):
+        stored, path = self.beyond(code, value, tmp_path, order, suffix)
+        message = f"{path}: voxel value {value} is beyond 2**53 and has no exact float64 value"
+        with pytest.raises(RangeOverflowError) as info:
+            read_volume(path, "intensity")
+        assert str(info.value) == message
+        grid = read_volume(path, "mask")
+        assert np.array_equal(grid.data, stored != 0)
+        with pytest.raises(RangeOverflowError) as info:
+            read_voxels(path, np.arange(10), grid)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("code", sorted(INT64))
+    def test_writer_keeps_its_five_codes(self, tmp_path, code):
+        vol = Volume3D(np.ones((2, 2, 2)), (1, 1, 1), np.eye(3, 4))
+        with pytest.raises(UnsupportedDatatypeError):
+            write_volume(vol, tmp_path / "w.nii", datatype=code)
+        assert not (tmp_path / "w.nii").exists()

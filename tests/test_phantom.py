@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from pvseval import phantom
 from pvseval.ccl import label_components
 from pvseval.errors import BadParameterError, InfeasiblePackingError
 from pvseval.metrics import cluster_metrics, evaluate_subject, voxel_metrics
@@ -78,6 +80,139 @@ class TestGenerate:
             extent = coords.max(axis=0) - coords.min(axis=0) + 1
             # longest axis span at least the minimum tube length * ~1/sqrt(3)
             assert extent.max() >= 8.0 / math.sqrt(3) - 1
+
+
+# generate's inputs the rasterizer must get right: the cohort shape, radii
+# below the backbone reach up to 3, straight tubes, both offset signs, no
+# noise (also at a bg_mean of -0.0), and padded boxes clipped at the grid
+RASTER_CORPUS = {
+    "cohort-a": PhantomSpec(dims=(80, 80, 80), n_tubes=6, seed=1101),
+    "cohort-b": PhantomSpec(dims=(80, 80, 80), n_tubes=6, seed=1102),
+    "thin": PhantomSpec(dims=(40, 40, 40), n_tubes=5, radius_range=(0.3, 0.87), seed=3),
+    "radius-half": PhantomSpec(dims=(40, 40, 40), n_tubes=4, radius_range=(0.5, 0.5), seed=4),
+    "thick": PhantomSpec(dims=(48, 48, 48), n_tubes=3, radius_range=(2.5, 3.0), seed=5),
+    "straight": PhantomSpec(dims=(40, 40, 40), n_tubes=4, bend_amplitude=0.0, seed=6),
+    "dark": PhantomSpec(dims=(40, 40, 40), n_tubes=4, tube_offset=-6.0, seed=7),
+    "flat": PhantomSpec(dims=(40, 40, 40), n_tubes=4, bg_sd=0.0, seed=8),
+    "flat-negzero": PhantomSpec(dims=(32, 32, 32), n_tubes=3, bg_mean=-0.0, bg_sd=0.0, seed=9),
+    "flat-negzero-dark": PhantomSpec(dims=(32, 32, 32), n_tubes=3, bg_mean=-0.0, bg_sd=0.0,
+                                     tube_offset=-6.0, seed=9),
+    "edge": PhantomSpec(dims=(28, 24, 20), n_tubes=2, radius_range=(2.0, 3.0),
+                        length_range=(6.0, 12.0), seed=0),
+}
+
+
+class _RecordingRng:
+    """A Generator that keeps what each normal() call returned."""
+
+    def __init__(self, rng):
+        self._rng, self.normals = rng, []
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def normal(self, *args, **kwargs):
+        out = self._rng.normal(*args, **kwargs)
+        self.normals.append(np.copy(out))
+        return out
+
+
+class TestRasterizeOracle:
+    """generate is byte-identical to its dense form: every candidate tube
+    checked against every placed one (no box pad can clear it), every tube
+    rasterized over its whole box (tests/oracles.py), and the image built
+    as noise + offset * mask, then copied to Fortran order."""
+
+    @staticmethod
+    def dense_generate(spec, monkeypatch):
+        rngs = []
+        default_rng = np.random.default_rng
+
+        def recording(seed):
+            rngs.append(_RecordingRng(default_rng(seed)))
+            return rngs[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(phantom, "_BOX_PAD", np.inf)
+            m.setattr(phantom, "_rasterize", oracles.dense_rasterize)
+            m.setattr(phantom.np.random, "default_rng", recording)
+            _, truth, count = generate(spec)
+        noise = rngs[0].normals[-1]  # the image noise is the last draw
+        return np.asfortranarray(noise + spec.tube_offset * truth.data), truth.data, count
+
+    @pytest.mark.parametrize("name", sorted(RASTER_CORPUS))
+    def test_generate_matches_the_dense_form(self, name, monkeypatch):
+        spec = RASTER_CORPUS[name]
+        image, truth, count = generate(spec)
+        want_image, want_truth, want_count = self.dense_generate(spec, monkeypatch)
+        assert count == want_count == spec.n_tubes
+        for got, want in ((image.data, want_image), (truth.data, want_truth)):
+            assert got.flags.f_contiguous and want.flags.f_contiguous
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes(order="A") == want.tobytes(order="A")
+
+    # polylines generate never draws: on integer coordinates with an
+    # integer radius, voxels lie exactly radius away along one axis; a
+    # repeated point makes a zero-length segment
+    POLYLINES = {
+        "axis": ([5.0, 5.0, 5.0], [5.0, 5.0, 12.0], 2.0),
+        "diagonal": ([3.0, 4.0, 5.0], [9.0, 10.0, 11.0], 3.0),
+        "corner": ([0.0, 1.0, 0.0], [4.0, 1.0, 0.0], 1.0),
+        "far-corner": ([15.0, 13.0, 11.0], [11.0, 13.0, 9.0], 2.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(POLYLINES))
+    @pytest.mark.parametrize("repeat", [False, True])
+    def test_rasterize_matches_on_exact_ties(self, name, repeat):
+        start, end, radius = self.POLYLINES[name]
+        ts = np.linspace(0.0, 1.0, 15)[:, None]
+        points = np.array(start) + ts * (np.array(end) - np.array(start))
+        if repeat:
+            points = np.insert(points, 7, points[7], axis=0)
+        got = np.zeros((16, 14, 13), dtype=bool, order="F")
+        want = np.zeros((16, 14, 13), dtype=bool, order="F")
+        phantom._rasterize(got, points, radius)
+        oracles.dense_rasterize(want, points, radius)
+        assert np.array_equal(got, want)
+
+    def test_corpus_clips_padded_boxes_at_both_grid_ends(self, monkeypatch):
+        calls = []
+        rasterize = phantom._rasterize
+
+        def recording(mask, points, radius):
+            calls.append((points, radius, np.array(mask.shape) - 1))
+            rasterize(mask, points, radius)
+
+        monkeypatch.setattr(phantom, "_rasterize", recording)
+        generate(RASTER_CORPUS["edge"])
+        assert any((np.floor(p.min(axis=0) - r - 1) < 0).any() for p, r, _ in calls)
+        assert any((np.ceil(p.max(axis=0) + r + 1) > top).any() for p, r, top in calls)
+
+    def test_corpus_holds_a_signed_zero_off_the_tubes(self, monkeypatch):
+        image, truth, _ = self.dense_generate(RASTER_CORPUS["flat-negzero-dark"], monkeypatch)
+        off = image[~truth]
+        assert (off == 0).all() and np.signbit(off).any() and not np.signbit(off).all()
+
+
+class TestValidateFinite:
+    @pytest.mark.parametrize("field, value", [
+        ("spacing", (1.0, float("nan"), 1.0)),
+        ("spacing", (float("inf"), 1.0, 1.0)),
+        ("radius_range", (1.0, float("nan"))),
+        ("radius_range", (float("-inf"), 1.0)),
+        ("length_range", (float("inf"), float("inf"))),
+        ("clearance", float("nan")),
+        ("clearance", float("inf")),
+        ("bend_amplitude", float("nan")),
+        ("bg_mean", float("inf")),
+        ("bg_mean", float("-inf")),
+        ("bg_sd", float("nan")),
+        ("tube_offset", float("nan")),
+        ("tube_offset", float("-inf")),
+    ])
+    def test_non_finite_rejected_by_name(self, field, value):
+        with pytest.raises(BadParameterError, match=f"^{field} must be finite"):
+            generate(small_spec(**{field: value}))
 
 
 class TestPerturb:

@@ -25,6 +25,7 @@ from .nifti import (
     NiftiHeader,
     Volume3D,
     parse_header,
+    read_mask_voxels,
     read_volume,
     read_voxels,
     write_volume,
@@ -57,6 +58,7 @@ __all__ = [
     "pearson_r",
     "perturb",
     "rank_biserial",
+    "read_mask_voxels",
     "read_volume",
     "read_voxels",
     "shell",

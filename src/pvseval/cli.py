@@ -28,6 +28,7 @@ import functools
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -38,10 +39,10 @@ from .harness import (
     ALL_SITES,
     aggregate,
     evaluate_manifest,
-    load_rois,
     losocv_table,
     make_folds,
     read_manifest,
+    read_subject,
 )
 from .metrics import METRIC_NAMES, evaluate_subject
 from .morphology import contrast_stat, contrast_stat_per_cluster
@@ -248,12 +249,20 @@ def _require_file(path: str, flag: str) -> str:
 
 def cmd_metrics(args) -> int:
     cfg = _resolve_config(args)
-    # the prediction sets the grid; each later volume is checked as it is read
-    pred = read_volume(_require_file(args.pred, "--pred"), "mask")
-    read = functools.partial(read_volume, mode="mask", grid=pred, strict=cfg["strict_grid"])
-    ref = read(_require_file(args.ref, "--ref"))
-    rois = load_rois(args.roi_wm and _require_file(args.roi_wm, "--roi-wm"),
-                     args.roi_bg and _require_file(args.roi_bg, "--roi-bg"), read)
+    # each file must exist as its read starts: --pred, then --ref, then both
+    # ROI files before the first ROI read
+    stages = iter([[("--pred", args.pred)], [("--ref", args.ref)],
+                   [(flag, path) for flag, path in (("--roi-wm", args.roi_wm),
+                                                    ("--roi-bg", args.roi_bg)) if path]])
+
+    @contextmanager
+    def required(path):
+        for flag, given in next(stages, ()):
+            _require_file(given, flag)
+        yield
+
+    pred, ref, rois = read_subject(args.pred, args.ref, args.roi_wm, args.roi_bg,
+                                   cfg["strict_grid"], required)
     subject_id = args.subject_id or Path(args.pred).name.split(".")[0]
     records = evaluate_subject(pred, ref, rois, cfg["connectivity"],
                                subject_id=subject_id, strict=cfg["strict_grid"])

@@ -10,8 +10,10 @@ Sites reports, so its pooled average is subject-weighted.
 from __future__ import annotations
 
 import csv
+import functools
 import random
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, asdict
 from itertools import repeat
 from pathlib import Path
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import EmptyManifestError, InputError, TooFewSitesError
 from .metrics import METRIC_NAMES, RoiMask, SubjectMetrics, evaluate_subject, pearson_r
-from .nifti import read_volume
+from .nifti import BinaryMask, read_mask_voxels, read_volume
 
 MANIFEST_COLUMNS = (
     "subject_id",
@@ -165,35 +167,59 @@ def make_folds(manifest: list[SubjectRecord], scheme: str, seed: int = 0) -> Fol
     return FoldSpec("5fcv", assignments, seed)
 
 
-def load_rois(wm_path: str | None, bg_path: str | None, read) -> list[RoiMask]:
-    """The WM and BG ROI masks, each read by read(path), skipping an empty path."""
+def read_subject(pred_path: str, ref_path: str, roi_wm_path: str = "", roi_bg_path: str = "",
+                 strict: bool = False, reading=nullcontext):
+    """(pred, ref, rois) of one subject, read in that order: the prediction,
+    the reference, then the WM and BG ROIs, an empty ROI path skipped. Each
+    read runs inside reading(path).
+
+    The prediction sets the grid that every later file is checked against
+    as it is read. Both masks are held as their foreground indices. Each
+    ROI file is gathered in one pass only at their union, which is all that
+    restriction reads: its RoiMask holds the ROI's voxels there and whether
+    the whole file has any foreground. So no grid is built.
+    """
+    with reading(pred_path):
+        pred = read_volume(pred_path, "mask")
+    with reading(ref_path):
+        ref = read_volume(ref_path, "mask", pred, strict)
+    # their union: a merge of two sorted runs, then repeats dropped
+    # (np.union1d's hashing unique is ~8x slower on this)
+    at = np.sort(np.concatenate((pred.fg_index, ref.fg_index)), kind="stable")
+    first = np.ones(at.size, dtype=bool)
+    first[1:] = at[1:] != at[:-1]
+    at = at[first]
     rois = []
-    if wm_path:
-        rois.append(RoiMask(read(wm_path), "WM"))
-    if bg_path:
-        rois.append(RoiMask(read(bg_path), "BG"))
-    return rois
+    for path, region in ((roi_wm_path, "WM"), (roi_bg_path, "BG")):
+        if path:
+            with reading(path):
+                inside, found = read_mask_voxels(path, at, pred, strict)
+            mask = BinaryMask.from_index(at[inside], pred.dims, pred.spacing, pred.affine)
+            rois.append(RoiMask(mask, region, empty=not found))
+    return pred, ref, rois
+
+
+@contextmanager
+def _naming_subject(subject_id: str, path: str):
+    """Re-raise a read error as InputError starting with the subject id and
+    the file."""
+    try:
+        yield
+    except OSError as exc:  # strerror leaves out the path already named
+        raise InputError(f"{subject_id}: {path}: {exc.strerror or exc}") from exc
+    except InputError as exc:  # the reader has already named the file
+        raise InputError(f"{subject_id}: {exc}") from exc
 
 
 def evaluate_record(
     record: SubjectRecord, connectivity: int = 26, strict: bool = False
 ) -> list[SubjectMetrics]:
-    """Metrics of one manifest row. The prediction sets the grid that every
-    later volume is checked against as it is read. Read and grid errors are
-    re-raised as InputError with a message that starts with the subject id
-    and the file."""
-    def read(path: str, grid=None):
-        try:
-            return read_volume(path, "mask", grid, strict)
-        except OSError as exc:  # strerror leaves out the path already named
-            raise InputError(
-                f"{record.subject_id}: {path}: {exc.strerror or exc}") from exc
-        except InputError as exc:  # read_volume has already named the file
-            raise InputError(f"{record.subject_id}: {exc}") from exc
-
-    pred = read(record.pred_path)
-    ref = read(record.ref_path, pred)
-    rois = load_rois(record.roi_wm_path, record.roi_bg_path, lambda path: read(path, pred))
+    """Metrics of one manifest row, read by read_subject. Read and grid
+    errors are re-raised as InputError with a message that starts with the
+    subject id and the file."""
+    pred, ref, rois = read_subject(record.pred_path, record.ref_path, record.roi_wm_path,
+                                   record.roi_bg_path, strict,
+                                   functools.partial(_naming_subject, record.subject_id))
     return evaluate_subject(pred, ref, rois, connectivity,
                             subject_id=record.subject_id, strict=strict)
 

@@ -7,9 +7,12 @@ cluster counts as a true positive if any of its voxels touches the
 reference, and vice versa. An ROI restricts both masks first
 (`intersect`). Both levels read the masks' sorted foreground
 indices, so the overlap and the hit tests cost time in proportion to the
-foreground, not the grid. Degenerate cases (either side empty) are
-reported as undefined rather than forced to 0 or 1, with flags so
-aggregation can exclude and count them.
+foreground, not the grid. Masks read from files are held as those indices
+alone, and an ROI file is gathered only at the voxels of the prediction
+and the reference (`harness.read_subject`), so scoring a subject builds no
+grid. Degenerate cases (either side empty) are reported as undefined
+rather than forced to 0 or 1, with flags so aggregation can exclude and
+count them.
 """
 
 from __future__ import annotations
@@ -28,27 +31,34 @@ METRIC_NAMES = ("dsc_vox", "sen_vox", "ppv_vox", "dsc_num", "sen_num", "ppv_num"
 
 @dataclass(eq=False, frozen=True)
 class RoiMask:
-    """A region-of-interest mask tagged with its anatomical name."""
+    """A region-of-interest mask tagged with its anatomical name.
+
+    mask need be right only at the voxels it restricts, the foreground of
+    the masks it is intersected with; harness.read_subject keeps just those
+    of an ROI file. empty says whether the whole region is empty, which
+    such a mask cannot tell; when not given it is read off mask, which then
+    is the whole region.
+    """
 
     mask: BinaryMask
     region: str  # conventionally "WM", "BG", or a free-form tag
+    empty: bool | None = None
+
+    def __post_init__(self) -> None:
+        if self.empty is None:
+            object.__setattr__(self, "empty", not self.mask.any())
 
 
 def intersect(a: BinaryMask, b: BinaryMask, strict: bool = False) -> BinaryMask:
     """Voxelwise AND; spacing/affine inherited from a.
 
-    The result's foreground is looked up from a's foreground index, so the
-    work beyond painting the result grid scales with a's foreground, not
-    the grid; that index is preset on the result.
+    The result is held as its foreground index: a's, kept where b contains
+    it. The work scales with a's foreground, not the grid, and no grid is
+    painted.
     """
     ensure_same_grid(a, b, strict)
-    index = a.fg_index[b.data.ravel("F")[a.fg_index]]
-    data = np.zeros(a.dims, dtype=bool, order="F")
-    data.ravel("F")[index] = True
-    out = BinaryMask(data=data, spacing=a.spacing, affine=a.affine)
-    index.setflags(write=False)
-    out.fg_index = index
-    return out
+    return BinaryMask.from_index(a.fg_index[b.contains(a.fg_index)], a.dims, a.spacing,
+                                 a.affine)
 
 
 @dataclass(frozen=True)
@@ -188,8 +198,7 @@ def evaluate_subject(
         vox, dsc_v, sen_v, ppv_v = voxel_metrics(p, r)
         clus, dsc_n, sen_n, ppv_n = cluster_metrics(p, r, connectivity)
         flags = list(_ratios(vox.overlap, vox.overlap, vox.manual, vox.algo)[3])
-        # any(), not foreground_count: an ROI's index can hold millions of voxels
-        if roi is not None and not roi.mask.data.any():
+        if roi is not None and roi.empty:
             flags.append("empty_region")
         voxel_mm3 = ref.voxel_volume_mm3
         out.append(

@@ -13,6 +13,7 @@ to a file gathers just those voxels while it streams the file.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 import numpy as np
@@ -29,7 +30,7 @@ Gather = Callable[[np.ndarray], np.ndarray]
 def _fg_keys(m: BinaryMask, group) -> np.ndarray:
     """Unsorted keys group * size + C-order index of the foreground voxels."""
     c_index = np.ravel_multi_index(np.unravel_index(m.fg_index, m.dims, order="F"), m.dims)
-    return np.asarray(group, dtype=np.int64) * m.data.size + c_index
+    return np.asarray(group, dtype=np.int64) * math.prod(m.dims) + c_index
 
 
 def _ring(m: BinaryMask, group, connectivity: int) -> np.ndarray:
@@ -37,10 +38,11 @@ def _ring(m: BinaryMask, group, connectivity: int) -> np.ndarray:
     neighbors of each group's foreground voxels."""
     nx, ny, nz = m.dims
     padded = np.ones((nx + 2, ny + 2, nz + 2), dtype=bool, order="F")
-    padded[1:-1, 1:-1, 1:-1] = m.data
+    padded[1:-1, 1:-1, 1:-1] = False
     x, y, z = np.unravel_index(m.fg_index, m.dims, order="F")
     at = np.ravel_multi_index((x + 1, y + 1, z + 1), padded.shape, order="F")
     keys, flat, parts = _fg_keys(m, group), padded.ravel("F"), []
+    flat[at] = True  # the mask, painted from its index into the padded lookup grid
     for dx, dy, dz in neighbor_offsets(connectivity):
         background = ~flat[at + dx + (nx + 2) * (dy + (ny + 2) * dz)]
         parts.append(keys.compress(background) + (dx * ny + dy) * nz + dz)
@@ -64,7 +66,7 @@ def _group_means(gather: Gather, m: BinaryMask, *key_sets: np.ndarray):
     group); the image is gathered once, at the voxels of all of them."""
     groups, wanted = [], []
     for keys in key_sets:
-        group, c_index = np.divmod(keys, m.data.size)
+        group, c_index = np.divmod(keys, math.prod(m.dims))
         groups.append(group)
         wanted.append(np.ravel_multi_index(np.unravel_index(c_index, m.dims), m.dims, order="F"))
     wanted = np.concatenate(wanted)

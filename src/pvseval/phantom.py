@@ -7,8 +7,9 @@ extent padded by radius + 1), so the cost follows the tube's volume, not
 its bounding box times its length. Tubes are packed by rejection sampling
 with a pairwise clearance that guarantees the tubes stay 26-disconnected
 (so the cluster count of the truth mask equals the tube count by
-construction); a candidate's point distances are computed only to the
-placed tubes whose boxes come near enough to matter.
+construction); a candidate whose end points already leave the grid is
+rejected before its polyline is built, and its point distances are
+computed only to the placed tubes whose boxes come near enough to matter.
 Perturbations with analytically known metric values turn the truth into a
 controlled "prediction".
 """
@@ -30,6 +31,9 @@ _BACKBONE_REACH = 0.87
 _SAMPLE_STEP = 0.5
 # voxels; far above the rounding of a box gap or a point distance
 _BOX_PAD = 1e-6
+# voxels; an end point tested alone may differ from the polyline's in its
+# last bits (a sine computed alone), so it is rejected only beyond this
+_END_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -86,13 +90,24 @@ def _orthogonal_unit(rng: np.random.Generator, direction: np.ndarray) -> np.ndar
             return v / norm
 
 
-def _polyline(rng: np.random.Generator, spec: PhantomSpec) -> tuple[np.ndarray, float]:
+def _polyline(rng: np.random.Generator, spec: PhantomSpec) -> tuple[np.ndarray, float] | None:
+    """A candidate tube's centerline, sampled every _SAMPLE_STEP voxels, and
+    radius; None when an end point already fails _in_bounds, before the
+    rest is built. Every draw comes before that test, so the draws, and
+    with them every phantom, do not depend on it."""
     radius = float(rng.uniform(*spec.radius_range))
     length = float(rng.uniform(*spec.length_range))
     direction = _unit(rng)
     perp = _orthogonal_unit(rng, direction)
     amplitude = float(rng.uniform(0.0, spec.bend_amplitude))
     start = np.array([rng.uniform(0, d - 1) for d in spec.dims])
+    # the first and last points, by the arithmetic of the full polyline
+    # below, tested as _in_bounds does, in Python floats
+    end = start + length * direction + amplitude * np.sin(np.pi) * perp
+    margin = _margin(radius) - _END_SLACK
+    for point in (start.tolist(), end.tolist()):
+        if not all(margin <= c <= d - 1 - margin for c, d in zip(point, spec.dims)):
+            return None
     ts = np.linspace(0.0, 1.0, max(int(np.ceil(length / _SAMPLE_STEP)), 1) + 1)
     points = (
         start[None, :]
@@ -102,8 +117,13 @@ def _polyline(rng: np.random.Generator, spec: PhantomSpec) -> tuple[np.ndarray, 
     return points, radius
 
 
+def _margin(radius: float) -> float:
+    """Least distance from a centerline point to the grid's edge voxels."""
+    return max(radius, _BACKBONE_REACH) + 0.6
+
+
 def _in_bounds(points: np.ndarray, radius: float, dims) -> bool:
-    margin = max(radius, _BACKBONE_REACH) + 0.6
+    margin = _margin(radius)
     lo = points.min(axis=0)
     hi = points.max(axis=0)
     return bool(np.all(lo >= margin) and np.all(hi <= np.array(dims) - 1 - margin))
@@ -165,9 +185,10 @@ def generate(spec: PhantomSpec) -> tuple[Volume3D, BinaryMask, int]:
                 f"with clearance {spec.clearance}"
             )
         attempts_left -= 1
-        points, radius = _polyline(rng, spec)
-        if not _in_bounds(points, radius, spec.dims):
+        candidate = _polyline(rng, spec)
+        if candidate is None or not _in_bounds(*candidate, spec.dims):
             continue
+        points, radius = candidate
         r_eff = max(radius, _BACKBONE_REACH)
         lo, hi = points.min(axis=0), points.max(axis=0)
         # the gap between two point boxes never exceeds the least point

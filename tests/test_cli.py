@@ -6,6 +6,7 @@ import shutil
 import tempfile
 import tracemalloc
 from collections import Counter
+from contextlib import nullcontext
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,9 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pvseval import cli
+from pvseval import cli, harness
 from pvseval.cli import main
 from pvseval.harness import SubjectRecord, write_manifest
+from pvseval.metrics import RoiMask
 from pvseval.morphology import contrast_stat, contrast_stat_per_cluster
 from pvseval.nifti import BinaryMask, Volume3D, read_volume, write_volume
 from pvseval.phantom import PhantomSpec, Perturbation, generate, perturb
@@ -429,6 +431,182 @@ class TestDamagedGzip:
         err = capsys.readouterr().err
         assert err.startswith(f"pvseval: error: A01: {records[1].pred_path}: ")
         assert "NaN" in err and err.count(records[1].pred_path) == 1
+
+
+def dense_read_subject(pred_path, ref_path, roi_wm_path="", roi_bg_path="", strict=False,
+                       reading=nullcontext):
+    """read_subject as it was before masks were held as indices: every file
+    read whole into a grid, and each ROI kept whole."""
+    def grid(path, like=None):
+        with reading(path):
+            mask = read_volume(path, "mask", like, strict)
+        return BinaryMask(mask.data, mask.spacing, mask.affine)
+
+    pred = grid(pred_path)
+    ref = grid(ref_path, pred)
+    return pred, ref, [RoiMask(grid(path, pred), region)
+                       for path, region in ((roi_wm_path, "WM"), (roi_bg_path, "BG")) if path]
+
+
+def outputs_in(cwd, monkeypatch, *argv, dense=False):
+    """Every output file's bytes after running argv from cwd with --out o;
+    dense reads each subject as dense_read_subject does."""
+    cwd.mkdir(parents=True)
+    with monkeypatch.context() as m:
+        m.chdir(cwd)
+        if dense:
+            m.setattr(cli, "read_subject", dense_read_subject)
+            m.setattr(harness, "read_subject", dense_read_subject)
+        assert run(*argv, "--out", "o") == 0
+    return {p.name: p.read_bytes() for p in sorted((cwd / "o").iterdir())}
+
+
+def write_mask(path, data):
+    write_volume(BinaryMask(data, (1.0, 1.0, 1.0), np.eye(3, 4)), path, datatype=2)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def roi_subjects(tmp_path_factory):
+    """Three subjects on a 24^3 grid, each with WM and BG box ROIs. s0's WM
+    ROI lies wholly outside its prediction and reference, and its BG ROI is
+    all zero; s1's and s2's ROIs each cover part of both masks."""
+    root = tmp_path_factory.mktemp("rois")
+    dims = (24, 24, 24)
+    records = []
+    for i in range(3):
+        rng = np.random.default_rng(40 + i)
+        ref = np.zeros(dims, bool)
+        ref[2:14, 2:14, 2:14] = rng.random((12, 12, 12)) < 0.08
+        pred = ref & (rng.random(dims) < 0.7)
+        pred[2:14, 2:14, 2:14] |= rng.random((12, 12, 12)) < 0.02
+        wm, bg = np.zeros(dims, bool), np.zeros(dims, bool)
+        if i == 0:
+            wm[16:22, 16:22, 16:22] = True
+        else:
+            wm[0:8, :, :] = True
+            bg[6:12, 6:12, 0:9] = True
+        sid = f"s{i}"
+        records.append(SubjectRecord(
+            sid, "AB"[i % 2], write_mask(root / f"{sid}_pred.nii.gz", pred),
+            write_mask(root / f"{sid}_ref.nii.gz", ref),
+            roi_wm_path=write_mask(root / f"{sid}_wm.nii.gz", wm),
+            roi_bg_path=write_mask(root / f"{sid}_bg.nii.gz", bg)))
+    write_manifest(records, root / "manifest.csv")
+    return root, records
+
+
+class TestIndexFirstSubjectRead:
+    """metrics and aggregate read each mask as its index and gather each ROI
+    only at the prediction and the reference; every output and exit is the
+    one of the dense read, and empty_region still means the whole ROI."""
+
+    def test_metrics_equal_the_dense_read(self, roi_subjects, tmp_path, monkeypatch):
+        _, records = roi_subjects
+        for rec in records:
+            argv = ("metrics", "--pred", rec.pred_path, "--ref", rec.ref_path,
+                    "--roi-wm", rec.roi_wm_path, "--roi-bg", rec.roi_bg_path)
+            got = outputs_in(tmp_path / rec.subject_id / "index", monkeypatch, *argv)
+            want = outputs_in(tmp_path / rec.subject_id / "dense", monkeypatch, *argv,
+                              dense=True)
+            assert got == want and set(got) == {"metrics.csv", "metrics.json"}
+
+    def test_empty_region_means_the_whole_roi(self, roi_subjects, tmp_path):
+        # s0's WM ROI has foreground, all of it off both masks: no flag.
+        # Its BG ROI is all zero: flagged
+        rec = roi_subjects[1][0]
+        assert run("metrics", "--pred", rec.pred_path, "--ref", rec.ref_path,
+                   "--roi-wm", rec.roi_wm_path, "--roi-bg", rec.roi_bg_path,
+                   "--out", tmp_path) == 0
+        flags = {r["region"]: r["degenerate_flags"] for r in read_csv(tmp_path / "metrics.csv")}
+        assert flags == {"WM": "both_empty", "BG": "both_empty|empty_region"}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_aggregate_equals_the_dense_read(self, roi_subjects, tmp_path, monkeypatch,
+                                             workers):
+        root, _ = roi_subjects
+        argv = ("aggregate", "--manifest", root / "manifest.csv", "--scheme", "losocv",
+                "--workers", workers)
+        got = outputs_in(tmp_path / "index", monkeypatch, *argv)
+        want = outputs_in(tmp_path / "dense", monkeypatch, *argv, dense=True)
+        assert got == want and "losocv_table.csv" in got
+        rows = read_csv(tmp_path / "index" / "o" / "per_subject.csv")
+        flags = {(r["subject_id"], r["region"]): r["degenerate_flags"] for r in rows}
+        assert flags[("s0", "WM")] == "both_empty"
+        assert flags[("s0", "BG")] == "both_empty|empty_region"
+        assert flags[("s1", "WM")] == flags[("s2", "BG")] == ""
+
+    def test_empty_masks_gather_nothing(self, roi_subjects, tmp_path, monkeypatch):
+        _, records = roi_subjects
+        empty = write_mask(tmp_path / "empty.nii.gz", np.zeros((24, 24, 24), bool))
+        rec = records[1]
+        argv = ("metrics", "--pred", empty, "--ref", empty,
+                "--roi-wm", rec.roi_wm_path, "--roi-bg", records[0].roi_bg_path)
+        got = outputs_in(tmp_path / "index", monkeypatch, *argv)
+        assert got == outputs_in(tmp_path / "dense", monkeypatch, *argv, dense=True)
+        flags = [r["degenerate_flags"] for r in read_csv(tmp_path / "index/o/metrics.csv")]
+        assert flags == ["both_empty", "both_empty|empty_region"]
+
+    @pytest.mark.parametrize("flag", ["--roi-wm", "--roi-bg"])
+    def test_nan_roi_exit_2_names_it(self, roi_subjects, tmp_path, capsys, flag):
+        rec = roi_subjects[1][1]
+        roi = tmp_path / "nan_roi.nii.gz"
+        data = read_volume(rec.roi_bg_path, "mask").data.astype(np.float32)
+        data[23, 23, 23] = np.nan  # off the prediction and the reference
+        write_volume(Volume3D(data, (1, 1, 1), np.eye(3, 4)), roi, datatype=16)
+        rois = {"--roi-wm": rec.roi_wm_path, "--roi-bg": rec.roi_bg_path, flag: roi}
+        assert run("metrics", "--pred", rec.pred_path, "--ref", rec.ref_path,
+                   *[a for pair in rois.items() for a in pair], "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"pvseval: error: {roi}: mask holds NaN voxels\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["truncated", "crc", "deflate"])
+    def test_damaged_roi_exit_2_names_it(self, roi_subjects, tmp_path, capsys, kind):
+        rec = roi_subjects[1][2]
+        bad = damage(Path(shutil.copy(rec.roi_wm_path, tmp_path / "bad.nii.gz")), kind)
+        assert run("metrics", "--pred", rec.pred_path, "--ref", rec.ref_path,
+                   "--roi-wm", bad, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err.startswith(f"pvseval: error: {bad}: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", ["truncated", "nan"])
+    def test_aggregate_bad_roi_names_subject_and_file(self, roi_subjects, tmp_path, capsys,
+                                                     kind, workers):
+        _, records = roi_subjects
+        bad = tmp_path / "bad.nii.gz"
+        if kind == "nan":
+            data = np.zeros((24, 24, 24), np.float32)
+            data[0, 0, 0] = np.nan
+            write_volume(Volume3D(data, (1, 1, 1), np.eye(3, 4)), bad, datatype=16)
+        else:
+            damage(Path(shutil.copy(records[1].roi_bg_path, bad)), kind)
+        manifest = tmp_path / "manifest.csv"
+        write_manifest([records[0], SubjectRecord("s1", "B", records[1].pred_path,
+                                                  records[1].ref_path, records[1].roi_wm_path,
+                                                  str(bad)), records[2]], manifest)
+        assert run("aggregate", "--manifest", manifest, "--workers", workers,
+                   "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"pvseval: error: s1: {bad}: ") and err.count(str(bad)) == 1
+
+    def test_each_file_is_checked_when_its_read_starts(self, roi_subjects, tmp_path, capsys):
+        # a damaged prediction is reported before a missing reference; a
+        # missing BG ROI before a damaged WM ROI, as both ROI files are
+        # required before the first ROI read
+        rec = roi_subjects[1][1]
+        bad = damage(Path(shutil.copy(rec.pred_path, tmp_path / "bad.nii.gz")), "crc")
+        missing = tmp_path / "missing.nii.gz"
+        assert run("metrics", "--pred", bad, "--ref", missing, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err.startswith(f"pvseval: error: {bad}: CRC check failed")
+        assert run("metrics", "--pred", rec.pred_path, "--ref", rec.ref_path,
+                   "--roi-wm", damage(Path(shutil.copy(rec.roi_wm_path, tmp_path / "w.nii.gz")),
+                                      "crc"),
+                   "--roi-bg", missing, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"pvseval: error: --roi-bg: no such file: {missing}\n"
+        assert run("metrics", "--pred", rec.pred_path, "--ref", missing,
+                   "--roi-wm", missing, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"pvseval: error: --ref: no such file: {missing}\n"
 
 
 def write_per_subject(path, rows):

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -13,13 +15,16 @@ from pvseval.harness import (
     FoldSpec,
     SubjectRecord,
     aggregate,
+    evaluate_record,
     losocv_table,
     make_folds,
     read_manifest,
+    read_subject,
     summarize_metric,
     write_manifest,
 )
 from pvseval.metrics import METRIC_NAMES, SubjectMetrics
+from pvseval.nifti import BinaryMask, write_volume
 
 # site sizes of a 40-subject, 6-site cohort
 SITE_SIZES = {"ADNI": 10, "AF": 10, "ASC": 4, "HBA": 5, "FTD": 4, "MCIS": 7}
@@ -225,3 +230,64 @@ class TestLosocvTable:
         rows = losocv_table(aggregate(records, site_of, per_site=True))
         assert len(rows) == 2 * len(METRIC_NAMES)
         assert {r.region for r in rows} == {"WM", "BG"}
+
+
+def test_scoring_a_subject_holds_no_mask_grid(tmp_path):
+    """evaluate_record on a sparse 128^3 subject with two box ROIs peaks
+    below one bool grid of traced memory. The masks are held as their
+    foreground indices, and each ROI is gathered at their voxels, so only
+    a few decoder blocks are ever held. Reading the four files into grids
+    peaks at about seven grids."""
+    dims = (128, 128, 128)
+    grid_bytes = math.prod(dims)  # one bool grid
+    rng = np.random.default_rng(12)
+    ref = rng.random(dims) < 0.001
+    pred = (ref & (rng.random(dims) < 0.7)) | (rng.random(dims) < 0.0003)
+    wm, bg = np.zeros(dims, bool), np.zeros(dims, bool)
+    wm[6:122, 6:122, 25:97] = True  # ~45 % of the grid
+    bg[38:77, 38:96, 102:122] = True
+    paths = {}
+    for name, data in (("pred", pred), ("ref", ref), ("wm", wm), ("bg", bg)):
+        paths[name] = str(tmp_path / f"{name}.nii.gz")
+        write_volume(BinaryMask(data, (1.0, 1.0, 1.0), np.eye(3, 4)), paths[name], datatype=2)
+    record = SubjectRecord("s", "A", paths["pred"], paths["ref"], paths["wm"], paths["bg"])
+    del pred, ref, wm, bg
+    tracemalloc.start()
+    try:
+        rows = evaluate_record(record)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.region for r in rows] == ["WM", "BG"] and rows[0].vol_manual_vox > 0
+    assert peak < grid_bytes, peak / grid_bytes
+
+
+def test_read_subject_holds_indices_and_gathers_each_roi_at_the_union(tmp_path):
+    dims = (20, 18, 16)
+    rng = np.random.default_rng(5)
+    ref = rng.random(dims) < 0.05
+    pred = (ref & (rng.random(dims) < 0.6)) | (rng.random(dims) < 0.02)
+    wm = np.zeros(dims, bool)
+    wm[:, :9, :] = True
+    pred[19, 17, 15] = ref[19, 17, 15] = False
+    bg = np.zeros(dims, bool)
+    bg[19, 17, 15] = True  # its only foreground, off both masks
+    paths = []
+    for name, data in (("pred", pred), ("ref", ref), ("wm", wm), ("bg", bg)):
+        paths.append(str(tmp_path / f"{name}.nii.gz"))
+        write_volume(BinaryMask(data, (1.0, 1.0, 1.0), np.eye(3, 4)), paths[-1], datatype=2)
+    read = []
+    got_pred, got_ref, rois = read_subject(*paths, reading=lambda path: read.append(path)
+                                           or contextlib.nullcontext())
+    assert read == paths
+    for mask, data in ((got_pred, pred), (got_ref, ref)):
+        assert "data" not in vars(mask)
+        assert np.array_equal(mask.fg_index, np.flatnonzero(data.ravel("F")))
+    assert [r.region for r in rois] == ["WM", "BG"]
+    for roi, data in zip(rois, (wm, bg)):
+        assert "data" not in vars(roi.mask) and roi.mask.dims == dims
+        index = roi.mask.fg_index
+        assert np.array_equal(index, np.flatnonzero((data & (pred | ref)).ravel("F")))
+        assert (np.diff(index) > 0).all()
+        assert roi.empty is (not data.any())
+    assert rois[1].mask.foreground_count == 0 and rois[1].empty is False

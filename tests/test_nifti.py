@@ -23,8 +23,10 @@ from pvseval.nifti import (
     BinaryMask,
     DATATYPES,
     HEADER_SIZE,
+    READ_DATATYPES,
     Volume3D,
     parse_header,
+    read_mask_voxels,
     read_volume,
     read_voxels,
     write_volume,
@@ -732,3 +734,160 @@ class TestSixtyFourBitIntegers:
         with pytest.raises(UnsupportedDatatypeError):
             write_volume(vol, tmp_path / "w.nii", datatype=code)
         assert not (tmp_path / "w.nii").exists()
+
+
+def stored_mask(code, shape=(11, 9, 7)):
+    """Stored values of a mask in datatype code: zeros, both ends of the
+    type's range, and for a float type -0.0 (background) and the least
+    subnormal (foreground)."""
+    dtype = READ_DATATYPES[code][0]
+    rng = np.random.default_rng(code)
+    if dtype.kind == "f":
+        data = rng.normal(size=shape).astype(dtype)
+        data.ravel()[:4] = [-0.0, np.finfo(dtype).smallest_subnormal, np.inf, -np.inf]
+    else:
+        info = np.iinfo(dtype)
+        data = rng.integers(info.min, info.max, shape, endpoint=True, dtype=dtype)
+        data.ravel()[:2] = [info.min, info.max]
+    data[rng.random(shape) < 0.6] = 0
+    data.ravel()[4] = -0.0 if dtype.kind == "f" else 0
+    return data
+
+
+class TestIndexFirstMaskRead:
+    """A mask read keeps only its foreground index and an ROI gather keeps
+    only the voxels asked for; both equal the dense nonzero test of the
+    stored values, whatever the datatype, byte order, compression, scaling
+    or block edges."""
+
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+    @pytest.mark.parametrize("order", ["<", ">"])
+    @pytest.mark.parametrize("code", sorted(READ_DATATYPES))
+    def test_equals_the_dense_nonzero_test(self, tmp_path, monkeypatch, code, order, suffix):
+        stored = stored_mask(code)
+        # scaling never reaches a mask; an extension shifts the voxels off
+        # the block edges, and small blocks split voxels across them
+        path = write_nifti(tmp_path / f"m{suffix}", stored, code, order, 0.5, 3.0,
+                           vox_offset=357, members=2)
+        monkeypatch.setattr(nifti, "_BLOCK", 61)
+        monkeypatch.setattr(nifti, "_PIECE", 37)
+        want = stored != 0
+        mask = read_volume(path, "mask")
+        assert "data" not in vars(mask)  # held as its index; no grid was built
+        assert mask.dims == stored.shape
+        assert mask.fg_index.dtype == np.int64 and not mask.fg_index.flags.writeable
+        assert np.array_equal(mask.fg_index, np.flatnonzero(want.ravel("F")))
+        assert np.array_equal(mask.data, want)
+        assert mask.data.flags.f_contiguous and not mask.data.flags.writeable
+        index = np.sort(np.random.default_rng(1).choice(stored.size, 80, replace=False))
+        index[1] = index[0]  # a repeated index is gathered twice
+        inside, found = read_mask_voxels(path, index, mask)
+        assert inside.dtype == bool and np.array_equal(inside, want.ravel("F")[index])
+        assert found is True
+
+    @pytest.mark.parametrize("code", [16, 64])
+    def test_negative_zero_is_background(self, tmp_path, code):
+        stored = np.full((6, 5, 4), -0.0, dtype=READ_DATATYPES[code][0])
+        path = write_nifti(tmp_path / "z.nii.gz", stored, code)
+        mask = read_volume(path, "mask")
+        assert mask.foreground_count == 0 and not mask.any()
+        inside, found = read_mask_voxels(path, np.arange(stored.size), mask)
+        assert not inside.any() and found is False
+        stored[3, 2, 1] = 1.0
+        write_nifti(path, stored, code)
+        assert read_volume(path, "mask").fg_index.tolist() == [3 + 6 * (2 + 5 * 1)]
+        inside, found = read_mask_voxels(path, np.array([0, 1]), mask)
+        assert not inside.any() and found is True  # foreground off the gathered voxels
+
+    @pytest.mark.parametrize("code", [16, 64])
+    def test_nan_is_rejected_wherever_it_lies(self, tmp_path, monkeypatch, code):
+        stored = np.zeros((9, 8, 7), dtype=READ_DATATYPES[code][0])
+        stored[1, 1, 1] = 1.0
+        stored[8, 7, 6] = np.nan  # in the last block, off the gathered voxels
+        path = write_nifti(tmp_path / "nan.nii.gz", stored, code)
+        monkeypatch.setattr(nifti, "_BLOCK", 64)
+        with pytest.raises(InputError) as info:
+            read_volume(path, "mask")
+        assert str(info.value) == f"{path}: mask holds NaN voxels"
+        with pytest.raises(InputError) as info:
+            read_mask_voxels(path, np.arange(10), make_mask(np.zeros(stored.shape, bool)))
+        assert str(info.value) == f"{path}: mask holds NaN voxels"
+
+    @pytest.mark.parametrize("kind", ["truncated", "crc", "deflate", "short"])
+    def test_damaged_stream_is_named(self, tmp_path, kind):
+        stored = stored_mask(2, (40, 30, 20))
+        path = write_nifti(tmp_path / "d.nii.gz", stored, 2)
+        grid = read_volume(path, "mask")
+        blob = path.read_bytes()
+        if kind == "truncated":
+            blob = blob[: len(blob) // 2]
+        elif kind == "crc":
+            blob = blob[:-8] + bytes([blob[-8] ^ 0xFF]) + blob[-7:]
+        elif kind == "deflate":
+            blob = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff" + b"\xff" * 32
+        else:  # a whole stream, but short of the grid
+            blob = gzip.compress(gzip.decompress(blob)[:-100])
+        path.write_bytes(blob)
+        for read in (lambda: read_volume(path, "mask"),
+                     lambda: read_mask_voxels(path, np.arange(5), grid)):
+            with pytest.raises(InputError) as info:
+                read()
+            assert str(info.value).startswith(f"{path}: ")
+        if kind == "short":
+            with pytest.raises(TruncatedDataError):
+                read_mask_voxels(path, np.arange(5), grid)
+
+    @pytest.mark.parametrize("density", [0.05, 0.2, 0.9])
+    def test_dense_mask_read_peaks_at_its_grid_and_index(self, tmp_path, density):
+        # a block whose index would outweigh its nonzero test keeps the test,
+        # so the read holds no more than the grid a dense read would build,
+        # its index and a few blocks
+        data = np.random.default_rng(5).random((128, 128, 64)) < density
+        path = tmp_path / "d.nii.gz"
+        write_volume(make_mask(data), path, datatype=2)
+        tracemalloc.start()
+        try:
+            mask = read_volume(path, "mask")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(mask.fg_index, np.flatnonzero(data.ravel("F")))
+        assert peak < data.size + mask.fg_index.nbytes + 2**21, (density, peak)
+
+    def test_gather_checks_the_grid_after_the_stream(self, tmp_path):
+        path = write_nifti(tmp_path / "g.nii.gz", stored_mask(2), 2)
+        other = make_mask(np.ones((11, 9, 6), bool))
+        with pytest.raises(DimMismatchError) as info:
+            read_mask_voxels(path, np.arange(3), other)
+        assert str(info.value) == f"{path}: grid mismatch: (11, 9, 7) vs (11, 9, 6)"
+        shifted = BinaryMask(np.ones((11, 9, 7), bool), (1, 1, 1), np.eye(3, 4) + 0.5)
+        read_mask_voxels(path, np.arange(3), shifted)
+        with pytest.raises(DimMismatchError, match="affines differ"):
+            read_mask_voxels(path, np.arange(3), shifted, strict=True)
+
+
+class TestBinaryMaskForms:
+    """A mask built from its grid or from its index is the same mask; each
+    form is derived from the other only when asked for."""
+
+    @pytest.mark.parametrize("shape, density", [((9, 8, 7), 0.3), ((7, 1, 5), 0.9),
+                                                ((4, 4, 4), 0.0), ((3, 3, 3), 1.0)])
+    def test_both_forms_agree(self, shape, density):
+        data = np.random.default_rng(int(10 * density)).random(shape) < density
+        dense = make_mask(data)
+        sparse = BinaryMask.from_index(np.flatnonzero(data.ravel("F")), shape,
+                                       dense.spacing, dense.affine)
+        assert "data" not in vars(sparse) and "fg_index" not in vars(dense)
+        probe = np.arange(data.size)
+        for mask in (dense, sparse):
+            assert mask.any() == data.any()
+            assert np.array_equal(mask.contains(probe), data.ravel("F"))
+        # neither lookup built the other form
+        assert "data" not in vars(sparse) and "fg_index" not in vars(dense)
+        assert np.array_equal(sparse.data, data) and np.array_equal(dense.fg_index, sparse.fg_index)
+        assert sparse.dims == dense.dims == shape
+        assert np.array_equal(sparse.affine, dense.affine) and sparse.spacing == dense.spacing
+
+    def test_index_form_checks_its_spacing(self):
+        with pytest.raises(BadHeaderError):
+            BinaryMask.from_index(np.arange(3), (2, 2, 2), (1.0, 0.0, 1.0), np.eye(3, 4))

@@ -118,8 +118,10 @@ class _RecordingRng:
 
 
 class TestRasterizeOracle:
-    """generate is byte-identical to its dense form: every candidate tube
-    checked against every placed one (no box pad can clear it), every tube
+    """generate is byte-identical to its dense form: every candidate's whole
+    polyline built and bounds-checked (no end point test rejects it first),
+    every candidate tube checked against every placed one (no box pad can
+    clear it), every tube
     rasterized over its whole box (tests/oracles.py), and the image built
     as noise + offset * mask, then copied to Fortran order."""
 
@@ -134,6 +136,7 @@ class TestRasterizeOracle:
 
         with monkeypatch.context() as m:
             m.setattr(phantom, "_BOX_PAD", np.inf)
+            m.setattr(phantom, "_END_SLACK", np.inf)  # every polyline is built
             m.setattr(phantom, "_rasterize", oracles.dense_rasterize)
             m.setattr(phantom.np.random, "default_rng", recording)
             _, truth, count = generate(spec)
@@ -187,6 +190,35 @@ class TestRasterizeOracle:
         generate(RASTER_CORPUS["edge"])
         assert any((np.floor(p.min(axis=0) - r - 1) < 0).any() for p, r, _ in calls)
         assert any((np.ceil(p.max(axis=0) + r + 1) > top).any() for p, r, top in calls)
+
+    def test_infeasible_packing_places_as_many_tubes_as_the_dense_form(self, monkeypatch):
+        # 2,400 candidates, most of them out of bounds: the end point test
+        # rejects exactly those the whole polyline would, so the draws agree
+        spec = PhantomSpec(dims=(16, 16, 16), n_tubes=8, clearance=6.0,
+                           length_range=(8.0, 10.0), seed=0)
+        with pytest.raises(InfeasiblePackingError) as got:
+            generate(spec)
+        with pytest.raises(InfeasiblePackingError) as want:
+            self.dense_generate(spec, monkeypatch)
+        assert str(got.value) == str(want.value)
+
+    def test_end_point_test_rejects_only_what_the_polyline_test_does(self):
+        spec = PhantomSpec(dims=(16, 16, 16), bend_amplitude=3.0, radius_range=(0.3, 3.0),
+                           length_range=(2.0, 12.0))
+        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+        outcomes = set()
+        for _ in range(3000):
+            candidate = phantom._polyline(rng_a, spec)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(phantom, "_END_SLACK", np.inf)
+                points, radius = phantom._polyline(rng_b, spec)
+            full = phantom._in_bounds(points, radius, spec.dims)
+            if candidate is None:
+                assert not full
+            else:
+                assert np.array_equal(candidate[0], points) and candidate[1] == radius
+            outcomes.add((candidate is None, full))
+        assert outcomes == {(True, False), (False, False), (False, True)}
 
     def test_corpus_holds_a_signed_zero_off_the_tubes(self, monkeypatch):
         image, truth, _ = self.dense_generate(RASTER_CORPUS["flat-negzero-dark"], monkeypatch)

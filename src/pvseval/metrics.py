@@ -46,7 +46,7 @@ class RoiMask:
 
     def __post_init__(self) -> None:
         if self.empty is None:
-            object.__setattr__(self, "empty", not self.mask.any())
+            object.__setattr__(self, "empty", self.mask.foreground_count == 0)
 
 
 def intersect(a: BinaryMask, b: BinaryMask, strict: bool = False) -> BinaryMask:

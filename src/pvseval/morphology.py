@@ -5,10 +5,13 @@ fg_index: one lookup per neighbor offset in a grid padded with foreground,
 so off-grid neighbors never join a ring. Ring and mask voxels are keyed
 group * grid size + C-order index; one sort then groups them, drops
 repeats, and puts each group in the order boolean indexing reads it, so
-every mean equals image.data[bool].mean() bit for bit. Contrast reads the
-image only at the mask and ring voxels, once, through one accessor: a
-dense Volume3D is indexed, and a function such as nifti.read_voxels bound
-to a file gathers just those voxels while it streams the file.
+every mean equals image.data[bool].mean() bit for bit. shell and
+dilate_once return the ring, and its union with the mask, as masks built
+from sorted foreground indices: that padded lookup is the only grid they
+paint. Contrast reads the image only at the mask and ring voxels, once,
+through one accessor: a dense Volume3D is indexed, and a function such as
+nifti.read_voxels bound to a file gathers just those voxels while it
+streams the file.
 """
 
 from __future__ import annotations
@@ -86,15 +89,15 @@ def _group_means(gather: Gather, m: BinaryMask, *key_sets: np.ndarray):
 
 def dilate_once(m: BinaryMask, connectivity: int = 26) -> BinaryMask:
     """Union of the mask with all connectivity-neighbors of its foreground."""
-    return BinaryMask(data=m.data | shell(m, connectivity).data, spacing=m.spacing,
-                      affine=m.affine)
+    index = np.sort(np.concatenate((m.fg_index, shell(m, connectivity).fg_index)))
+    return BinaryMask.from_index(index, m.dims, m.spacing, m.affine)
 
 
 def shell(m: BinaryMask, connectivity: int = 26) -> BinaryMask:
     """Ring of background voxels adjacent to the mask: dilate(m) minus m."""
-    data = np.zeros(m.dims, dtype=bool, order="F")
-    data[np.unravel_index(_ring(m, 0, connectivity), m.dims)] = True
-    return BinaryMask(data=data, spacing=m.spacing, affine=m.affine)
+    ring = np.unravel_index(_ring(m, 0, connectivity), m.dims)
+    index = np.sort(np.ravel_multi_index(ring, m.dims, order="F"))
+    return BinaryMask.from_index(index, m.dims, m.spacing, m.affine)
 
 
 def contrast_stat(

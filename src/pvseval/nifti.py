@@ -150,13 +150,14 @@ class Volume3D:
 
 @dataclass(eq=False)
 class BinaryMask(Volume3D):
-    """Boolean foreground/background on a 3D grid, held as its grid (data),
-    its sorted foreground index (fg_index), or both.
+    """Boolean foreground/background on a 3D grid, worked on as its sorted
+    foreground index (fg_index).
 
-    BinaryMask(data, spacing, affine) starts from the grid and
-    BinaryMask.from_index(index, dims, spacing, affine) from the index; the
-    other form is derived on first use, as LabelMap.data is. Both are cached,
-    as neither changes, and read-only.
+    BinaryMask(data, spacing, affine) takes a bool grid as input, and
+    BinaryMask.from_index(index, dims, spacing, affine) the index itself.
+    Every operation reads fg_index, which a grid input yields on first use;
+    data is only an output, painted from fg_index when asked for, as
+    LabelMap.data is. Both are cached, as neither changes, and read-only.
     """
 
     def __post_init__(self) -> None:
@@ -201,18 +202,9 @@ class BinaryMask(Volume3D):
     def foreground_count(self) -> int:
         return self.fg_index.size
 
-    def any(self) -> bool:
-        """Whether any voxel is foreground, from the form already held."""
-        if "data" in vars(self):
-            return bool(self.data.any())
-        return self.fg_index.size > 0
-
     def contains(self, index: np.ndarray) -> np.ndarray:
-        """Foreground test at flat x-fastest indices: a lookup in the grid
-        when it is held, else a binary search of fg_index; neither form is
-        built for it."""
-        if "data" in vars(self):
-            return self.data.ravel("F")[index]
+        """Foreground test at flat x-fastest indices: a binary search of
+        fg_index."""
         fg = self.fg_index
         if not fg.size:
             return np.zeros(np.shape(index), dtype=bool)
@@ -228,11 +220,11 @@ def ensure_same_grid(a: Volume3D, b: Volume3D, strict: bool = False) -> None:
         raise DimMismatchError("affines differ beyond 1e-4 in strict grid mode")
 
 
-# header layout, offsets per the NIfTI-1 standard
+# header layout, offsets per the NIfTI-1 standard; names are NiftiHeader's
 _FIELDS = (
     ("sizeof_hdr", 0, "i"),
     ("dim", 40, "8h"),
-    ("datatype", 70, "h"),
+    ("datatype_code", 70, "h"),
     ("bitpix", 72, "h"),
     ("pixdim", 76, "8f"),
     ("vox_offset", 108, "f"),
@@ -245,6 +237,7 @@ _FIELDS = (
     ("srow_x", 280, "4f"),
     ("srow_y", 296, "4f"),
     ("srow_z", 312, "4f"),
+    ("magic", 344, "4s"),
 )
 
 
@@ -272,45 +265,27 @@ def parse_header(raw: bytes) -> NiftiHeader:
     for name, offset, fmt in _FIELDS:
         decoded = struct.unpack_from(order + fmt, raw, offset)
         values[name] = decoded[0] if len(decoded) == 1 else decoded
-    magic = bytes(raw[344:348])
 
+    magic = values["magic"]
     if magic not in (MAGIC_SINGLE, MAGIC_PAIR):
         raise BadMagicError(f"magic {magic!r} is neither 'n+1' nor 'ni1'")
 
-    dim = tuple(int(d) for d in values["dim"])
+    dim = values["dim"]
     if not 1 <= dim[0] <= 7:
         raise BadHeaderError(f"dim[0]={dim[0]} outside 1..7")
 
-    datatype = int(values["datatype"])
+    datatype = values["datatype_code"]
     if datatype not in READ_DATATYPES:
         raise UnsupportedDatatypeError(
             f"datatype code {datatype} not in {sorted(READ_DATATYPES)}")
-    bitpix = int(values["bitpix"])
+    bitpix = values["bitpix"]
     if bitpix != READ_DATATYPES[datatype][1]:
         raise InconsistentBitpixError(
             f"bitpix {bitpix} inconsistent with datatype {datatype} "
             f"(expected {READ_DATATYPES[datatype][1]})"
         )
 
-    return NiftiHeader(
-        sizeof_hdr=HEADER_SIZE,
-        dim=dim,
-        datatype_code=datatype,
-        bitpix=bitpix,
-        pixdim=tuple(float(p) for p in values["pixdim"]),
-        vox_offset=float(values["vox_offset"]),
-        scl_slope=float(values["scl_slope"]),
-        scl_inter=float(values["scl_inter"]),
-        qform_code=int(values["qform_code"]),
-        sform_code=int(values["sform_code"]),
-        quatern=tuple(float(v) for v in values["quatern"]),
-        qoffset=tuple(float(v) for v in values["qoffset"]),
-        srow_x=tuple(float(v) for v in values["srow_x"]),
-        srow_y=tuple(float(v) for v in values["srow_y"]),
-        srow_z=tuple(float(v) for v in values["srow_z"]),
-        magic=magic,
-        byte_order=order,
-    )
+    return NiftiHeader(**values, byte_order=order)
 
 
 def _quaternion_affine(hdr: NiftiHeader) -> np.ndarray:
@@ -631,8 +606,8 @@ def read_mask_voxels(path: str | Path, index: np.ndarray, grid: Volume3D,
                      strict: bool = False) -> tuple[np.ndarray, bool]:
     """(foreground test at sorted flat x-fastest indices, whether any voxel
     of the file is foreground) of a single-file NIfTI-1 mask:
-    read_volume(path, "mask").contains(index) and .any(), without building
-    its index or its grid.
+    read_volume(path, "mask").contains(index) and .foreground_count > 0,
+    without building its index or its grid.
 
     The whole file is decoded and checked as in read_volume: a damaged
     stream, then NaN anywhere in a float mask, then the grid, each error
@@ -674,25 +649,29 @@ def _check_representable(data: np.ndarray, dtype: np.dtype, code: int) -> None:
 
 def build_header(vol: Volume3D, datatype: int) -> bytes:
     """Assemble a little-endian single-file header for the volume."""
-    dtype, bitpix = DATATYPES[datatype]
-    buf = bytearray(HEADER_SIZE)
-    struct.pack_into("<i", buf, 0, HEADER_SIZE)
-    nx, ny, nz = vol.dims
-    struct.pack_into("<8h", buf, 40, 3, nx, ny, nz, 1, 1, 1, 1)
-    struct.pack_into("<h", buf, 70, datatype)
-    struct.pack_into("<h", buf, 72, bitpix)
-    sx, sy, sz = vol.spacing
-    struct.pack_into("<8f", buf, 76, 1.0, sx, sy, sz, 0.0, 0.0, 0.0, 0.0)
-    struct.pack_into("<f", buf, 108, float(SINGLE_FILE_VOX_OFFSET))
-    struct.pack_into("<f", buf, 112, 1.0)  # scl_slope
-    struct.pack_into("<f", buf, 116, 0.0)  # scl_inter
-    struct.pack_into("<h", buf, 252, 0)  # qform_code
-    struct.pack_into("<h", buf, 254, 1)  # sform_code
     aff = np.asarray(vol.affine, dtype=np.float64)
-    struct.pack_into("<4f", buf, 280, *aff[0])
-    struct.pack_into("<4f", buf, 296, *aff[1])
-    struct.pack_into("<4f", buf, 312, *aff[2])
-    buf[344:348] = MAGIC_SINGLE
+    values = {
+        "sizeof_hdr": HEADER_SIZE,
+        "dim": (3, *vol.dims, 1, 1, 1, 1),
+        "datatype_code": datatype,
+        "bitpix": DATATYPES[datatype][1],
+        "pixdim": (1.0, *vol.spacing, 0.0, 0.0, 0.0, 0.0),
+        "vox_offset": float(SINGLE_FILE_VOX_OFFSET),
+        "scl_slope": 1.0,
+        "scl_inter": 0.0,
+        "qform_code": 0,
+        "sform_code": 1,
+        "quatern": (0.0, 0.0, 0.0),
+        "qoffset": (0.0, 0.0, 0.0),
+        "srow_x": tuple(aff[0]),
+        "srow_y": tuple(aff[1]),
+        "srow_z": tuple(aff[2]),
+        "magic": MAGIC_SINGLE,
+    }
+    buf = bytearray(HEADER_SIZE)
+    for name, offset, fmt in _FIELDS:
+        value = values[name]
+        struct.pack_into("<" + fmt, buf, offset, *(value if isinstance(value, tuple) else (value,)))
     return bytes(buf)
 
 

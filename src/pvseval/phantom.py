@@ -11,7 +11,8 @@ construction); a candidate whose end points already leave the grid is
 rejected before its polyline is built, and its point distances are
 computed only to the placed tubes whose boxes come near enough to matter.
 Perturbations with analytically known metric values turn the truth into a
-controlled "prediction".
+controlled "prediction"; they read the truth's sorted foreground index
+and return a mask built from an index, so no grid is painted for them.
 """
 
 from __future__ import annotations
@@ -246,48 +247,35 @@ class Perturbation:
             raise BadParameterError(f"connectivity must be one of {CONNECTIVITIES}")
 
 
-def _translate(data: np.ndarray, offset: tuple[int, int, int]) -> np.ndarray:
-    out = np.zeros_like(data)
-    src, dst = [], []
-    for d, n in zip(offset, data.shape):
-        if abs(d) >= n:
-            return out
-        if d >= 0:
-            src.append(slice(0, n - d))
-            dst.append(slice(d, n))
-        else:
-            src.append(slice(-d, n))
-            dst.append(slice(0, n + d))
-    out[tuple(dst)] = data[tuple(src)]
-    return out
-
-
 def perturb(truth: BinaryMask, p: Perturbation, seed: int = 0) -> BinaryMask:
     """Apply a perturbation; deterministic for a fixed seed."""
     p.validate()
     rng = np.random.default_rng(seed)
     if p.kind == "dilate_once":
         return dilate_once(truth, p.connectivity)
+    fg, dims = truth.fg_index, truth.dims
     if p.kind == "translate":
-        data = _translate(truth.data, p.offset)
-        return BinaryMask(data=data, spacing=truth.spacing, affine=truth.affine)
-    if p.kind == "delete_fraction":
-        coords = np.argwhere(truth.data)
-        n_delete = int(round(p.fraction * coords.shape[0]))
-        data = np.array(truth.data, order="F")
+        # a shift that keeps a voxel on the grid moves its flat index by a
+        # constant, so the kept indices stay sorted
+        coords = np.add(np.unravel_index(fg, dims, order="F"), np.reshape(p.offset, (3, 1)))
+        on_grid = ((coords >= 0) & (coords < np.reshape(dims, (3, 1)))).all(axis=0)
+        fg = np.ravel_multi_index(tuple(coords[:, on_grid]), dims, order="F")
+    elif p.kind == "delete_fraction":
+        n_delete = int(round(p.fraction * fg.size))
         if n_delete:
-            chosen = rng.choice(coords.shape[0], size=n_delete, replace=False)
-            sel = coords[chosen]
-            data[sel[:, 0], sel[:, 1], sel[:, 2]] = False
-        return BinaryMask(data=data, spacing=truth.spacing, affine=truth.affine)
-    # drop_clusters
-    lm = label_components(truth, p.connectivity)
-    if p.k > lm.component_count:
-        raise BadParameterError(
-            f"cannot drop {p.k} of {lm.component_count} clusters"
-        )
-    data = np.array(truth.data, order="F")
-    if p.k:
-        drop = rng.choice(lm.component_count, size=p.k, replace=False) + 1
-        data.ravel("F")[lm.fg_index[np.isin(lm.fg_labels, drop)]] = False
-    return BinaryMask(data=data, spacing=truth.spacing, affine=truth.affine)
+            # draw positions in C order, the order np.argwhere lists voxels
+            # in, so a seed deletes the voxels it always did
+            by_rank = np.argsort(np.ravel_multi_index(np.unravel_index(fg, dims, order="F"), dims))
+            keep = np.ones(fg.size, dtype=bool)
+            keep[by_rank[rng.choice(fg.size, size=n_delete, replace=False)]] = False
+            fg = fg[keep]
+    else:  # drop_clusters
+        lm = label_components(truth, p.connectivity)
+        if p.k > lm.component_count:
+            raise BadParameterError(
+                f"cannot drop {p.k} of {lm.component_count} clusters"
+            )
+        if p.k:
+            drop = rng.choice(lm.component_count, size=p.k, replace=False) + 1
+            fg = lm.fg_index[~np.isin(lm.fg_labels, drop)]
+    return BinaryMask.from_index(fg, dims, truth.spacing, truth.affine)

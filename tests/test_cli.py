@@ -138,6 +138,36 @@ class TestMetricsCommand:
         assert code == 1
         assert "internal error" in capsys.readouterr().err
 
+    def test_out_names_a_file_exit_2(self, phantom_files, tmp_path, capsys):
+        root = phantom_files["root"]
+        (tmp_path / "taken").write_text("")
+        code = run("metrics", "--pred", root / "truth.nii.gz",
+                   "--ref", root / "truth.nii.gz", "--out", tmp_path / "taken")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pvseval: error: [Errno") and "File exists" in err
+        assert str(tmp_path / "taken") in err
+
+    def test_config_names_a_directory_exit_2(self, phantom_files, tmp_path, capsys):
+        root = phantom_files["root"]
+        code = run("metrics", "--pred", root / "truth.nii.gz",
+                   "--ref", root / "truth.nii.gz", "--out", tmp_path / "out",
+                   "--config", tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pvseval: error: [Errno") and "Is a directory" in err
+        assert str(tmp_path) in err
+
+    def test_save_labels_names_a_directory_exit_2(self, phantom_files, tmp_path, capsys):
+        root = phantom_files["root"]
+        (tmp_path / "labels").mkdir()
+        code = run("clusters", "--mask", root / "truth.nii.gz", "--out", tmp_path / "out",
+                   "--save-labels", tmp_path / "labels")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pvseval: error: [Errno") and "Is a directory" in err
+        assert str(tmp_path / "labels") in err
+
     def test_strict_grid_compares_affines(self, phantom_files, tmp_path, capsys):
         root, truth = phantom_files["root"], phantom_files["truth"]
         affine = np.array(truth.affine)

@@ -74,8 +74,11 @@ class TestExactContrast:
     def test_shell_and_dilation_on_edge_cases(self, conn):
         for _, _, arr in exact_cases():
             grown = brute_dilate(arr, conn)
-            assert np.array_equal(dilate_once(make_mask(arr), conn).data, grown)
-            assert np.array_equal(shell(make_mask(arr), conn).data, grown & ~arr)
+            for fn, want in ((dilate_once, grown), (shell, grown & ~arr)):
+                out = fn(make_mask(arr), conn)
+                assert "data" not in vars(out)  # built as its index, no grid painted
+                assert np.array_equal(out.fg_index, np.flatnonzero(want.ravel("F")))
+                assert np.array_equal(out.data, want)
 
 
 class TestDilate:

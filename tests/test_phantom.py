@@ -9,6 +9,7 @@ from pvseval.ccl import label_components
 from pvseval.errors import BadParameterError, InfeasiblePackingError
 from pvseval.metrics import cluster_metrics, evaluate_subject, voxel_metrics
 from pvseval.morphology import contrast_stat, shell
+from pvseval.nifti import BinaryMask
 from pvseval.phantom import Perturbation, PhantomSpec, generate, perturb
 
 
@@ -245,6 +246,77 @@ class TestValidateFinite:
     def test_non_finite_rejected_by_name(self, field, value):
         with pytest.raises(BadParameterError, match=f"^{field} must be finite"):
             generate(small_spec(**{field: value}))
+
+
+def _dense_perturb(data: np.ndarray, p: Perturbation, seed: int) -> np.ndarray:
+    """perturb on a bool grid: argwhere and the same draw for deletions, a
+    slice shift for translations, np.isin on the label grid for drops, and
+    the brute-force dilation."""
+    rng = np.random.default_rng(seed)
+    out = np.array(data, order="F")
+    if p.kind == "dilate_once":
+        out = oracles.brute_dilate(data, p.connectivity)
+    elif p.kind == "delete_fraction":
+        coords = np.argwhere(data)
+        n_delete = int(round(p.fraction * coords.shape[0]))
+        if n_delete:
+            sel = coords[rng.choice(coords.shape[0], size=n_delete, replace=False)]
+            out[sel[:, 0], sel[:, 1], sel[:, 2]] = False
+    elif p.kind == "translate":
+        out[...] = False
+        if all(abs(d) < n for d, n in zip(p.offset, data.shape)):
+            src = tuple(slice(max(-d, 0), n - max(d, 0)) for d, n in zip(p.offset, data.shape))
+            dst = tuple(slice(max(d, 0), n - max(-d, 0)) for d, n in zip(p.offset, data.shape))
+            out[dst] = data[src]
+    else:
+        lm = label_components(BinaryMask(data, (1.0, 1.0, 1.0), np.eye(3, 4)), p.connectivity)
+        if p.k:
+            drop = rng.choice(lm.component_count, size=p.k, replace=False) + 1
+            out[np.isin(lm.data, drop)] = False
+    return out
+
+
+def _perturbations(dims):
+    nx, ny, nz = dims
+    yield from (Perturbation("delete_fraction", fraction=f) for f in (0.0, 0.2, 0.5, 1.0))
+    yield from (Perturbation("drop_clusters", k=k, connectivity=c)
+                for k in (0, 1, 3) for c in (6, 26))
+    yield from (Perturbation("dilate_once", connectivity=c) for c in (6, 26))
+    for offset in ((0, 0, 0), (-2, 1, -3), (3, -1, 2), (nx, 0, 0), (0, -ny, 0),
+                   (0, 0, nz + 4), (nx - 1, 1 - ny, 0), (-nx - 1, 2, 1)):
+        yield Perturbation("translate", offset=offset)
+
+
+class TestPerturbIndexOracle:
+    """perturb builds its result from truth's foreground index; it equals
+    the dense reference byte for byte, and no grid is painted for it."""
+
+    @pytest.mark.parametrize("truth", ["phantom", "random"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_equals_dense_reference(self, truth, seed):
+        if truth == "phantom":
+            _, mask, _ = generate(small_spec(dims=(30, 26, 22), n_tubes=4, seed=3))
+        else:
+            data = np.random.default_rng(17).random((13, 11, 9)) < 0.08
+            mask = BinaryMask(data, (0.5, 1.0, 2.0), np.eye(3, 4))
+        assert label_components(mask, 26).component_count >= 3
+        for p in _perturbations(mask.dims):
+            out = perturb(mask, p, seed=seed)
+            assert "data" not in vars(out), p
+            want = _dense_perturb(mask.data, p, seed)
+            assert np.array_equal(out.fg_index, np.flatnonzero(want.ravel("F"))), p
+            assert out.data.tobytes("F") == want.tobytes("F"), p
+            assert out.spacing == mask.spacing and np.array_equal(out.affine, mask.affine)
+
+    def test_index_built_truth(self):
+        # a truth read from a file holds only its index
+        data = np.random.default_rng(4).random((12, 10, 8)) < 0.1
+        dense = BinaryMask(data, (1.0, 1.0, 1.0), np.eye(3, 4))
+        sparse = BinaryMask.from_index(dense.fg_index, dense.dims, dense.spacing, dense.affine)
+        for p in _perturbations(dense.dims):
+            out = perturb(sparse, p, seed=2)
+            assert np.array_equal(out.fg_index, perturb(dense, p, seed=2).fg_index), p
+        assert "data" not in vars(sparse)
 
 
 class TestPerturb:

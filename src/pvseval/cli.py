@@ -25,7 +25,9 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -43,10 +45,11 @@ from .harness import (
     make_folds,
     read_manifest,
     read_subject,
+    read_text,
 )
 from .metrics import METRIC_NAMES, evaluate_subject
 from .morphology import contrast_stat, contrast_stat_per_cluster
-from .nifti import Volume3D, read_volume, read_voxels, write_volume
+from .nifti import read_volume, read_voxels, write_volume
 from .phantom import PhantomSpec, Perturbation, generate, perturb
 from .stats import compare_models
 
@@ -93,11 +96,10 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         except ValueError:
             raise InputError(f"{WORKERS_ENV} must be an integer, got {workers!r}") from None
     if args.config:
-        with open(args.config) as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{args.config}: invalid JSON config: {exc}") from exc
+        try:
+            loaded = json.loads(read_text(args.config))
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{args.config}: invalid JSON config: {exc}") from exc
         if not isinstance(loaded, dict):
             raise InputError(f"{args.config}: config must be a JSON object")
         for key, value in loaded.items():
@@ -107,6 +109,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             if type(value) is not want and not (want is float and type(value) is int):
                 raise InputError(f"{args.config}: config key {key!r} must be "
                                  f"{_JSON_TYPES[want]}, got {json.dumps(value)}")
+            if want is str and "\x00" in value:  # no path holds one, and open() fails on it
+                raise InputError(f"{args.config}: config key {key!r} holds a NUL byte")
             cfg[key] = want(value)
     row = COMMAND_SETTINGS[args.command]
     for key in row:
@@ -314,7 +318,7 @@ def _read_per_subject_csv(path: str):
     by_subject: dict[str, dict[str, float | None]] = {}
     regions: dict[str, set[str]] = {}  # region -> its subject ids
     connectivities = set()
-    with open(path, newline="") as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise InputError(f"{path}: empty CSV")
@@ -337,11 +341,16 @@ def _read_per_subject_csv(path: str):
             for metric in METRIC_NAMES:
                 text = (row.get(metric) or "").strip()
                 try:
-                    values[f"{region}:{metric}"] = float(text) if text else None
+                    value = float(text) if text else None
                 except ValueError as exc:
                     raise InputError(
                         f"{path}: row {i}, column {metric}: not a number: {text!r}"
                     ) from exc
+                # every metric is a ratio; nan is undefined, as an empty cell
+                if value is not None and not math.isnan(value) and not 0.0 <= value <= 1.0:
+                    raise InputError(
+                        f"{path}: row {i}, column {metric}: {text!r} is outside [0, 1]")
+                values[f"{region}:{metric}"] = value
     if not by_subject:
         raise InputError(f"{path}: no rows")
     if len(connectivities) > 1:
@@ -439,8 +448,7 @@ def cmd_clusters(args) -> int:
         histogram = ("histogram", cells)
     _write_json(out / "clusters.json", payload, cfg, histogram)
     if args.save_labels:
-        label_vol = Volume3D(data=lm.data, spacing=mask.spacing, affine=mask.affine)
-        write_volume(label_vol, args.save_labels, datatype=8)
+        write_volume(lm, args.save_labels, datatype=8)
     return 0
 
 

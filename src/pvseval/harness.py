@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import random
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
@@ -85,13 +86,26 @@ class AggregateReport:
     r_num: float | None  # r(manual count, algo count)
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a small input file (a manifest, a CSV, a config), read
+    as UTF-8; bytes that are not UTF-8 are an InputError naming the file
+    and the line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{path}: line {line}: not UTF-8 text "
+                         f"({exc.reason} at byte {exc.start})") from None
+
+
 def read_manifest(path: str | Path) -> list[SubjectRecord]:
     """Parse a manifest CSV; unknown columns are rejected by name.
 
     An image_path column, written by older versions, is accepted and ignored.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise EmptyManifestError(f"{path}: empty manifest")
@@ -106,6 +120,9 @@ def read_manifest(path: str | Path) -> list[SubjectRecord]:
         records = []
         seen = set()
         for i, row in enumerate(reader, start=2):
+            for column, cell in row.items():
+                if cell and "\x00" in cell:  # no path holds one, and open() fails on it
+                    raise InputError(f"{path}: row {i}, column {column}: holds a NUL byte")
             sid = (row.get("subject_id") or "").strip()
             if not sid:
                 raise InputError(f"{path}: row {i}: empty subject_id")

@@ -16,10 +16,21 @@ grid is built; an intensity read casts each block straight into the output
 grid. read_voxels and read_mask_voxels keep only the values at the voxels
 asked for, so a caller that needs a few voxels of a large image or region
 never holds its grid.
+
+Every write goes through one block writer. A volume held as its foreground
+(an index-built BinaryMask, a ccl.LabelMap) is painted only a range at a
+time, so no grid is built. A .nii.gz is one gzip member whose deflate
+stream is spliced together: the 4 kB blocks of the byte stream that hold a
+nonzero byte are deflated by one Z_RLE compressor, and each run of all-zero
+blocks is a full flush followed by precomputed deflate of 2**k zero blocks,
+with the CRC carried over the zeros by a GF(2) operator, as pigz joins
+independently compressed pieces. It decompresses to exactly the bytes of
+the .nii write.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -675,44 +686,196 @@ def build_header(vol: Volume3D, datatype: int) -> bytes:
     return bytes(buf)
 
 
+# a .nii.gz write cuts its byte stream (header, then voxels) into blocks;
+# the blocks that hold only zero bytes are spliced in as precomputed deflate
+_ZBLOCK = 1 << 12
+_ZPIECE_MAX = 8  # zero pieces span 2**0 .. 2**8 blocks (1 MB); the largest repeats
+_STEP = 1 << 20  # most stream bytes served, compressed or written at once
+# zlib's gzip header for wbits 31 at Z_RLE: mtime 0, no file name, XFL 4, OS Unix
+_GZIP_HEAD = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x04\x03"
+_CRC_POLY = 0xEDB88320  # CRC-32, bit-reflected
+
+
+def _gf2_multiply(a: int, b: int) -> int:
+    """a * b modulo the CRC-32 polynomial, both bit-reflected (x^0 is bit
+    31), as zlib's multmodp."""
+    product = 0
+    while a:
+        if a & 0x80000000:
+            product ^= b
+        a = (a << 1) & 0xFFFFFFFF
+        b = (b >> 1) ^ _CRC_POLY if b & 1 else b >> 1
+    return product
+
+
+@functools.lru_cache(maxsize=32)
+def _zeros_operator(n: int) -> tuple[tuple[int, ...], ...]:
+    """x^(8n) modulo the CRC-32 polynomial, the linear map that moves a CRC
+    register over n zero bytes, as one table per register byte: the moved
+    register is the XOR of the four tables at its four bytes."""
+    power, square = 1 << 31, 1 << 23  # x^0, x^8
+    while n:
+        if n & 1:
+            power = _gf2_multiply(square, power)
+        square = _gf2_multiply(square, square)
+        n >>= 1
+    tables = []
+    for shift in (0, 8, 16, 24):
+        table = [0]
+        for bit in range(8):  # linear: a byte's image is the XOR of its bits' images
+            image = _gf2_multiply(power, 1 << (shift + bit))
+            table += [entry ^ image for entry in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def crc32_zeros(crc: int, n: int) -> int:
+    """zlib.crc32(bytes(n), crc), without reading the n bytes (the method of
+    zlib's crc32_combine)."""
+    t0, t1, t2, t3 = _zeros_operator(n)
+    r = crc ^ 0xFFFFFFFF
+    return t0[r & 255] ^ t1[r >> 8 & 255] ^ t2[r >> 16 & 255] ^ t3[r >> 24] ^ 0xFFFFFFFF
+
+
+def _raw_deflate():
+    # Z_RLE matches only at distance 1, i.e. runs of one value, which is what
+    # masks and label maps are made of. Under Z_RLE any nonzero level gives
+    # the same deflate stream; only the gzip header's XFL byte would differ
+    return zlib.compressobj(6, zlib.DEFLATED, -zlib.MAX_WBITS, 8, zlib.Z_RLE)
+
+
+@functools.cache
+def _zero_piece(k: int) -> bytes:
+    """Raw deflate of 2**k all-zero blocks, ending on a full flush: byte
+    aligned, and referring to nothing before it, so it can be spliced into
+    a stream just after a full flush (RFC 1951)."""
+    stream = _raw_deflate()
+    return stream.compress(bytes(_ZBLOCK << k)) + stream.flush(zlib.Z_FULL_FLUSH)
+
+
+def _busy_blocks(length: int, head: int, grid: np.ndarray | None, index: np.ndarray,
+                 size: int) -> np.ndarray:
+    """Per block of a length-byte stream (head <= _ZBLOCK header bytes, then
+    voxels of size bytes): False when the block is known to hold only zero
+    bytes.
+
+    The header's block and a partial last block are always busy. A grid's
+    bytes are scanned block by block; a volume held as its foreground marks
+    the blocks its voxels' bytes fall in.
+    """
+    busy = np.zeros(-(-length // _ZBLOCK), dtype=bool)
+    busy[0] = True
+    busy[-1] |= length % _ZBLOCK != 0
+    if grid is not None:
+        raw = grid.view(np.uint8)[_ZBLOCK - head:]
+        full = raw.size // _ZBLOCK
+        words = raw[:full * _ZBLOCK].view(np.uint64)
+        busy[1:1 + full] = words.reshape(full, _ZBLOCK // 8).any(axis=1)
+    else:
+        first = head + index * size
+        busy[first // _ZBLOCK] = True
+        busy[(first + size - 1) // _ZBLOCK] = True  # a voxel across a block edge
+    return busy
+
+
+def _write_stream(fh, head: bytes, dtype: np.dtype, count: int, compress: bool,
+                  grid: np.ndarray | None = None, index: np.ndarray | None = None,
+                  values: np.ndarray | None = None) -> None:
+    """Write head and then count voxels of dtype to fh, as they are or as
+    one gzip member.
+
+    The voxels are a flat grid, or the sorted flat index of the nonzero
+    ones and their values (None: all 1), painted range by range. Compressed,
+    the stream's busy blocks go through one Z_RLE deflate stream, and each
+    run of all-zero blocks is a full flush followed by precomputed pieces of
+    2**k zero blocks, its CRC advanced by crc32_zeros; the member
+    decompresses to exactly the bytes written uncompressed.
+    """
+    size, length = dtype.itemsize, len(head) + count * dtype.itemsize
+    if grid is not None:
+        raw = grid.view(np.uint8)
+
+        def voxel_bytes(lo: int, hi: int):
+            return raw[lo:hi]
+    else:
+        def voxel_bytes(lo: int, hi: int):
+            first, end = lo // size, -(-hi // size)
+            buf = np.zeros(end - first, dtype)
+            at, stop = index.searchsorted((first, end))
+            buf[index[at:stop] - first] = 1 if values is None else values[at:stop]
+            return buf.view(np.uint8)[lo - first * size:hi - first * size]
+
+    def read(start: int, stop: int) -> Iterator:
+        """The stream's bytes [start, stop), in at most _STEP bytes a piece."""
+        for lo in range(start, stop, _STEP):
+            hi = min(lo + _STEP, stop)
+            if lo < len(head):
+                yield head[lo:hi]
+            if hi > len(head):
+                yield voxel_bytes(max(lo - len(head), 0), hi - len(head))
+
+    if not compress:
+        fh.writelines(read(0, length))
+        return
+    busy = _busy_blocks(length, len(head), grid, index, size)
+    bounds = [0, *(np.flatnonzero(busy[1:] != busy[:-1]) + 1).tolist(), busy.size]
+    stream, crc = _raw_deflate(), 0
+    fh.write(_GZIP_HEAD)
+    for run, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if run % 2 == 0:  # runs alternate, and block 0 is busy
+            for part in read(lo * _ZBLOCK, min(hi * _ZBLOCK, length)):
+                crc = zlib.crc32(part, crc)
+                fh.write(stream.compress(part))
+            continue
+        fh.write(stream.flush(zlib.Z_FULL_FLUSH))
+        repeats, rest = divmod(hi - lo, 1 << _ZPIECE_MAX)
+        for k in [_ZPIECE_MAX] * repeats + [k for k in range(_ZPIECE_MAX) if rest >> k & 1]:
+            fh.write(_zero_piece(k))
+            crc = crc32_zeros(crc, _ZBLOCK << k)
+    fh.write(stream.flush())
+    fh.write(struct.pack("<II", crc, length & 0xFFFFFFFF))
+
+
 def write_volume(
-    vol: Volume3D,
+    vol,
     path: str | Path,
     datatype: int = 16,
     gzip_compress: bool | None = None,
 ) -> None:
     """Write a single-file NIfTI-1 volume (vox_offset 352, little-endian).
 
+    vol is a Volume3D, or a volume held as its foreground: a BinaryMask
+    built from its index, or a ccl.LabelMap. It is written from what it
+    holds: a grid it has is written from its buffer, copied only when the
+    datatype or memory layout requires a cast; otherwise the voxels are
+    painted from fg_index (and fg_labels, else 1) a range at a time, and
+    no grid is built.
+
     gzip_compress=None infers compression from a .gz suffix. A compressed
     file is one gzip member (mtime 0, no file name) holding one deflate
-    stream at strategy Z_RLE, so its output bytes are the same on every
-    run, and it decompresses to exactly the bytes of the uncompressed write.
-    The header and the voxel buffer go to the file as they are; the voxels
-    are copied only when the datatype or memory layout requires a cast.
+    stream: the byte stream is cut into 4 kB blocks, the blocks that hold a
+    nonzero byte are deflated at strategy Z_RLE, and each run of all-zero
+    blocks is spliced in as precomputed deflate after a full flush. The
+    output bytes are the same on every run, and they decompress to exactly
+    the bytes of the uncompressed write.
     """
     if datatype not in DATATYPES:
         raise UnsupportedDatatypeError(f"datatype code {datatype} not in {sorted(DATATYPES)}")
     dtype, _ = DATATYPES[datatype]
-    data = np.asarray(vol.data)
-    _check_representable(data, dtype, datatype)
-
-    header = build_header(vol, datatype) + b"\x00\x00\x00\x00"  # no extensions
-    voxels = memoryview(np.asfortranarray(data.astype(dtype, copy=False)).ravel("F"))
+    grid = vars(vol).get("data")
+    if grid is not None:
+        grid = np.asarray(grid)
+        _check_representable(grid, dtype, datatype)
+        grid = np.asfortranarray(grid.astype(dtype, copy=False)).ravel("F")
+        index = values = None
+    else:
+        index, values = vol.fg_index, getattr(vol, "fg_labels", None)
+        if values is not None:
+            _check_representable(values, dtype, datatype)
+    head = build_header(vol, datatype) + b"\x00\x00\x00\x00"  # no extensions
 
     path = Path(path)
     if gzip_compress is None:
         gzip_compress = path.name.endswith(".gz")
     with open(path, "wb") as fh:
-        if gzip_compress:
-            # wbits 31: a gzip wrapper with mtime 0 and no file name. Z_RLE
-            # matches only at distance 1, i.e. runs of one value, which is
-            # what masks and label maps are made of. Under Z_RLE any nonzero
-            # level gives the same deflate stream; it only sets the header's
-            # XFL byte.
-            stream = zlib.compressobj(6, zlib.DEFLATED, 31, 8, zlib.Z_RLE)
-            fh.write(stream.compress(header))
-            fh.write(stream.compress(voxels))
-            fh.write(stream.flush())
-        else:
-            fh.write(header)
-            fh.write(voxels)
+        _write_stream(fh, head, dtype, math.prod(vol.dims), gzip_compress, grid, index, values)

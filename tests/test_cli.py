@@ -1,4 +1,5 @@
 import csv
+import gzip
 import io
 import json
 import math
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pvseval import cli, harness
+from pvseval.ccl import label_components
 from pvseval.cli import main
 from pvseval.harness import SubjectRecord, write_manifest
 from pvseval.metrics import RoiMask
@@ -250,6 +252,33 @@ def build_cohort(root, n_per_site, seed0=0):
 
 
 class TestAggregateCommand:
+    @pytest.mark.parametrize("command", ["aggregate", "folds"])
+    def test_manifest_not_utf8_exit_2(self, tmp_path, capsys, command):
+        manifest, _ = build_cohort(tmp_path, {"A": 2})
+        lines = manifest.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b"A01", b"A\xff1")
+        manifest.write_bytes(b"\n".join(lines))
+        argv = ["--scheme", "5fcv"] if command == "folds" else []
+        offset = manifest.read_bytes().index(b"\xff")
+        assert run(command, "--manifest", manifest, *argv, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            f"pvseval: error: {manifest}: line 3: not UTF-8 text "
+            f"(invalid start byte at byte {offset})\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("column", ["pred_path", "ref_path", "site"])
+    def test_manifest_cell_with_nul_exit_2(self, tmp_path, capsys, column):
+        manifest, _ = build_cohort(tmp_path, {"A": 2})
+        rows = read_csv(manifest)
+        rows[1][column] = rows[1][column][:3] + "\x00" + rows[1][column][3:]
+        with open(manifest, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        assert run("aggregate", "--manifest", manifest, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            f"pvseval: error: {manifest}: row 3, column {column}: holds a NUL byte\n")
+
     def test_two_subject_hand_mean(self, tmp_path):
         manifest, _ = build_cohort(tmp_path, {"A": 2})
         out = tmp_path / "out"
@@ -702,6 +731,39 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert "row 2" in err and "dsc_vox" in err
 
+    @pytest.mark.parametrize("text", ["inf", "-inf", "Infinity", "1.5", "-0.25", "1e300"])
+    def test_value_outside_unit_interval_exit_2(self, tmp_path, capsys, text):
+        rows = [(f"s{i}", "WM", [str(0.1 * i)] * len(METRICS)) for i in range(1, 5)]
+        good = write_per_subject(tmp_path / "good.csv", rows)
+        rows[2][2][4] = text
+        bad = write_per_subject(tmp_path / "bad.csv", rows)
+        assert run("compare", "--a", good, "--b", bad, "--out", tmp_path / "cmp") == 2
+        assert capsys.readouterr().err == (
+            f"pvseval: error: {bad}: row 4, column {METRICS[4]}: {text!r} is outside [0, 1]\n")
+        assert not (tmp_path / "cmp").exists()
+
+    def test_nan_and_unit_interval_edges_accepted(self, tmp_path):
+        rows = [(f"s{i}", "WM", [str(0.1 * i)] * len(METRICS)) for i in range(1, 6)]
+        rows[0][2][:3] = ["nan", "0", "1"]
+        a = write_per_subject(tmp_path / "a.csv", rows)
+        b = write_per_subject(tmp_path / "b.csv", [
+            (sid, region, [str(0.05 + 0.1 * i)] * len(METRICS))
+            for i, (sid, region, _) in enumerate(rows)])
+        assert run("compare", "--a", a, "--b", b, "--out", tmp_path / "cmp") == 0
+        records = json.loads((tmp_path / "cmp" / "compare.json").read_text())["rows"]
+        assert [r["n"] for r in records] == [4, 5, 5, 5, 5, 5]
+
+    def test_csv_not_utf8_exit_2(self, tmp_path, capsys):
+        rows = [(f"s{i}", "WM", [str(0.1 * i)] * len(METRICS)) for i in range(1, 5)]
+        good = write_per_subject(tmp_path / "good.csv", rows)
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(good.read_bytes().replace(b"s3", b"s\xe93"))
+        assert run("compare", "--a", good, "--b", bad, "--out", tmp_path / "cmp") == 2
+        offset = bad.read_bytes().index(b"\xe9")
+        assert capsys.readouterr().err == (
+            f"pvseval: error: {bad}: line 4: not UTF-8 text "
+            f"(invalid continuation byte at byte {offset})\n")
+
     def test_duplicate_row_exit_2(self, tmp_path, capsys):
         header = "subject_id,region,dsc_vox,sen_vox,ppv_vox,dsc_num,sen_num,ppv_num"
         good = tmp_path / "good.csv"
@@ -818,7 +880,8 @@ class TestCompareCommand:
         rows = [(f"s{i}", region, rng.random(6)) for region in ("WM", "BG") for i in range(9)]
         a = write_per_subject(tmp_path / "a.csv", rows)
         b = write_per_subject(tmp_path / "b.csv", [
-            (sid, region, values + rng.normal(0.3 if region == "WM" else 0.0, 0.2, 6))
+            (sid, region, np.clip(values + rng.normal(0.3 if region == "WM" else 0.0, 0.2, 6),
+                                  0.0, 1.0))
             for sid, region, values in rows])
         got = {}
         for family in ("region", "table"):
@@ -844,7 +907,7 @@ class TestCompareCommand:
     @pytest.mark.parametrize("family", ["region", "table"])
     def test_region_with_a_colon_round_trips(self, tmp_path, family):
         rng = np.random.default_rng(5)
-        rows = [(f"s{i}", region, rng.random(6)) for region in ("L:WM", "BG")
+        rows = [(f"s{i}", region, 0.9 * rng.random(6)) for region in ("L:WM", "BG")
                 for i in range(6)]
         a = write_per_subject(tmp_path / "a.csv", rows)
         b = write_per_subject(tmp_path / "b.csv", [(sid, region, values + 0.1)
@@ -1022,6 +1085,39 @@ class TestClustersCommand:
         assert run("clusters", "--mask", tmp_path / "e.nii", "--out", tmp_path) == 0
         payload = json.loads((tmp_path / "clusters.json").read_text())
         assert payload["component_count"] == 0
+
+    def test_save_labels_holds_no_label_grid(self, tmp_path):
+        """On a 182x218x182 sparse phantom, the label map is written from its
+        index: the call peaks below a quarter of the 28.9 MB int32 grid (the
+        grid alone was ~29.5 MB), and the file holds exactly that grid."""
+        dims = (182, 218, 182)
+        _, truth, count = generate(PhantomSpec(dims=dims, n_tubes=40, seed=3))
+        write_volume(truth, tmp_path / "m.nii.gz", datatype=2)
+        labels_path = tmp_path / "labels.nii.gz"
+        tracemalloc.start()
+        try:
+            assert run("clusters", "--mask", tmp_path / "m.nii.gz", "--out", tmp_path / "o",
+                       "--save-labels", labels_path) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * np.prod(dims) / 4
+        saved = read_volume(labels_path, "intensity")
+        lm = label_components(truth)
+        assert lm.component_count == count
+        assert np.array_equal(saved.data, lm.data)
+
+    def test_empty_mask_saves_an_all_zero_label_map(self, tmp_path):
+        dims = (182, 218, 182)
+        empty = BinaryMask.from_index(np.array([], dtype=np.int64), dims, (1, 1, 1), np.eye(3, 4))
+        write_volume(empty, tmp_path / "e.nii.gz", datatype=2)
+        labels_path = tmp_path / "labels.nii.gz"
+        assert run("clusters", "--mask", tmp_path / "e.nii.gz", "--out", tmp_path,
+                   "--save-labels", labels_path) == 0
+        raw = gzip.decompress(labels_path.read_bytes())
+        assert len(raw) == 352 + 4 * np.prod(dims) and not any(raw[352:])
+        saved = read_volume(labels_path, "intensity")
+        assert saved.dims == dims and saved.data.max() == 0
 
 
 # -- clusters outputs, byte for byte against the scalar path --------------------
@@ -1317,6 +1413,23 @@ class TestConfigTypes:
         # accepted, and dropped: folds reads none of them
         config = json.loads((out / "foldspec.json").read_text())["config"]
         assert config == {"out_dir": str(out)}
+
+    def test_config_not_utf8_exit_2(self, manifest, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_bytes(b'{\n  "out_dir": "\xff"\n}\n')
+        assert run("folds", "--manifest", manifest, "--scheme", "5fcv",
+                   "--config", config) == 2
+        assert capsys.readouterr().err == (
+            f"pvseval: error: {config}: line 2: not UTF-8 text "
+            f"(invalid start byte at byte 16)\n")
+
+    def test_config_path_with_nul_exit_2(self, manifest, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"out_dir": str(tmp_path / "a\x00b")}))
+        assert run("folds", "--manifest", manifest, "--scheme", "5fcv",
+                   "--config", config) == 2
+        assert capsys.readouterr().err == (
+            f"pvseval: error: {config}: config key 'out_dir' holds a NUL byte\n")
 
     def test_config_not_an_object(self, manifest, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

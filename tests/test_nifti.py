@@ -890,3 +890,177 @@ class TestBinaryMaskForms:
     def test_index_form_checks_its_spacing(self):
         with pytest.raises(BadHeaderError):
             BinaryMask.from_index(np.arange(3), (2, 2, 2), (1.0, 0.0, 1.0), np.eye(3, 4))
+
+
+def _plain_gzip(raw: bytes) -> bytes:
+    """The reference: the whole byte stream through one Z_RLE gzip compressobj."""
+    stream = zlib.compressobj(6, zlib.DEFLATED, 31, 8, zlib.Z_RLE)
+    return stream.compress(raw) + stream.flush()
+
+
+def _inflate_three_ways(blob: bytes, tmp_path) -> bytes:
+    """blob decompressed by gzip.decompress, by zlib.decompressobj(31) and by
+    pvseval's streaming reader, which must all agree."""
+    by_gzip = gzip.decompress(blob)
+    member = zlib.decompressobj(31)
+    by_zlib = member.decompress(blob) + member.flush()
+    assert member.eof and not member.unused_data
+    path = tmp_path / "blob.gz"
+    path.write_bytes(blob)
+    with open(path, "rb") as fh:
+        by_stream = b"".join(nifti._inflate(fh))
+    assert by_gzip == by_zlib == by_stream
+    return by_gzip
+
+
+def _nonzero_values(code: int, n: int, rng) -> np.ndarray:
+    dtype, _ = DATATYPES[code]
+    if dtype.kind == "f":
+        values = rng.normal(size=n)
+    else:
+        info = np.iinfo(dtype)
+        values = rng.integers(max(info.min, -2**31), min(info.max, 2**31 - 1), size=n)
+    values[values == 0] = 1
+    return values
+
+
+def _edge_voxels(n: int, size: int) -> np.ndarray:
+    """The first and last voxel of every 4 kB block of the stream (352 header
+    bytes, then n voxels of size bytes)."""
+    firsts = (np.arange(nifti._ZBLOCK, 352 + n * size, nifti._ZBLOCK) - 352) // size
+    return np.unique(np.concatenate([firsts, firsts - 1, [n - 1]]))
+
+
+# (dims, which voxels are nonzero); (24, 13, 131) int32 voxels end the stream
+# on a block edge, so an empty label map there has only its header block busy
+BLOCK_CASES = {
+    "empty": ((40, 30, 20), lambda n, size, rng: np.array([], dtype=np.int64)),
+    "full": ((40, 30, 20), lambda n, size, rng: np.arange(n)),
+    "block_edges": ((64, 64, 40), lambda n, size, rng: _edge_voxels(n, size)),
+    "partial_last_block": ((61, 67, 13), lambda n, size, rng: np.array([n - 1])),
+    "random": ((64, 64, 40), lambda n, size, rng: np.sort(rng.choice(n, n // 100, replace=False))),
+    "header_block_only": ((24, 13, 131), lambda n, size, rng: np.array([], dtype=np.int64)),
+    "zero_run_beyond_piece_cap": ((128, 128, 80), lambda n, size, rng: np.array([0, n - 1])),
+    # one value just before spliced zero blocks 1-4 and again just after
+    # them: the deflate stream must not match across the splice
+    "same_value_across_a_splice": ((64, 64, 40), lambda n, size, rng: np.array(
+        [(4096 - 352) // size - 1, *range((5 * 4096 - 352) // size, (5 * 4096 - 352) // size + 8)])),
+    # zero runs of 1 and 2 blocks between busy blocks
+    "short_zero_runs": ((64, 64, 40), lambda n, size, rng: np.array(
+        [(k * 4096 - 352) // size for k in (1, 3, 6, 9)])),
+}
+
+
+class TestBlockWriter:
+    """A .nii.gz write splices precomputed deflate for its all-zero 4 kB
+    blocks; it must decompress, by every reader, to exactly the bytes of the
+    whole stream through one compressobj, from an index or from a grid."""
+
+    @pytest.mark.parametrize("code", sorted(DATATYPES))
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_decompresses_to_the_reference(self, case, code, tmp_path):
+        from pvseval.ccl import LabelMap
+
+        dims, pick = BLOCK_CASES[case]
+        dtype, _ = DATATYPES[code]
+        n = int(np.prod(dims))
+        rng = np.random.default_rng(code)
+        index = pick(n, dtype.itemsize, rng).astype(np.int64)
+        values = _nonzero_values(code, index.size, rng)
+        if case == "same_value_across_a_splice":
+            values[:] = values[0]
+        spacing, affine = (0.8, 1.0, 1.25), np.eye(3, 4)
+        labels = LabelMap(index, values, dims, 0, np.zeros(0, np.int64), 26, spacing, affine)
+        flat = np.zeros(n)
+        flat[index] = values
+        grid = Volume3D(flat.reshape(dims, order="F"), spacing, affine)
+        head = nifti.build_header(grid, code) + bytes(4)
+        plain = head + flat.astype(dtype).tobytes()
+        if case == "header_block_only" and dtype.itemsize == 4:
+            assert len(plain) % nifti._ZBLOCK == 0 and len(plain) > nifti._ZBLOCK
+            busy = nifti._busy_blocks(len(plain), len(head), None, index, dtype.itemsize)
+            assert np.flatnonzero(busy).tolist() == [0]
+
+        blobs = []
+        for name, vol in (("index", labels), ("grid", grid), ("again", labels)):
+            write_volume(vol, tmp_path / f"{name}.nii.gz", datatype=code)
+            write_volume(vol, tmp_path / f"{name}.nii", datatype=code)
+            assert (tmp_path / f"{name}.nii").read_bytes() == plain
+            blobs.append((tmp_path / f"{name}.nii.gz").read_bytes())
+        assert "data" not in vars(labels)  # written from its index, never painted
+        assert blobs[0] == blobs[1] == blobs[2]
+        assert blobs[0][:10] == _plain_gzip(b"")[:10]
+        assert _inflate_three_ways(blobs[0], tmp_path) == gzip.decompress(_plain_gzip(plain))
+        back = read_volume(tmp_path / "index.nii.gz")
+        assert np.array_equal(back.data.ravel("F"), flat.astype(dtype).astype(np.float64))
+        if case == "zero_run_beyond_piece_cap":
+            assert nifti._zero_piece(nifti._ZPIECE_MAX) in blobs[0]
+        if case == "full":
+            assert blobs[0] == _plain_gzip(plain)  # no zero block: the plain stream
+
+    def test_binary_mask_index_writes_its_grid(self, tmp_path):
+        data = np.random.default_rng(3).random((70, 50, 40)) < 0.002
+        dense = make_mask(data)
+        sparse = BinaryMask.from_index(np.flatnonzero(data.ravel("F")), data.shape,
+                                       dense.spacing, dense.affine)
+        write_volume(dense, tmp_path / "dense.nii.gz", datatype=2)
+        write_volume(sparse, tmp_path / "sparse.nii.gz", datatype=2)
+        assert "data" not in vars(sparse)
+        blob = (tmp_path / "sparse.nii.gz").read_bytes()
+        assert blob == (tmp_path / "dense.nii.gz").read_bytes()
+        head = nifti.build_header(dense, 2) + bytes(4)
+        assert _inflate_three_ways(blob, tmp_path) == head + data.astype(np.uint8).tobytes("F")
+
+    @pytest.mark.parametrize("value", [0x00000100, 0x01000000, 0x7F7F7F7F])
+    def test_voxel_across_a_block_edge(self, value, tmp_path):
+        """With a 350-byte head, int32 voxel 1960 holds stream bytes 8190..8193,
+        across the edge of blocks 1 and 2; its nonzero byte may lie in either,
+        and blocks 3-7 are spliced zeros."""
+        dtype = np.dtype(np.int32)
+        head, n = bytes(range(256)) + b"h" * 94, 10000
+        flat = np.zeros(n, dtype)
+        flat[[1960, 9000]] = value
+        index = np.flatnonzero(flat)
+        raw = head + flat.tobytes()
+        for form in ({"grid": flat}, {"index": index, "values": flat[index]}):
+            path = tmp_path / "s.gz"
+            with open(path, "wb") as fh:
+                nifti._write_stream(fh, head, dtype, n, True, **form)
+            assert _inflate_three_ways(path.read_bytes(), tmp_path) == raw
+            with open(path, "wb") as fh:
+                nifti._write_stream(fh, head, dtype, n, False, **form)
+            assert path.read_bytes() == raw
+
+    def test_index_values_that_do_not_fit_are_rejected(self, tmp_path):
+        from pvseval.ccl import LabelMap
+
+        labels = LabelMap(np.array([3, 9]), np.array([1, 300], np.int32), (4, 4, 4), 2,
+                          np.ones(2, np.int64), 26, (1.0, 1.0, 1.0), np.eye(3, 4))
+        with pytest.raises(RangeOverflowError):
+            write_volume(labels, tmp_path / "o.nii.gz", datatype=2)
+        assert not (tmp_path / "o.nii.gz").exists()
+
+    def test_index_write_holds_no_grid(self, tmp_path):
+        """The int32 label map of a sparse 182x218x182 mask is written in a
+        fraction of its 28.9 MB grid."""
+        from pvseval.ccl import LabelMap
+
+        dims = (182, 218, 182)
+        index = np.sort(np.random.default_rng(5).choice(np.prod(dims), 6000, replace=False))
+        labels = LabelMap(index, np.arange(1, 6001, dtype=np.int32), dims, 6000,
+                          np.ones(6000, np.int64), 26, (1.0, 1.0, 1.0), np.eye(3, 4))
+        path = tmp_path / "labels.nii.gz"
+        tracemalloc.start()
+        try:
+            write_volume(labels, path, datatype=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * np.prod(dims) / 8
+        assert np.array_equal(read_volume(path, "mask").fg_index, index)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 4095, 4096, 4097, 2**20 + 7])
+def test_crc32_over_zeros(n):
+    for crc in (0, 1, 0xFFFFFFFF, 0x12345678, zlib.crc32(b"pvseval")):
+        assert nifti.crc32_zeros(crc, n) == zlib.crc32(bytes(n), crc)

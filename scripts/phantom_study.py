@@ -90,10 +90,8 @@ def main():
 
     per_a = evaluate_manifest(records_a, workers=args.workers)
     per_b = evaluate_manifest(records_b, workers=args.workers)
-    site_of = {r.subject_id: r.site for r in records_a}
-    show_aggregate("model A (mild deletion)", aggregate(per_a, site_of))
-    show_aggregate("model B (heavy deletion + dropped cluster)",
-                   aggregate(per_b, site_of))
+    show_aggregate("model A (mild deletion)", aggregate(per_a))
+    show_aggregate("model B (heavy deletion + dropped cluster)", aggregate(per_b))
 
     for scheme in ("5fcv", "losocv"):
         spec = make_folds(records_a, scheme, seed=args.seed)

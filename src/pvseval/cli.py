@@ -30,7 +30,6 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -253,20 +252,14 @@ def _require_file(path: str, flag: str) -> str:
 
 def cmd_metrics(args) -> int:
     cfg = _resolve_config(args)
-    # each file must exist as its read starts: --pred, then --ref, then both
-    # ROI files before the first ROI read
-    stages = iter([[("--pred", args.pred)], [("--ref", args.ref)],
-                   [(flag, path) for flag, path in (("--roi-wm", args.roi_wm),
-                                                    ("--roi-bg", args.roi_bg)) if path]])
-
-    @contextmanager
-    def required(path):
-        for flag, given in next(stages, ()):
-            _require_file(given, flag)
-        yield
-
+    # every input file must exist before the first read
+    _require_file(args.pred, "--pred")
+    _require_file(args.ref, "--ref")
+    for path, flag in ((args.roi_wm, "--roi-wm"), (args.roi_bg, "--roi-bg")):
+        if path:
+            _require_file(path, flag)
     pred, ref, rois = read_subject(args.pred, args.ref, args.roi_wm, args.roi_bg,
-                                   cfg["strict_grid"], required)
+                                   cfg["strict_grid"])
     subject_id = args.subject_id or Path(args.pred).name.split(".")[0]
     records = evaluate_subject(pred, ref, rois, cfg["connectivity"],
                                subject_id=subject_id, strict=cfg["strict_grid"])
@@ -300,7 +293,7 @@ def cmd_aggregate(args) -> int:
                  [asdict(r) for r in per_subject], cfg)
 
     site_of = {r.subject_id: r.site for r in manifest}
-    reports = aggregate(per_subject, site_of, per_site=per_site, scheme=scheme)
+    reports = aggregate(per_subject, site_of if per_site else None, scheme=scheme)
     _write_table(out, "aggregate", "reports", AGGREGATE_COLUMNS,
                  [asdict(r) for r in reports], cfg)
 

@@ -4,17 +4,18 @@ Folds exist so external training pipelines and this evaluator share one
 deterministic split definition; no training happens here. Aggregation
 averages per-subject metrics over defined values only, reporting exclusion
 counts; the leave-one-site-out matrix is read off the per-site and All
-Sites reports, so its pooled average is subject-weighted.
+Sites reports, so its pooled average is subject-weighted. A subject whose
+file cannot be read fails with an InputError that names the subject id and
+then the file, each once: the nifti reader names the file, and
+evaluate_record adds the subject.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import random
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, asdict
 from itertools import repeat
 from pathlib import Path
@@ -185,10 +186,10 @@ def make_folds(manifest: list[SubjectRecord], scheme: str, seed: int = 0) -> Fol
 
 
 def read_subject(pred_path: str, ref_path: str, roi_wm_path: str = "", roi_bg_path: str = "",
-                 strict: bool = False, reading=nullcontext):
+                 strict: bool = False):
     """(pred, ref, rois) of one subject, read in that order: the prediction,
-    the reference, then the WM and BG ROIs, an empty ROI path skipped. Each
-    read runs inside reading(path).
+    the reference, then the WM and BG ROIs, an empty ROI path skipped. A
+    failed read is an InputError that starts with the file's path.
 
     The prediction sets the grid that every later file is checked against
     as it is read. Both masks are held as their foreground indices. Each
@@ -196,10 +197,8 @@ def read_subject(pred_path: str, ref_path: str, roi_wm_path: str = "", roi_bg_pa
     restriction reads: its RoiMask holds the ROI's voxels there and whether
     the whole file has any foreground. So no grid is built.
     """
-    with reading(pred_path):
-        pred = read_volume(pred_path, "mask")
-    with reading(ref_path):
-        ref = read_volume(ref_path, "mask", pred, strict)
+    pred = read_volume(pred_path, "mask")
+    ref = read_volume(ref_path, "mask", pred, strict)
     # their union: a merge of two sorted runs, then repeats dropped
     # (np.union1d's hashing unique is ~8x slower on this)
     at = np.sort(np.concatenate((pred.fg_index, ref.fg_index)), kind="stable")
@@ -209,34 +208,23 @@ def read_subject(pred_path: str, ref_path: str, roi_wm_path: str = "", roi_bg_pa
     rois = []
     for path, region in ((roi_wm_path, "WM"), (roi_bg_path, "BG")):
         if path:
-            with reading(path):
-                inside, found = read_mask_voxels(path, at, pred, strict)
+            inside, found = read_mask_voxels(path, at, pred, strict)
             mask = BinaryMask.from_index(at[inside], pred.dims, pred.spacing, pred.affine)
             rois.append(RoiMask(mask, region, empty=not found))
     return pred, ref, rois
 
 
-@contextmanager
-def _naming_subject(subject_id: str, path: str):
-    """Re-raise a read error as InputError starting with the subject id and
-    the file."""
-    try:
-        yield
-    except OSError as exc:  # strerror leaves out the path already named
-        raise InputError(f"{subject_id}: {path}: {exc.strerror or exc}") from exc
-    except InputError as exc:  # the reader has already named the file
-        raise InputError(f"{subject_id}: {exc}") from exc
-
-
 def evaluate_record(
     record: SubjectRecord, connectivity: int = 26, strict: bool = False
 ) -> list[SubjectMetrics]:
-    """Metrics of one manifest row, read by read_subject. Read and grid
-    errors are re-raised as InputError with a message that starts with the
-    subject id and the file."""
-    pred, ref, rois = read_subject(record.pred_path, record.ref_path, record.roi_wm_path,
-                                   record.roi_bg_path, strict,
-                                   functools.partial(_naming_subject, record.subject_id))
+    """Metrics of one manifest row, read by read_subject. A read or grid
+    error is re-raised as an InputError whose message starts with the
+    subject id, then the file."""
+    try:
+        pred, ref, rois = read_subject(record.pred_path, record.ref_path, record.roi_wm_path,
+                                       record.roi_bg_path, strict)
+    except InputError as exc:  # the reader has named the file
+        raise InputError(f"{record.subject_id}: {exc}") from exc
     return evaluate_subject(pred, ref, rois, connectivity,
                             subject_id=record.subject_id, strict=strict)
 
@@ -247,11 +235,13 @@ def evaluate_manifest(
     workers: int = 1,
     strict: bool = False,
 ) -> list[SubjectMetrics]:
-    """Per-subject evaluation, parallel across subjects, manifest order."""
+    """Per-subject evaluation, parallel across subjects, manifest order, in
+    no more worker processes than subjects."""
     if workers <= 1 or len(manifest) <= 1:
         nested = [evaluate_record(r, connectivity, strict) for r in manifest]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork pool starts all its workers up front; more than subjects would idle
+        with ProcessPoolExecutor(max_workers=min(workers, len(manifest))) as pool:
             nested = list(pool.map(evaluate_record, manifest,
                                    repeat(connectivity), repeat(strict)))
     return [m for sub in nested for m in sub]
@@ -296,19 +286,16 @@ def _group_report(region: str, site: str, scheme: str,
 def aggregate(
     per_subject: list[SubjectMetrics],
     site_by_subject: dict[str, str] | None = None,
-    per_site: bool = False,
     scheme: str = "",
 ) -> list[AggregateReport]:
-    """Table-2-shaped aggregation: per region, all sites plus optional
-    per-site rows, in first-appearance order."""
+    """Table-2-shaped aggregation: per region, the All Sites row and, given
+    a subject->site mapping, one row per site, in first-appearance order."""
     regions = list(dict.fromkeys(r.region for r in per_subject))
     reports = []
     for region in regions:
         rows = [r for r in per_subject if r.region == region]
         reports.append(_group_report(region, ALL_SITES, scheme, rows))
-        if per_site:
-            if site_by_subject is None:
-                raise InputError("per-site aggregation needs a subject->site mapping")
+        if site_by_subject is not None:
             sites = sorted({site_by_subject.get(r.subject_id, "") for r in rows})
             for site in sites:
                 site_rows = [r for r in rows

@@ -15,7 +15,9 @@ each block's foreground indices, so a mask is held as its index and no
 grid is built; an intensity read casts each block straight into the output
 grid. read_voxels and read_mask_voxels keep only the values at the voxels
 asked for, so a caller that needs a few voxels of a large image or region
-never holds its grid.
+never holds its grid. The readers share one scaffold, _volume, which
+raises every failure, an OSError included, as an InputError that starts
+with the path, so no caller names a volume-read failure.
 
 Every write goes through one block writer. A volume held as its foreground
 (an index-built BinaryMask, a ccl.LabelMap) is painted only a range at a
@@ -500,22 +502,35 @@ def _truncated(nbytes: int, start: int, length: int) -> TruncatedDataError:
 
 
 @contextmanager
-def _naming(path: str | Path):
-    """Prefix the path to every InputError, a corrupt deflate stream included."""
+def _volume(path: str | Path, grid: Volume3D | None = None, strict: bool = False):
+    """(header, voxel blocks) of the single-file volume at path, from
+    _stream; on a clean exit the header is checked against grid as
+    ensure_same_grid does. Every failure, an OSError and a corrupt deflate
+    stream included, is raised as an InputError that starts with the path.
+    Within it a signalling NaN converts to NaN without a warning."""
     try:
-        yield
+        with open(path, "rb") as fh, np.errstate(invalid="ignore"):
+            stream = _stream(fh)
+            hdr = next(stream)
+            yield hdr, stream
+            if grid is not None:
+                ensure_same_grid(hdr, grid, strict)
+    except OSError as exc:  # strerror leaves out the path named here
+        raise InputError(f"{path}: {exc.strerror or exc}") from exc
     except zlib.error as exc:
         raise InputError(f"{path}: {exc}") from exc
     except InputError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _scaling(hdr: NiftiHeader) -> tuple[float, float]:
-    """(slope, intercept), with slope 0 or NaN read as 1 and a NaN intercept as 0."""
+def _scale(values: np.ndarray, hdr: NiftiHeader) -> None:
+    """values * slope + intercept in place, with slope 0 or NaN read as 1 and
+    a NaN intercept as 0."""
     slope = hdr.scl_slope
     if slope == 0.0 or np.isnan(slope):
         slope = 1.0
-    return slope, 0.0 if np.isnan(hdr.scl_inter) else hdr.scl_inter
+    values *= slope
+    values += 0.0 if np.isnan(hdr.scl_inter) else hdr.scl_inter
 
 
 def _exact(values: np.ndarray) -> np.ndarray:
@@ -546,14 +561,13 @@ def read_volume(path: str | Path, mode: str = "intensity", grid: Volume3D | None
     float64 would round. No more than a few blocks of the file are held at
     once. Given a grid, the header is then checked against it as
     ensure_same_grid does (dims, and in strict mode the affine). Every
-    InputError, a truncated or corrupt gzip stream and a grid mismatch
-    included, carries a message that starts with the path.
+    failure, a file that cannot be opened, a truncated or corrupt gzip
+    stream and a grid mismatch included, is an InputError whose message
+    starts with the path.
     """
     if mode not in ("mask", "intensity"):
         raise ValueError(f"mode must be 'mask' or 'intensity', got {mode!r}")
-    with _naming(path), open(path, "rb") as fh:
-        stream = _stream(fh)
-        hdr = next(stream)
+    with _volume(path, grid, strict) as (hdr, stream):
         if mode == "mask":
             parts, total, nan = [], 0, False
             for first, values in stream:
@@ -570,8 +584,8 @@ def read_volume(path: str | Path, mode: str = "intensity", grid: Volume3D | None
             out = np.empty(math.prod(hdr.shape3d), dtype=np.float64)
             for first, values in stream:
                 out[first:first + values.size] = _exact(values)
-        if grid is not None:
-            ensure_same_grid(hdr, grid, strict)
+            # in place, bit-identical to stored.astype(np.float64) * slope + inter
+            _scale(out, hdr)
     spacing, affine = hdr.pixdim[1:4], affine_from_header(hdr)
     if mode == "mask":
         index, end = np.empty(total, dtype=np.int64), 0
@@ -581,10 +595,6 @@ def read_volume(path: str | Path, mode: str = "intensity", grid: Volume3D | None
             np.add(part, first, out=index[end:end + n])
             end += n
         return BinaryMask.from_index(index, hdr.shape3d, spacing, affine)
-    # in place, bit-identical to stored.astype(np.float64) * slope + inter
-    slope, inter = _scaling(hdr)
-    out *= slope
-    out += inter
     return Volume3D(data=out.reshape(hdr.shape3d, order="F"), spacing=spacing, affine=affine)
 
 
@@ -600,16 +610,11 @@ def read_voxels(path: str | Path, index: np.ndarray, grid: Volume3D,
     path named.
     """
     values = np.empty(index.size)
-    with _naming(path), open(path, "rb") as fh:
-        stream = _stream(fh)
-        hdr = next(stream)
+    with _volume(path, grid, strict) as (hdr, stream):
         for first, block in stream:
             lo, hi = np.searchsorted(index, (first, first + block.size))
             values[lo:hi] = _exact(block)[index[lo:hi] - first]
-        ensure_same_grid(hdr, grid, strict)
-    slope, inter = _scaling(hdr)
-    values *= slope
-    values += inter
+        _scale(values, hdr)
     return values
 
 
@@ -626,9 +631,7 @@ def read_mask_voxels(path: str | Path, index: np.ndarray, grid: Volume3D,
     """
     inside = np.empty(index.size, dtype=bool)
     found = nan = False
-    with _naming(path), open(path, "rb") as fh:
-        stream = _stream(fh)
-        hdr = next(stream)
+    with _volume(path, grid, strict) as (_, stream):
         for first, values in stream:
             lo, hi = np.searchsorted(index, (first, first + values.size))
             np.not_equal(values[index[lo:hi] - first], 0, out=inside[lo:hi])
@@ -636,7 +639,6 @@ def read_mask_voxels(path: str | Path, index: np.ndarray, grid: Volume3D,
             nan = nan or _holds_nan(values)
         if nan:
             raise InputError("mask holds NaN voxels")
-        ensure_same_grid(hdr, grid, strict)
     return inside, found
 
 

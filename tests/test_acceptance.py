@@ -207,7 +207,7 @@ def test_harness_shapes():
 
     sites = sorted(SITE_SIZES)
     records, site_of = site_records(per_site)
-    rows = losocv_table(aggregate(records, site_of, per_site=True))
+    rows = losocv_table(aggregate(records, site_of))
     row = next(r for r in rows if r.metric == "dsc_vox")
     assert sorted(row.external) == sites  # 6 external columns
     pooled = [v for site in sites for v in site_values[site]]
@@ -274,7 +274,6 @@ def test_performance_manifest(tmp_path):
     per_subject = evaluate_manifest(records, connectivity=26, workers=4)
     elapsed = time.perf_counter() - start
     assert len(per_subject) == 40
-    reports = aggregate(per_subject, {r.subject_id: r.site for r in records},
-                        per_site=True)
+    reports = aggregate(per_subject, {r.subject_id: r.site for r in records})
     assert reports[0].n_subjects == 40
     assert elapsed < 30.0, f"manifest evaluation took {elapsed:.2f}s"

@@ -6,8 +6,8 @@ import math
 import shutil
 import tempfile
 import tracemalloc
+import warnings
 from collections import Counter
-from contextlib import nullcontext
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -492,13 +492,76 @@ class TestDamagedGzip:
         assert "NaN" in err and err.count(records[1].pred_path) == 1
 
 
-def dense_read_subject(pred_path, ref_path, roi_wm_path="", roi_bg_path="", strict=False,
-                       reading=nullcontext):
+def mutate(blob, rng, suffix):
+    """blob with one seeded mutation: 1-3 bit flips, a truncation, a gzip
+    header byte replaced, or a NIfTI header byte replaced (inside the
+    compressed stream for a .nii.gz, so its CRC still holds)."""
+    blob = bytearray(blob)
+    kind = rng.integers(4)
+    if kind == 0:
+        for at in rng.integers(len(blob) * 8, size=rng.integers(1, 4)):
+            blob[at // 8] ^= 1 << (at % 8)
+    elif kind == 1:
+        del blob[rng.integers(len(blob)):]
+    elif kind == 2 and suffix == ".nii.gz":
+        blob[rng.integers(10)] = rng.integers(256)
+    else:
+        raw = bytearray(gzip.decompress(blob)) if suffix == ".nii.gz" else blob
+        raw[rng.integers(352)] = rng.integers(256)
+        blob = gzip.compress(raw) if suffix == ".nii.gz" else raw
+    return bytes(blob)
+
+
+class TestMutatedVolumes:
+    """A seeded sweep of damaged volumes through the subject commands: each
+    call exits 0 or 2, records no warning, and on 2 prints one error line
+    that starts with the damaged file's path."""
+
+    @pytest.fixture(scope="class")
+    def volumes(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("mutated")
+        spec = PhantomSpec(dims=(20, 18, 16), n_tubes=3, length_range=(5.0, 9.0), seed=4)
+        image, truth, _ = generate(spec)
+        pred = perturb(truth, Perturbation(kind="delete_fraction", fraction=0.3), seed=2)
+        paths = {}
+        for suffix in (".nii", ".nii.gz"):
+            for name, vol, code in (("image", image, 16), ("truth", truth, 2),
+                                    ("pred", pred, 2)):
+                paths[name + suffix] = root / f"{name}{suffix}"
+                write_volume(vol, paths[name + suffix], datatype=code)
+        return paths
+
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+    @pytest.mark.parametrize("command", ["metrics", "clusters", "contrast"])
+    def test_exit_0_or_2_naming_the_file(self, volumes, tmp_path, capsys, command, suffix):
+        rng = np.random.default_rng([7, len(command), len(suffix)])
+        source = {"metrics": "truth", "clusters": "pred", "contrast": "image"}[command]
+        good = volumes[source + suffix].read_bytes()
+        bad = tmp_path / f"bad{suffix}"
+        argv = {
+            "metrics": ("--pred", volumes["pred" + suffix], "--ref", bad),
+            "clusters": ("--mask", bad),
+            "contrast": ("--image", bad, "--mask", volumes["pred" + suffix]),
+        }[command]
+        codes = Counter()
+        for _ in range(50):
+            bad.write_bytes(mutate(good, rng, suffix))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run(command, *argv, "--out", tmp_path / "o")
+            err = capsys.readouterr().err
+            assert code in (0, 2) and not caught, (code, err, [str(w) for w in caught])
+            if code == 2:
+                assert err.startswith(f"pvseval: error: {bad}: ") and err.count("\n") == 1, err
+            codes[code] += 1
+        assert codes[2] > 0, codes
+
+
+def dense_read_subject(pred_path, ref_path, roi_wm_path="", roi_bg_path="", strict=False):
     """read_subject as it was before masks were held as indices: every file
     read whole into a grid, and each ROI kept whole."""
     def grid(path, like=None):
-        with reading(path):
-            mask = read_volume(path, "mask", like, strict)
+        mask = read_volume(path, "mask", like, strict)
         return BinaryMask(mask.data, mask.spacing, mask.affine)
 
     pred = grid(pred_path)
@@ -649,15 +712,16 @@ class TestIndexFirstSubjectRead:
         err = capsys.readouterr().err
         assert err.startswith(f"pvseval: error: s1: {bad}: ") and err.count(str(bad)) == 1
 
-    def test_each_file_is_checked_when_its_read_starts(self, roi_subjects, tmp_path, capsys):
-        # a damaged prediction is reported before a missing reference; a
-        # missing BG ROI before a damaged WM ROI, as both ROI files are
-        # required before the first ROI read
+    def test_every_input_file_is_checked_before_the_first_read(self, roi_subjects, tmp_path,
+                                                               capsys):
+        # a missing reference is reported before a damaged prediction, and a
+        # missing BG ROI before a damaged WM ROI: no file is read until all
+        # of them are found
         rec = roi_subjects[1][1]
         bad = damage(Path(shutil.copy(rec.pred_path, tmp_path / "bad.nii.gz")), "crc")
         missing = tmp_path / "missing.nii.gz"
         assert run("metrics", "--pred", bad, "--ref", missing, "--out", tmp_path / "o") == 2
-        assert capsys.readouterr().err.startswith(f"pvseval: error: {bad}: CRC check failed")
+        assert capsys.readouterr().err == f"pvseval: error: --ref: no such file: {missing}\n"
         assert run("metrics", "--pred", rec.pred_path, "--ref", rec.ref_path,
                    "--roi-wm", damage(Path(shutil.copy(rec.roi_wm_path, tmp_path / "w.nii.gz")),
                                       "crc"),

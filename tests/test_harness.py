@@ -1,4 +1,3 @@
-import contextlib
 import math
 import tracemalloc
 from collections import Counter
@@ -6,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from pvseval import harness
 from pvseval.errors import (
     EmptyManifestError,
     InputError,
@@ -15,6 +15,7 @@ from pvseval.harness import (
     FoldSpec,
     SubjectRecord,
     aggregate,
+    evaluate_manifest,
     evaluate_record,
     losocv_table,
     make_folds,
@@ -180,7 +181,7 @@ class TestAggregate:
     def test_per_site_rows(self):
         records = [metric_record("s1", dsc_vox=0.4), metric_record("s2", dsc_vox=0.8)]
         site_of = {"s1": "A", "s2": "B"}
-        reports = aggregate(records, site_of, per_site=True)
+        reports = aggregate(records, site_of)
         assert [(r.region, r.site) for r in reports] == [
             ("WM", "All Sites"), ("WM", "A"), ("WM", "B")]
         assert reports[1].metrics["dsc_vox"].mean == 0.4
@@ -210,7 +211,7 @@ class TestLosocvTable:
             "B": [metric_record("b1", dsc_vox=0.9)],
         }
         records, site_of = site_records(per_site)
-        rows = losocv_table(aggregate(records, site_of, per_site=True))
+        rows = losocv_table(aggregate(records, site_of))
         row = next(r for r in rows if r.metric == "dsc_vox")
         assert row.external["A"].mean == pytest.approx(0.3, abs=1e-15)
         assert row.external["B"].mean == 0.9
@@ -227,7 +228,7 @@ class TestLosocvTable:
             "B": [metric_record("b1"), metric_record("b1b", region="BG")],
         }
         records, site_of = site_records(per_site)
-        rows = losocv_table(aggregate(records, site_of, per_site=True))
+        rows = losocv_table(aggregate(records, site_of))
         assert len(rows) == 2 * len(METRIC_NAMES)
         assert {r.region for r in rows} == {"WM", "BG"}
 
@@ -262,7 +263,7 @@ def test_scoring_a_subject_holds_no_mask_grid(tmp_path):
     assert peak < grid_bytes, peak / grid_bytes
 
 
-def test_read_subject_holds_indices_and_gathers_each_roi_at_the_union(tmp_path):
+def test_read_subject_holds_indices_and_gathers_each_roi_at_the_union(tmp_path, monkeypatch):
     dims = (20, 18, 16)
     rng = np.random.default_rng(5)
     ref = rng.random(dims) < 0.05
@@ -277,8 +278,12 @@ def test_read_subject_holds_indices_and_gathers_each_roi_at_the_union(tmp_path):
         paths.append(str(tmp_path / f"{name}.nii.gz"))
         write_volume(BinaryMask(data, (1.0, 1.0, 1.0), np.eye(3, 4)), paths[-1], datatype=2)
     read = []
-    got_pred, got_ref, rois = read_subject(*paths, reading=lambda path: read.append(path)
-                                           or contextlib.nullcontext())
+    for name in ("read_volume", "read_mask_voxels"):
+        def recording(path, *args, _read=getattr(harness, name)):
+            read.append(path)
+            return _read(path, *args)
+        monkeypatch.setattr(harness, name, recording)
+    got_pred, got_ref, rois = read_subject(*paths)
     assert read == paths
     for mask, data in ((got_pred, pred), (got_ref, ref)):
         assert "data" not in vars(mask)
@@ -291,3 +296,30 @@ def test_read_subject_holds_indices_and_gathers_each_roi_at_the_union(tmp_path):
         assert (np.diff(index) > 0).all()
         assert roi.empty is (not data.any())
     assert rois[1].mask.foreground_count == 0 and rois[1].empty is False
+
+
+@pytest.mark.parametrize("workers, expected", [(5000, 3), (3, 3), (2, 2)])
+def test_pool_has_no_more_workers_than_subjects(monkeypatch, workers, expected):
+    """A fork pool starts every worker it is given up front, so the count is
+    capped at the manifest's size. The fake pool records it and forks none."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    scored = []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "evaluate_record",
+                        lambda record, connectivity, strict: scored.append(record) or [])
+    manifest = cohort_manifest()[:3]
+    assert evaluate_manifest(manifest, workers=workers) == []
+    assert sizes == [expected] and scored == manifest

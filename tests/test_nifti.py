@@ -1,6 +1,9 @@
+import errno
 import gzip
+import os
 import struct
 import tracemalloc
+import warnings
 import zlib
 
 import numpy as np
@@ -406,6 +409,47 @@ class TestCorruptGzip:
         write_volume(Volume3D(nan, (1, 1, 1), np.eye(3, 4)), path, datatype=64)
         assert self._read(path).count(str(path)) == 1
 
+
+READERS = {
+    "read_volume": lambda path: read_volume(path, "intensity"),
+    "read_volume mask": lambda path: read_volume(path, "mask"),
+    "read_voxels": lambda path: read_voxels(path, np.arange(3), make_mask(np.ones((2, 2, 2)))),
+    "read_mask_voxels": lambda path: read_mask_voxels(path, np.arange(3),
+                                                      make_mask(np.ones((2, 2, 2)))),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_a_file_that_cannot_be_opened_is_named(tmp_path, reader, kind):
+    path = tmp_path / "v.nii.gz"
+    if kind == "directory":
+        path.mkdir()
+    with pytest.raises(InputError) as info:
+        READERS[reader](path)
+    code = errno.EISDIR if kind == "directory" else errno.ENOENT
+    assert str(info.value) == f"{path}: {os.strerror(code)}"
+    assert isinstance(info.value.__cause__, OSError)
+
+
+@pytest.mark.parametrize("code, bits", [(16, np.array([0x7F800001, 0xFFA00000], np.uint32)),
+                                        (64, np.array([0x7FF0000000000001], np.uint64))])
+def test_signalling_nan_reads_as_nan_without_a_warning(tmp_path, code, bits):
+    stored = np.ones(24, dtype=READ_DATATYPES[code][0])
+    stored[:bits.size] = bits.view(stored.dtype)
+    stored = stored.reshape((4, 3, 2), order="F")
+    path = write_nifti(tmp_path / "snan.nii.gz", stored, code, slope=2.0, inter=1.0)
+    grid = make_mask(np.ones(stored.shape, bool))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dense = read_volume(path, "intensity").data.ravel("F")
+        gathered = read_voxels(path, np.arange(stored.size), grid)
+        for read in (lambda: read_volume(path, "mask"),
+                     lambda: read_mask_voxels(path, np.arange(3), grid)):
+            with pytest.raises(InputError, match="mask holds NaN voxels"):
+                read()
+    assert np.isnan(dense[:bits.size]).all() and (dense[bits.size:] == 3.0).all()
+    assert np.array_equal(gathered, dense, equal_nan=True)
 
 
 class TestStreamingRead:

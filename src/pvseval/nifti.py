@@ -8,14 +8,14 @@ Voxel data is held x-fastest in memory (Fortran order over (nx, ny, nz));
 orientation lives in the affine, never in the array layout.
 
 Every read goes through one streaming decoder: the file is read in blocks,
-a .nii.gz inflated member by member (several members and trailing zero
-padding are accepted, and every CRC32/length trailer is checked) in
-bounded pieces, and the voxels are handed on in blocks. A mask read keeps
-each block's foreground indices, so a mask is held as its index and no
-grid is built; an intensity read casts each block straight into the output
-grid. read_voxels and read_mask_voxels keep only the values at the voxels
-asked for, so a caller that needs a few voxels of a large image or region
-never holds its grid. The readers share one scaffold, _volume, which
+a .nii.gz inflated by zlib member by member (several members and trailing
+zero padding are accepted, and zlib checks each member's header, CRC32 and
+length) in bounded pieces, and the voxels are handed on in blocks. A mask
+read keeps each block's foreground indices, so a mask is held as its index
+and no grid is built; an intensity read casts each block straight into the
+output grid. read_voxels and read_mask_voxels keep only the values at the
+voxels asked for, so a caller that needs a few voxels of a large image or
+region never holds its grid. The readers share one scaffold, _volume, which
 raises every failure, an OSError included, as an InputError that starts
 with the path, so no caller names a volume-read failure.
 
@@ -112,17 +112,13 @@ class NiftiHeader:
     byte_order: str  # "<" or ">", as detected from sizeof_hdr
 
     @property
-    def shape3d(self) -> tuple[int, int, int]:
-        return (self.dim[1], self.dim[2], self.dim[3])
-
-    @property
     def dtype(self) -> np.dtype:
         return READ_DATATYPES[self.datatype_code][0]
 
     # dims and affine let a header be checked with ensure_same_grid
     @property
     def dims(self) -> tuple[int, int, int]:
-        return self.shape3d
+        return (self.dim[1], self.dim[2], self.dim[3])
 
     @property
     def affine(self) -> np.ndarray:
@@ -333,32 +329,8 @@ def affine_from_header(hdr: NiftiHeader) -> np.ndarray:
 
 _BLOCK = 1 << 18  # file bytes read per step
 _PIECE = 1 << 18  # most decompressed bytes inflated per step
-_FHCRC, _FEXTRA, _FNAME, _FCOMMENT = 2, 4, 8, 16  # gzip header flags (RFC 1952)
 _MAX_RATIO = 1032  # deflate inflates at most this many bytes per byte
 _EOF = "Compressed file ended before the end-of-stream marker was reached"
-
-
-def _member_header_size(data: bytes) -> int | None:
-    """Size of the gzip member header that data starts with (magic already
-    checked), or None when data ends inside it."""
-    if len(data) < 10:
-        return None
-    if data[2] != 8:
-        raise InputError("Unknown compression method")
-    flags, size = data[3], 10
-    if flags & _FEXTRA:
-        if len(data) < 12:
-            return None
-        size = 12 + int.from_bytes(data[10:12], "little")
-    for flag in (_FNAME, _FCOMMENT):
-        if flags & flag:
-            end = data.find(b"\x00", size)
-            if end < 0:
-                return None
-            size = end + 1
-    if flags & _FHCRC:
-        size += 2
-    return size if size <= len(data) else None
 
 
 def _inflate(fh) -> Iterator[bytes]:
@@ -366,11 +338,11 @@ def _inflate(fh) -> Iterator[bytes]:
     bytes, read _BLOCK bytes at a time.
 
     A file that starts with the gzip magic is a series of gzip members (RFC
-    1952, 2.2), each one checked against its CRC32 and length trailer, and
-    zero padding after a member is skipped; any other file passes through
-    as it is. The checks, their order and their messages are those of
-    Python's GzipFile, and max_length bounds each piece, so a highly
-    compressed block never inflates at once.
+    1952, 2.2), each one decoded by zlib, which checks its header (flags,
+    and the header CRC if there is one) and its CRC32 and length trailer;
+    zero padding after a member is skipped. Any other file passes through
+    as it is. max_length bounds each piece, so a highly compressed block
+    never inflates at once.
     """
     data = fh.read(_BLOCK)
     if data[:2] != GZIP_MAGIC:
@@ -378,41 +350,18 @@ def _inflate(fh) -> Iterator[bytes]:
             yield data
             data = fh.read(_BLOCK)
         return
-
-    def more(data: bytes) -> bytes:
-        block = fh.read(_BLOCK)
-        if not block:
-            raise InputError(_EOF)
-        return data + block
-
     while True:  # one gzip member per pass
-        if len(data) < 2:
-            data += fh.read(_BLOCK)
-            if not data:
-                return
-        if data[:2] != GZIP_MAGIC:
-            raise InputError(f"Not a gzipped file ({data[:2]!r})")
-        while (start := _member_header_size(data)) is None:
-            data = more(data)
-        member, crc, size = zlib.decompressobj(-zlib.MAX_WBITS), 0, 0
-        data = data[start:]
+        member = zlib.decompressobj(16 + zlib.MAX_WBITS)
         while not member.eof:
             if not data:
-                data = more(data)
+                data = fh.read(_BLOCK)
+                if not data:
+                    raise InputError(_EOF)
             piece = member.decompress(data, _PIECE)
             data = member.unused_data if member.eof else member.unconsumed_tail
             if piece:
-                crc = zlib.crc32(piece, crc)
-                size += len(piece)
                 yield piece
-        while len(data) < 8:
-            data = more(data)
-        stored_crc, stored_size = struct.unpack_from("<II", data)
-        if stored_crc != crc:
-            raise InputError(f"CRC check failed {hex(stored_crc)} != {hex(crc)}")
-        if stored_size != size & 0xFFFFFFFF:
-            raise InputError("Incorrect length of data produced")
-        data = data[8:].lstrip(b"\x00")
+        data = data.lstrip(b"\x00")
         while not data:  # zero padding, possibly up to the end of the file
             block = fh.read(_BLOCK)
             if not block:
@@ -432,8 +381,8 @@ def _check_single_file(hdr: NiftiHeader) -> None:
         rank = 3
     if rank != 3:
         raise UnsupportedFormatError(f"only 3D volumes supported, got dim={hdr.dim}")
-    if min(hdr.shape3d) < 1:
-        raise BadHeaderError(f"non-positive grid extents {hdr.shape3d}")
+    if min(hdr.dims) < 1:
+        raise BadHeaderError(f"non-positive grid extents {hdr.dims}")
     if any(s <= 0 for s in hdr.pixdim[1:4]):
         raise BadHeaderError(f"non-positive pixdim {hdr.pixdim[1:4]}")
 
@@ -466,7 +415,7 @@ def _stream(fh) -> Iterator:
     pieces, head = itertools.chain((head,), pieces), None
     dtype = hdr.dtype.newbyteorder(hdr.byte_order)
     size = dtype.itemsize
-    count = math.prod(hdr.shape3d)
+    count = math.prod(hdr.dims)
     start = int(hdr.vox_offset)
     if start + count * size > _MAX_RATIO * os.fstat(fh.fileno()).st_size:
         # no file this small holds the grid: fail as a short file, not on allocation
@@ -581,7 +530,7 @@ def read_volume(path: str | Path, mode: str = "intensity", grid: Volume3D | None
             if nan:
                 raise InputError("mask holds NaN voxels")
         else:
-            out = np.empty(math.prod(hdr.shape3d), dtype=np.float64)
+            out = np.empty(math.prod(hdr.dims), dtype=np.float64)
             for first, values in stream:
                 out[first:first + values.size] = _exact(values)
             # in place, bit-identical to stored.astype(np.float64) * slope + inter
@@ -594,8 +543,8 @@ def read_volume(path: str | Path, mode: str = "intensity", grid: Volume3D | None
                 part = np.flatnonzero(part)
             np.add(part, first, out=index[end:end + n])
             end += n
-        return BinaryMask.from_index(index, hdr.shape3d, spacing, affine)
-    return Volume3D(data=out.reshape(hdr.shape3d, order="F"), spacing=spacing, affine=affine)
+        return BinaryMask.from_index(index, hdr.dims, spacing, affine)
+    return Volume3D(data=out.reshape(hdr.dims, order="F"), spacing=spacing, affine=affine)
 
 
 def read_voxels(path: str | Path, index: np.ndarray, grid: Volume3D,
@@ -750,9 +699,12 @@ def _raw_deflate():
 def _zero_piece(k: int) -> bytes:
     """Raw deflate of 2**k all-zero blocks, ending on a full flush: byte
     aligned, and referring to nothing before it, so it can be spliced into
-    a stream just after a full flush (RFC 1951)."""
-    stream = _raw_deflate()
-    return stream.compress(bytes(_ZBLOCK << k)) + stream.flush(zlib.Z_FULL_FLUSH)
+    a stream just after a full flush (RFC 1951). One zero block is fed
+    2**k times, which gives the same bytes as 2**k blocks at once without
+    building them."""
+    stream, block = _raw_deflate(), bytes(_ZBLOCK)
+    pieces = [stream.compress(block) for _ in range(1 << k)]
+    return b"".join(pieces) + stream.flush(zlib.Z_FULL_FLUSH)
 
 
 def _busy_blocks(length: int, head: int, grid: np.ndarray | None, index: np.ndarray,
@@ -838,12 +790,7 @@ def _write_stream(fh, head: bytes, dtype: np.dtype, count: int, compress: bool,
     fh.write(struct.pack("<II", crc, length & 0xFFFFFFFF))
 
 
-def write_volume(
-    vol,
-    path: str | Path,
-    datatype: int = 16,
-    gzip_compress: bool | None = None,
-) -> None:
+def write_volume(vol, path: str | Path, datatype: int = 16) -> None:
     """Write a single-file NIfTI-1 volume (vox_offset 352, little-endian).
 
     vol is a Volume3D, or a volume held as its foreground: a BinaryMask
@@ -853,13 +800,13 @@ def write_volume(
     painted from fg_index (and fg_labels, else 1) a range at a time, and
     no grid is built.
 
-    gzip_compress=None infers compression from a .gz suffix. A compressed
-    file is one gzip member (mtime 0, no file name) holding one deflate
-    stream: the byte stream is cut into 4 kB blocks, the blocks that hold a
-    nonzero byte are deflated at strategy Z_RLE, and each run of all-zero
-    blocks is spliced in as precomputed deflate after a full flush. The
-    output bytes are the same on every run, and they decompress to exactly
-    the bytes of the uncompressed write.
+    A path whose name ends in .gz is written compressed, as one gzip member
+    (mtime 0, no file name) holding one deflate stream: the byte stream is
+    cut into 4 kB blocks, the blocks that hold a nonzero byte are deflated
+    at strategy Z_RLE, and each run of all-zero blocks is spliced in as
+    precomputed deflate after a full flush. The output bytes are the same
+    on every run, and they decompress to exactly the bytes of the
+    uncompressed write.
     """
     if datatype not in DATATYPES:
         raise UnsupportedDatatypeError(f"datatype code {datatype} not in {sorted(DATATYPES)}")
@@ -875,9 +822,6 @@ def write_volume(
         if values is not None:
             _check_representable(values, dtype, datatype)
     head = build_header(vol, datatype) + b"\x00\x00\x00\x00"  # no extensions
-
-    path = Path(path)
-    if gzip_compress is None:
-        gzip_compress = path.name.endswith(".gz")
     with open(path, "wb") as fh:
-        _write_stream(fh, head, dtype, math.prod(vol.dims), gzip_compress, grid, index, values)
+        _write_stream(fh, head, dtype, math.prod(vol.dims), Path(path).name.endswith(".gz"),
+                      grid, index, values)

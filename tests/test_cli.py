@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import gzip
 import io
@@ -555,6 +556,85 @@ class TestMutatedVolumes:
                 assert err.startswith(f"pvseval: error: {bad}: ") and err.count("\n") == 1, err
             codes[code] += 1
         assert codes[2] > 0, codes
+
+
+def mutate_text(blob, rng):
+    """blob with one seeded mutation: 1-3 bit flips, a truncation, a byte
+    replaced, or one of , " \\n \\r NUL inserted."""
+    blob = bytearray(blob)
+    kind, at = rng.integers(4), rng.integers(len(blob))
+    if kind == 0:
+        for bit in rng.integers(len(blob) * 8, size=rng.integers(1, 4)):
+            blob[bit // 8] ^= 1 << (bit % 8)
+    elif kind == 1:
+        del blob[at:]
+    elif kind == 2:
+        blob[at] = rng.integers(256)
+    else:
+        blob.insert(at, b',"\n\r\x00'[rng.integers(5)])
+    return bytes(blob)
+
+
+class TestMutatedText:
+    """A seeded sweep of damaged text inputs through the commands that read
+    them: a manifest through aggregate and folds, a per-subject CSV through
+    compare --a, a config file through compare. Each call exits 0 or 2,
+    records no warning, and writes nothing to stderr but pvseval: error:
+    lines. --out always names a directory under tmp_path, and flags
+    override the config, so a damaged out_dir is never written to."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("text")
+        (root / "v").mkdir()
+        records = []
+        for i, site in enumerate("AABBCC"):
+            rng = np.random.default_rng(60 + i)
+            ref = rng.random((10, 10, 10)) < 0.05
+            pred = ref ^ (rng.random(ref.shape) < 0.01)
+            sid = f"{site}{i}"
+            write_mask(root / "v" / f"{sid}p.nii", pred)
+            write_mask(root / "v" / f"{sid}r.nii", ref)
+            # paths relative to root, which the calls run in
+            records.append(SubjectRecord(sid, site, f"v/{sid}p.nii", f"v/{sid}r.nii"))
+        write_manifest(records, root / "manifest.csv")
+        with contextlib.chdir(root):
+            assert run("aggregate", "--manifest", "manifest.csv", "--out", "agg",
+                       "--workers", 1) == 0
+        (root / "config.json").write_text(json.dumps(
+            {"connectivity": 18, "fdr_q": 0.05, "out_dir": "cfg", "strict_grid": False,
+             "workers": 1}))
+        return root
+
+    @pytest.mark.parametrize("case", ["aggregate", "folds", "compare-csv", "compare-config"])
+    def test_exit_0_or_2_with_error_lines_only(self, inputs, tmp_path, monkeypatch, capsys,
+                                               case):
+        monkeypatch.chdir(inputs)
+        bad = tmp_path / "bad"
+        csv_path = inputs / "agg" / "per_subject.csv"
+        source, argv = {
+            "aggregate": ("manifest.csv", ("aggregate", "--manifest", bad, "--scheme",
+                                           "losocv", "--workers", 1)),
+            "folds": ("manifest.csv", ("folds", "--manifest", bad, "--scheme", "5fcv")),
+            "compare-csv": (csv_path, ("compare", "--a", bad, "--b", csv_path)),
+            "compare-config": ("config.json", ("compare", "--a", csv_path, "--b", csv_path,
+                                               "--config", bad)),
+        }[case]
+        good = (inputs / source).read_bytes()
+        rng = np.random.default_rng([11, len(case)])
+        codes = Counter()
+        for _ in range(100):
+            bad.write_bytes(mutate_text(good, rng))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run(*argv, "--out", tmp_path / "o")
+            err = capsys.readouterr().err
+            assert code in (0, 2) and not caught, (code, err, [str(w) for w in caught])
+            lines = err.splitlines()
+            assert all(line.startswith("pvseval: error: ") for line in lines), err
+            assert len(lines) == (code == 2), err
+            codes[code] += 1
+        assert codes[0] and codes[2], codes
 
 
 def dense_read_subject(pred_path, ref_path, roi_wm_path="", roi_bg_path="", strict=False):

@@ -306,9 +306,9 @@ def cmd_aggregate(args) -> int:
 # -- compare ---------------------------------------------------------------
 
 def _read_per_subject_csv(path: str):
-    """(subject_id -> {"region:metric": value or None}, the regions in
+    """(subject_id -> {(region, metric): value or None}, the regions in
     first-seen order, the one connectivity the rows name or None)."""
-    by_subject: dict[str, dict[str, float | None]] = {}
+    by_subject: dict[str, dict[tuple[str, str], float | None]] = {}
     regions: dict[str, set[str]] = {}  # region -> its subject ids
     connectivities = set()
     with io.StringIO(read_text(path), newline="") as fh:
@@ -343,7 +343,7 @@ def _read_per_subject_csv(path: str):
                 if value is not None and not math.isnan(value) and not 0.0 <= value <= 1.0:
                     raise InputError(
                         f"{path}: row {i}, column {metric}: {text!r} is outside [0, 1]")
-                values[f"{region}:{metric}"] = value
+                values[region, metric] = value
     if not by_subject:
         raise InputError(f"{path}: no rows")
     if len(connectivities) > 1:
@@ -376,15 +376,15 @@ def cmd_compare(args) -> int:
     if not regions:
         raise InputError("the two reports share no region")
 
-    # one set of paired tests keyed region:metric; the FDR family is each
-    # region's keys, or all of them for the whole table
-    families = [[f"{region}:{m}" for m in metrics] for region in regions]
+    # one set of paired tests keyed (region, metric); the FDR family is
+    # each region's keys, or all of them for the whole table
+    families = [[(region, m) for m in metrics] for region in regions]
     if args.fdr_family == "table":
         families = [[key for family in families for key in family]]
     records = []
     for family in families:
         for res in compare_models(a, b, family, cfg["fdr_q"]):
-            region, _, metric = res.metric.rpartition(":")  # metric names hold no ":"
+            region, metric = res.metric
             records.append({**asdict(res), "region": region, "metric": metric})
     _write_table(_out_dir(cfg), "compare", "rows", COMPARE_COLUMNS, records, cfg)
     return 0

@@ -247,19 +247,16 @@ def evaluate_manifest(
     return [m for sub in nested for m in sub]
 
 
-def _is_defined(value) -> bool:
-    return value is not None and not (isinstance(value, float) and np.isnan(value))
-
-
 def summarize_metric(values) -> MetricSummary:
-    """Mean and sample SD over defined values; single value gets SD 0."""
-    defined = [v for v in values if _is_defined(v)]
-    n_used, n_excluded = len(defined), len(values) - len(defined)
+    """Mean and sample SD over defined values (None and NaN are not);
+    single value gets SD 0."""
+    values = np.array(values, dtype=np.float64)
+    defined = values[~np.isnan(values)]
+    n_used, n_excluded = defined.size, values.size - defined.size
     if n_used == 0:
         return MetricSummary(None, None, 0, n_excluded)
-    arr = np.asarray(defined, dtype=np.float64)
-    sd = float(arr.std(ddof=1)) if n_used > 1 else 0.0
-    return MetricSummary(float(arr.mean()), sd, n_used, n_excluded)
+    sd = float(defined.std(ddof=1)) if n_used > 1 else 0.0
+    return MetricSummary(float(defined.mean()), sd, n_used, n_excluded)
 
 
 def _group_report(region: str, site: str, scheme: str,

@@ -38,34 +38,24 @@ class WilcoxonResult:
 
 @dataclass
 class StatResult:
-    """One metric's paired-comparison outcome (positive favors model A)."""
+    """One metric's paired-comparison outcome (positive favors model A).
 
-    metric: str
+    A row with no test (method "undefined" or "all_zero_diffs") keeps the
+    test fields' defaults."""
+
+    metric: str | tuple[str, str]  # the report key compared
     n: int  # effective pairs after zero-difference removal
     n_pairs: int  # defined pairs entering medians
     median_a: float
     median_b: float
     median_diff: float
-    w_plus: float | None
-    w_minus: float | None
-    p_raw: float | None
-    p_fdr: float | None
-    significant: bool
-    rank_biserial: float | None
     method: str
-
-
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with ties sharing their average rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    sorted_vals = values[order]
-    boundaries = np.flatnonzero(np.diff(sorted_vals) != 0) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [values.size]))
-    for s, e in zip(starts, ends):
-        ranks[order[s:e]] = 0.5 * (s + 1 + e)
-    return ranks
+    w_plus: float | None = None
+    w_minus: float | None = None
+    p_raw: float | None = None
+    p_fdr: float | None = None
+    significant: bool = False
+    rank_biserial: float | None = None
 
 
 def _exact_tail_counts(n: int) -> np.ndarray:
@@ -102,11 +92,13 @@ def wilcoxon_signed_rank(a, b, method: str = "auto") -> WilcoxonResult:
     if n == 0:
         raise AllZeroDifferencesError("all paired differences are zero")
 
-    abs_d = np.abs(d)
-    ranks = _midranks(abs_d)
+    # each |d| tie group of size t ending at rank e shares the midrank
+    # e - (t - 1)/2, an exact half-integer
+    _, inverse, ties = np.unique(np.abs(d), return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(ties) - 0.5 * (ties - 1))[inverse]
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
-    has_ties = np.unique(abs_d).size < n
+    has_ties = ties.size < n
 
     if method == "auto":
         method = "exact" if (n <= EXACT_LIMIT and not has_ties) else "approx"
@@ -123,8 +115,7 @@ def wilcoxon_signed_rank(a, b, method: str = "auto") -> WilcoxonResult:
 
     mean = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0
-    _, tie_counts = np.unique(abs_d, return_counts=True)
-    var -= float((tie_counts.astype(np.float64) ** 3 - tie_counts).sum()) / 48.0
+    var -= float((ties.astype(np.float64) ** 3 - ties).sum()) / 48.0
     z = (min(w_plus, w_minus) - mean + 0.5) / math.sqrt(var)
     p = min(1.0, 2.0 * _normal_sf(-z))
     return WilcoxonResult(w_plus, w_minus, max(p, math.ulp(0.0)), "normal_approx", n)
@@ -158,16 +149,17 @@ def rank_biserial(w_plus: float, w_minus: float) -> float:
 
 
 def compare_models(
-    a_report: dict[str, dict[str, float | None]],
-    b_report: dict[str, dict[str, float | None]],
-    metrics: list[str],
+    a_report: dict[str, dict],
+    b_report: dict[str, dict],
+    metrics: list,
     q: float = 0.05,
 ) -> list[StatResult]:
     """Paired comparison per metric, FDR-adjusted across the given family.
 
-    Reports map subject_id -> {metric: value or None}. Subjects missing
-    from either report, and pairs where either value is undefined, are
-    dropped pairwise per metric.
+    Reports map subject_id -> {key: value or None}, a key being a metric
+    name or any other label such as (region, metric). Subjects missing
+    from either report, and pairs where either value is None or NaN, are
+    dropped pairwise per key.
     """
     if not 0.0 < q < 1.0:
         raise OutOfRangeError(f"q must lie in (0, 1), got {q}")
@@ -177,39 +169,23 @@ def compare_models(
 
     results: list[StatResult] = []
     for metric in metrics:
-        pairs = []
-        for sid in common:
-            va = a_report[sid].get(metric)
-            vb = b_report[sid].get(metric)
-            if va is None or vb is None:
-                continue
-            if math.isnan(va) or math.isnan(vb):
-                continue
-            pairs.append((va, vb))
-        if not pairs:
-            results.append(
-                StatResult(metric, 0, 0, math.nan, math.nan, math.nan,
-                           None, None, None, None, False, None, "undefined")
-            )
+        # (a, b) of each common subject; None reads as NaN, and a pair
+        # holding one is dropped
+        pairs = np.array([(a_report[sid].get(metric), b_report[sid].get(metric))
+                          for sid in common], dtype=np.float64)
+        av, bv = pairs[~np.isnan(pairs).any(axis=1)].T
+        if not av.size:
+            results.append(StatResult(metric, 0, 0, math.nan, math.nan, math.nan, "undefined"))
             continue
-        av = np.array([p[0] for p in pairs])
-        bv = np.array([p[1] for p in pairs])
-        median_a = float(np.median(av))
-        median_b = float(np.median(bv))
-        median_diff = float(np.median(av - bv))
+        medians = float(np.median(av)), float(np.median(bv)), float(np.median(av - bv))
         try:
             test = wilcoxon_signed_rank(av, bv)
-            rb = rank_biserial(test.w_plus, test.w_minus)
-            results.append(
-                StatResult(metric, test.n_eff, len(pairs), median_a, median_b,
-                           median_diff, test.w_plus, test.w_minus, test.p_value,
-                           None, False, rb, test.method)
-            )
         except AllZeroDifferencesError:
-            results.append(
-                StatResult(metric, 0, len(pairs), median_a, median_b, median_diff,
-                           None, None, None, None, False, None, "all_zero_diffs")
-            )
+            results.append(StatResult(metric, 0, av.size, *medians, "all_zero_diffs"))
+            continue
+        results.append(StatResult(metric, test.n_eff, av.size, *medians, test.method,
+                                  test.w_plus, test.w_minus, test.p_value,
+                                  rank_biserial=rank_biserial(test.w_plus, test.w_minus)))
 
     defined = [r for r in results if r.p_raw is not None]
     if defined:

@@ -88,8 +88,8 @@ def main():
     write_manifest(records_a, out / "manifest_a.csv")
     write_manifest(records_b, out / "manifest_b.csv")
 
-    per_a = evaluate_manifest(records_a, workers=args.workers)
-    per_b = evaluate_manifest(records_b, workers=args.workers)
+    per_a, _ = evaluate_manifest(records_a, workers=args.workers)
+    per_b, _ = evaluate_manifest(records_b, workers=args.workers)
     show_aggregate("model A (mild deletion)", aggregate(per_a))
     show_aggregate("model B (heavy deletion + dropped cluster)", aggregate(per_b))
 

@@ -154,6 +154,7 @@ COMPARE_COLUMNS = {
     "sig": ("significant",),
     "r": ("rank_biserial",),
 }
+FAILURE_COLUMNS = _same("subject_id", "site", "error", "message")
 CONTRAST_COLUMNS = _same("subject_id", "modality", "mask_mean", "shell_mean",
                          "abs_contrast", "mode")
 CLUSTER_SIZE_COLUMNS = ("cluster_id", "size_voxels", "size_mm3")
@@ -286,8 +287,10 @@ def cmd_aggregate(args) -> int:
             # its columns would be the pooled average's average_mean/sd/n
             raise InputError(f"{args.manifest}: site 'average' clashes with the "
                              f"LOSOCV table's pooled average columns")
-    per_subject = evaluate_manifest(manifest, cfg["connectivity"], cfg["workers"],
-                                    cfg["strict_grid"])
+    # a subject that cannot be read is left out of every table, listed in
+    # failures.csv/json and named on stderr, and the run exits 2
+    per_subject, failures = evaluate_manifest(manifest, cfg["connectivity"],
+                                              cfg["workers"], cfg["strict_grid"])
     out = _out_dir(cfg)
     _write_table(out, "per_subject", "records", SUBJECT_COLUMNS,
                  [asdict(r) for r in per_subject], cfg)
@@ -299,8 +302,12 @@ def cmd_aggregate(args) -> int:
 
     if scheme == "losocv":
         _write_table(out, "losocv_table", "rows", _losocv_columns(sites),
-                     [asdict(r) for r in losocv_table(reports)], cfg)
-    return 0
+                     [asdict(r) for r in losocv_table(reports, sites)], cfg)
+    _write_table(out, "failures", "failures", FAILURE_COLUMNS,
+                 [asdict(f) for f in failures], cfg)
+    for failure in failures:
+        print(f"pvseval: error: {failure.message}", file=sys.stderr)
+    return 2 if failures else 0
 
 
 # -- compare ---------------------------------------------------------------

@@ -7,7 +7,8 @@ counts; the leave-one-site-out matrix is read off the per-site and All
 Sites reports, so its pooled average is subject-weighted. A subject whose
 file cannot be read fails with an InputError that names the subject id and
 then the file, each once: the nifti reader names the file, and
-evaluate_record adds the subject.
+evaluate_record adds the subject. evaluate_manifest returns such a failure
+as a SubjectFailure and goes on with the other subjects.
 """
 
 from __future__ import annotations
@@ -65,6 +66,16 @@ class FoldSpec:
             assignments=dict(d["assignments"]),
             seed=int(d["seed"]),
         )
+
+
+@dataclass(frozen=True)
+class SubjectFailure:
+    """A subject that could not be scored, and why."""
+
+    subject_id: str
+    site: str
+    error: str  # the InputError's class name
+    message: str  # "<subject_id>: <file>: <reason>"
 
 
 @dataclass(frozen=True)
@@ -224,9 +235,19 @@ def evaluate_record(
         pred, ref, rois = read_subject(record.pred_path, record.ref_path, record.roi_wm_path,
                                        record.roi_bg_path, strict)
     except InputError as exc:  # the reader has named the file
-        raise InputError(f"{record.subject_id}: {exc}") from exc
+        raise type(exc)(f"{record.subject_id}: {exc}") from exc
     return evaluate_subject(pred, ref, rois, connectivity,
                             subject_id=record.subject_id, strict=strict)
+
+
+def _evaluate_or_fail(record: SubjectRecord, connectivity: int,
+                      strict: bool) -> list[SubjectMetrics] | SubjectFailure:
+    """evaluate_record's rows, or its InputError returned as data, so that
+    one bad subject does not end the other subjects' run."""
+    try:
+        return evaluate_record(record, connectivity, strict)
+    except InputError as exc:
+        return SubjectFailure(record.subject_id, record.site, type(exc).__name__, str(exc))
 
 
 def evaluate_manifest(
@@ -234,17 +255,21 @@ def evaluate_manifest(
     connectivity: int = 26,
     workers: int = 1,
     strict: bool = False,
-) -> list[SubjectMetrics]:
-    """Per-subject evaluation, parallel across subjects, manifest order, in
-    no more worker processes than subjects."""
+) -> tuple[list[SubjectMetrics], list[SubjectFailure]]:
+    """(the metrics of every subject scored, the subjects whose files could
+    not be read), each in manifest order. Subjects are evaluated in parallel
+    in no more worker processes than subjects; any error but an InputError
+    is raised."""
     if workers <= 1 or len(manifest) <= 1:
-        nested = [evaluate_record(r, connectivity, strict) for r in manifest]
+        results = [_evaluate_or_fail(r, connectivity, strict) for r in manifest]
     else:
         # a fork pool starts all its workers up front; more than subjects would idle
         with ProcessPoolExecutor(max_workers=min(workers, len(manifest))) as pool:
-            nested = list(pool.map(evaluate_record, manifest,
-                                   repeat(connectivity), repeat(strict)))
-    return [m for sub in nested for m in sub]
+            results = list(pool.map(_evaluate_or_fail, manifest,
+                                    repeat(connectivity), repeat(strict)))
+    failures = [r for r in results if isinstance(r, SubjectFailure)]
+    per_subject = [m for r in results if not isinstance(r, SubjectFailure) for m in r]
+    return per_subject, failures
 
 
 def summarize_metric(values) -> MetricSummary:
@@ -309,13 +334,15 @@ class LosocvRow:
     average: MetricSummary  # the region's All Sites cell
 
 
-def losocv_table(reports: list[AggregateReport]) -> list[LosocvRow]:
+def losocv_table(reports: list[AggregateReport], sites=None) -> list[LosocvRow]:
     """Leave-one-site-out matrix read off aggregate's per-site reports: one
-    external column per left-out site, that site's cell, and the region's
-    All Sites cell as the subject-weighted pooled average. A site with no
-    record in a region gets an empty cell."""
+    external column per left-out site of `sites` (by default the sites the
+    reports name, sorted), that site's cell, and the region's All Sites cell
+    as the subject-weighted pooled average. A site with no record in a
+    region, as one whose every subject failed, gets an empty cell."""
     cells = {(r.region, r.site): r.metrics for r in reports}
-    sites = sorted({r.site for r in reports if r.site != ALL_SITES})
+    if sites is None:
+        sites = sorted({r.site for r in reports if r.site != ALL_SITES})
     no_records = dict.fromkeys(METRIC_NAMES, MetricSummary(None, None, 0, 0))
     return [
         LosocvRow(

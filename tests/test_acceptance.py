@@ -271,9 +271,9 @@ def test_performance_manifest(tmp_path):
     write_manifest(records, tmp_path / "manifest.csv")
 
     start = time.perf_counter()
-    per_subject = evaluate_manifest(records, connectivity=26, workers=4)
+    per_subject, failures = evaluate_manifest(records, connectivity=26, workers=4)
     elapsed = time.perf_counter() - start
-    assert len(per_subject) == 40
+    assert len(per_subject) == 40 and failures == []
     reports = aggregate(per_subject, {r.subject_id: r.site for r in records})
     assert reports[0].n_subjects == 40
     assert elapsed < 30.0, f"manifest evaluation took {elapsed:.2f}s"

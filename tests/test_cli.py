@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import gzip
 import io
 import json
@@ -493,6 +494,117 @@ class TestDamagedGzip:
         assert "NaN" in err and err.count(records[1].pred_path) == 1
 
 
+class TestBadSubjects:
+    """A subject whose files cannot be read is left out, not the run: the
+    other subjects' outputs are those of a run without it, it is listed in
+    failures.csv/json and named on stderr, and the run exits 2."""
+
+    BAD = {"A01": "missing", "B02": "truncated", "C00": "missized"}
+
+    @pytest.fixture(scope="class")
+    def cohort(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("bad_subjects")
+        _, records = build_cohort(root, {"A": 3, "B": 3, "C": 2})
+        truncated = root / "truncated.nii.gz"
+        shutil.copy(records[0].pred_path, truncated)
+        damage(truncated, "truncated")
+        small = root / "small.nii.gz"
+        write_volume(BinaryMask(np.ones((8, 8, 8), bool), (1.0, 1.0, 1.0), np.eye(3, 4)),
+                     small, datatype=2)
+        paths = {"missing": str(root / "missing.nii.gz"), "truncated": str(truncated),
+                 "missized": str(small)}
+        return root, records, paths
+
+    @staticmethod
+    def manifest(path, records, paths, bad):
+        """The cohort with each subject of `bad` given the file of its
+        kind: a missing or truncated prediction, or a reference on an 8^3
+        grid."""
+        field = {"missing": "pred_path", "truncated": "pred_path", "missized": "ref_path"}
+        write_manifest([dataclasses.replace(r, **{field[bad[r.subject_id]]:
+                                                  paths[bad[r.subject_id]]})
+                        if r.subject_id in bad else r for r in records], path)
+        return path
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_other_subjects_write_what_a_run_without_the_bad_ones_writes(
+            self, cohort, tmp_path, capsys, workers):
+        root, records, paths = cohort
+        full = self.manifest(tmp_path / "full.csv", records, paths, self.BAD)
+        clean = tmp_path / "clean.csv"
+        write_manifest([r for r in records if r.subject_id not in self.BAD], clean)
+        argv = ("--scheme", "losocv", "--workers", workers)
+        assert run("aggregate", "--manifest", clean, *argv, "--out", tmp_path / "clean") == 0
+        capsys.readouterr()
+        assert run("aggregate", "--manifest", full, *argv, "--out", tmp_path / "full") == 2
+        lines = capsys.readouterr().err.splitlines()
+        for name in ("per_subject.csv", "aggregate.csv", "losocv_table.csv"):
+            assert (tmp_path / "full" / name).read_text() == \
+                (tmp_path / "clean" / name).read_text(), name
+        # one row and one stderr line per bad subject, in manifest order
+        failures = read_csv(tmp_path / "full" / "failures.csv")
+        assert [f"pvseval: error: {f['message']}" for f in failures] == lines
+        assert [(f["subject_id"], f["site"], f["message"].split(": ")[:2]) for f in failures] \
+            == [(sid, sid[0], [sid, paths[kind]]) for sid, kind in self.BAD.items()]
+        assert [f["error"] for f in failures] == ["InputError", "InputError",
+                                                  "DimMismatchError"]
+        payload = json.loads((tmp_path / "full" / "failures.json").read_text())
+        assert payload["failures"] == failures
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_site_whose_subjects_all_failed_keeps_its_columns_empty(
+            self, cohort, tmp_path, capsys, workers):
+        root, records, paths = cohort
+        bad = {"C00": "missized", "C01": "truncated"}
+        manifest = self.manifest(tmp_path / "m.csv", records, paths, bad)
+        out = tmp_path / "out"
+        assert run("aggregate", "--manifest", manifest, "--scheme", "losocv",
+                   "--workers", workers, "--out", out) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 2
+        assert {r["site"] for r in read_csv(out / "aggregate.csv")} == {
+            "All Sites", "A", "B"}
+        rows = read_csv(out / "losocv_table.csv")
+        assert len(rows) == 6
+        for row in rows:
+            assert (row["C_mean"], row["C_sd"], row["C_n"]) == ("", "", "0")
+            assert row["A_n"] == "3" and row["average_n"] == "6"
+
+    def test_no_subject_read_still_writes_every_output(self, cohort, tmp_path, capsys):
+        root, records, paths = cohort
+        bad = {r.subject_id: "missing" for r in records}
+        manifest = self.manifest(tmp_path / "m.csv", records, paths, bad)
+        out = tmp_path / "out"
+        assert run("aggregate", "--manifest", manifest, "--scheme", "losocv",
+                   "--out", out) == 2
+        assert len(capsys.readouterr().err.splitlines()) == len(records)
+        for name in ("per_subject.csv", "aggregate.csv", "losocv_table.csv"):
+            assert read_csv(out / name) == [], name
+        assert len(read_csv(out / "failures.csv")) == len(records)
+
+    def test_a_clean_run_replaces_the_failures(self, cohort, tmp_path, capsys):
+        root, records, paths = cohort
+        manifest = self.manifest(tmp_path / "m.csv", records, paths, {"B02": "missing"})
+        out = tmp_path / "out"
+        assert run("aggregate", "--manifest", manifest, "--out", out) == 2
+        assert len(read_csv(out / "failures.csv")) == 1
+        write_manifest(records, manifest)
+        assert run("aggregate", "--manifest", manifest, "--out", out) == 0
+        assert capsys.readouterr().err.count("\n") == 1
+        assert (out / "failures.csv").read_bytes() == b"subject_id,site,error,message\r\n"
+        assert json.loads((out / "failures.json").read_text())["failures"] == []
+
+    def test_an_internal_error_still_exits_1(self, cohort, tmp_path, capsys, monkeypatch):
+        root, records, paths = cohort
+
+        def broken(record, connectivity, strict):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(harness, "evaluate_record", broken)
+        write_manifest(records, tmp_path / "m.csv")
+        assert run("aggregate", "--manifest", tmp_path / "m.csv", "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == "pvseval: internal error: ValueError: bug\n"
+
+
 def mutate(blob, rng, suffix):
     """blob with one seeded mutation: 1-3 bit flips, a truncation, a gzip
     header byte replaced, or a NIfTI header byte replaced (inside the
@@ -632,7 +744,10 @@ class TestMutatedText:
             assert code in (0, 2) and not caught, (code, err, [str(w) for w in caught])
             lines = err.splitlines()
             assert all(line.startswith("pvseval: error: ") for line in lines), err
-            assert len(lines) == (code == 2), err
+            if case == "aggregate":  # one line per subject that failed
+                assert bool(lines) == (code == 2), err
+            else:
+                assert len(lines) == (code == 2), err
             codes[code] += 1
         assert codes[0] and codes[2], codes
 
@@ -1710,6 +1825,7 @@ CONTRAST_MAP = same("subject_id", "modality", "mask_mean", "shell_mean", "abs_co
                     "mode")
 HISTOGRAM_MAP = {"bin_lo": ("lo",), "bin_hi": ("hi",), **same("count", "density")}
 HISTOGRAM_KEYS = {"lo", "hi", "count", "density"}
+FAILURE_MAP = same("subject_id", "site", "error", "message")
 
 # case -> (run, csv file, json file, json key, column map, json record keys)
 MIRRORS = {
@@ -1729,6 +1845,8 @@ MIRRORS = {
     **{f"histogram_{bins}": (f"clusters_{bins}", "size_histogram.csv", "clusters.json",
                              "histogram", HISTOGRAM_MAP, HISTOGRAM_KEYS)
        for bins in ("linear", "log")},
+    "failures": ("failed", "failures.csv", "failures.json", "failures",
+                 FAILURE_MAP, set(FAILURE_MAP)),
 }
 
 
@@ -1787,8 +1905,13 @@ def mirror_outputs(tmp_path_factory, phantom_files):
         runs[f"compare_{family}"] = [
             "compare", "--a", root / "aggregate" / "per_subject.csv",
             "--b", root / "perfect" / "per_subject.csv", "--fdr-family", family]
+    # a subject whose prediction is missing, under a name that CSV quotes
+    failing = root / "failing.csv"
+    write_manifest([dataclasses.replace(r, pred_path=str(root / 'no "such",file.nii.gz'))
+                    if r.subject_id == "B00" else r for r in records], failing)
+    runs["failed"] = ["aggregate", "--manifest", failing]
     for name, argv in runs.items():
-        assert run(*argv, "--out", root / name) == 0, name
+        assert run(*argv, "--out", root / name) == (2 if name == "failed" else 0), name
     return root
 
 

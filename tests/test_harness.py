@@ -321,5 +321,5 @@ def test_pool_has_no_more_workers_than_subjects(monkeypatch, workers, expected):
     monkeypatch.setattr(harness, "evaluate_record",
                         lambda record, connectivity, strict: scored.append(record) or [])
     manifest = cohort_manifest()[:3]
-    assert evaluate_manifest(manifest, workers=workers) == []
+    assert evaluate_manifest(manifest, workers=workers) == ([], [])
     assert sizes == [expected] and scored == manifest

@@ -69,10 +69,13 @@ class LabelMap:
 
     @cached_property
     def data(self) -> np.ndarray:
-        """int32 label grid in Fortran order, same dims as the source mask."""
+        """int32 label grid in Fortran order, same dims as the source mask;
+        read-only, as it must keep matching fg_index and fg_labels."""
         flat = np.zeros(int(np.prod(self.dims)), dtype=np.int32)
         flat[self.fg_index] = self.fg_labels
-        return flat.reshape(self.dims, order="F")
+        grid = flat.reshape(self.dims, order="F")
+        grid.setflags(write=False)
+        return grid
 
 
 def _run_edges(line_id, run_s, run_e, nx: int, ny: int, connectivity: int):

@@ -427,6 +427,11 @@ def cmd_contrast(args) -> int:
 
 def cmd_clusters(args) -> int:
     cfg = _resolve_config(args)
+    if args.save_labels:
+        # its directory must exist, unless it is --out, which is made below
+        labels_dir = Path(args.save_labels).parent
+        if not labels_dir.is_dir() and labels_dir.resolve() != Path(cfg["out_dir"]).resolve():
+            raise InputError(f"--save-labels: no such directory: {labels_dir}")
     mask = read_volume(_require_file(args.mask, "--mask"), "mask")
     lm = label_components(mask, cfg["connectivity"])
     out = _out_dir(cfg)
@@ -509,12 +514,13 @@ def cmd_phantom(args) -> int:
         seed=args.seed,
     )
     image, truth, count = generate(spec)
+    # a perturbation that does not apply to this truth is rejected before any write
+    pred = perturb(truth, p, seed=args.perturb_seed) if p is not None else None
     out = _out_dir(cfg)
     write_volume(image, out / "image.nii.gz", datatype=64)
     write_volume(truth, out / "truth.nii.gz", datatype=2)
     payload = {"spec": asdict(spec), "cluster_count": count}
     if p is not None:
-        pred = perturb(truth, p, seed=args.perturb_seed)
         write_volume(pred, out / "pred.nii.gz", datatype=2)
         payload["perturbation"] = asdict(p)
         payload["perturb_seed"] = args.perturb_seed

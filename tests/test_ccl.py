@@ -185,6 +185,21 @@ def test_painted_grid_matches_fg_labels(conn):
     assert np.array_equal(lm.data, expected)
 
 
+def test_painted_grid_is_read_only(tmp_path):
+    """A write into the cached grid would reach write_volume, which writes a
+    painted grid as it is, and the file would disagree with fg_labels."""
+    from pvseval.nifti import read_volume, write_volume
+
+    arr = random_mask(np.random.default_rng(5), (6, 7, 8), 0.35)
+    lm = label_components(make_mask(arr), 26)
+    painted = lm.data.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        lm.data[0, 0, 0] = 7
+    write_volume(lm, tmp_path / "labels.nii", datatype=8)
+    saved = read_volume(tmp_path / "labels.nii", "intensity")
+    assert np.array_equal(saved.data, painted)
+
+
 def bins_of(hist):
     """(lo, hi, count, density) of each bin, as Python scalars."""
     return list(zip(hist.lo.tolist(), hist.hi.tolist(), hist.count.tolist(),

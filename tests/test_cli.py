@@ -172,6 +172,23 @@ class TestMetricsCommand:
         assert err.startswith("pvseval: error: [Errno") and "Is a directory" in err
         assert str(tmp_path / "labels") in err
 
+    def test_save_labels_in_no_directory_exit_2_before_any_write(self, phantom_files,
+                                                                 tmp_path, capsys,
+                                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run("clusters", "--mask", phantom_files["root"] / "truth.nii.gz",
+                   "--out", "out", "--save-labels", "nodir/labels.nii.gz") == 2
+        assert capsys.readouterr().err == (
+            "pvseval: error: --save-labels: no such directory: nodir\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_save_labels_may_go_into_out(self, phantom_files, tmp_path):
+        out = tmp_path / "out"
+        assert run("clusters", "--mask", phantom_files["root"] / "truth.nii.gz",
+                   "--out", out, "--save-labels", out / "labels.nii.gz") == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "cluster_sizes.csv", "clusters.json", "labels.nii.gz", "size_histogram.csv"]
+
     def test_strict_grid_compares_affines(self, phantom_files, tmp_path, capsys):
         root, truth = phantom_files["root"], phantom_files["truth"]
         affine = np.array(truth.affine)
@@ -1554,6 +1571,16 @@ class TestPhantomCommand:
         code = run("phantom", "--out", tmp_path, "--perturb", "explode:1")
         assert code == 2
         assert "unknown perturbation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, message", [
+        (("--n-tubes", "2", "--perturb", "delete_fraction:1.5"), "fraction 1.5 outside [0, 1]"),
+        (("--n-tubes", "1", "--perturb", "drop_clusters:3"), "cannot drop 3 of 1 clusters"),
+    ])
+    def test_perturbation_rejected_before_any_write(self, tmp_path, capsys, args, message):
+        out = tmp_path / "p"
+        assert run("phantom", "--dims", "24,24,24", *args, "--out", out) == 2
+        assert capsys.readouterr().err == f"pvseval: error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("args, flag", [
         (("--perturb", "delete_fraction:abc"), "--perturb delete_fraction"),

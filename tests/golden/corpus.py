@@ -26,9 +26,9 @@ import gzip
 import hashlib
 import io
 import json
-import os
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -197,7 +197,7 @@ def make_inputs() -> None:
              Perturbation(kind="dilate_once"),
              Perturbation(kind="translate", offset=(1, 0, 0)),
              Perturbation(kind="drop_clusters", k=1)]
-    subjects, s1_ref = [], None
+    subjects, truths = [], []
     for i in range(9):
         spec = PhantomSpec(dims=DIMS, spacing=SPACING, n_tubes=3, length_range=(6.0, 12.0),
                            seed=10 + i)
@@ -206,7 +206,7 @@ def make_inputs() -> None:
         sid, site = f"s{i + 1}", f"site{i // 3 + 1}"
         if i == 4:  # no prediction: its ppv values are undefined
             pred = BinaryMask.from_index(np.empty(0, np.int64), DIMS, SPACING, affine)
-        s1_ref = s1_ref if i else truth
+        truths.append(truth)
         mask(f"{sid}_ref.nii.gz", truth)
         mask(f"{sid}_pred.nii.gz", pred)
         subjects.append([sid, site, f"{sid}_pred.nii.gz", f"{sid}_ref.nii.gz",
@@ -223,7 +223,7 @@ def make_inputs() -> None:
 
     # a smooth integer image, brighter inside s1's reference
     x, y, z = np.indices(DIMS)
-    image = ((x + 2 * y + 3 * z) % 17 + 40 * s1_ref.data).astype(np.int16)
+    image = ((x + 2 * y + 3 * z) % 17 + 40 * truths[0].data).astype(np.int16)
     write_volume(Volume3D(image, SPACING, affine), INPUTS / "image.nii.gz", datatype=4)
 
     _write_csv(INPUTS / "cohort.csv", MANIFEST_COLUMNS, subjects)
@@ -245,12 +245,8 @@ def make_inputs() -> None:
 
 def regenerate(workdir: Path) -> dict:
     copy_inputs(workdir)
-    cwd = os.getcwd()
-    os.chdir(workdir)
-    try:
+    with contextlib.chdir(workdir):
         return {name: run_case(name) for name in CASES}
-    finally:
-        os.chdir(cwd)
 
 
 def main(argv=None) -> int:
@@ -260,7 +256,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.inputs:
         make_inputs()
-    import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         cases = regenerate(Path(tmp))
     HASHES.write_text(json.dumps(cases, indent=2, sort_keys=True) + "\n")

@@ -173,10 +173,9 @@ def _losocv_columns(sites) -> dict[str, tuple]:
 
 
 def _cell(record, path: tuple) -> str:
-    """The CSV text of the value at `path`; a None on the way gives ""."""
+    """The CSV text of the value at `path` in the nested dicts of `record`;
+    None gives ""."""
     for key in path:
-        if record is None:
-            break
         record = record[key]
     if record is None:
         return ""
@@ -428,10 +427,13 @@ def cmd_contrast(args) -> int:
 def cmd_clusters(args) -> int:
     cfg = _resolve_config(args)
     if args.save_labels:
-        # its directory must exist, unless it is --out, which is made below
-        labels_dir = Path(args.save_labels).parent
-        if not labels_dir.is_dir() and labels_dir.resolve() != Path(cfg["out_dir"]).resolve():
-            raise InputError(f"--save-labels: no such directory: {labels_dir}")
+        # a file, in a directory that exists unless it is --out; --out and
+        # its parents are directories once it is made below
+        labels, out_dir = Path(args.save_labels), Path(cfg["out_dir"]).resolve()
+        if labels.is_dir() or out_dir.is_relative_to(labels.resolve()):
+            raise InputError(f"--save-labels: is a directory: {args.save_labels}")
+        if not labels.parent.is_dir() and labels.parent.resolve() != out_dir:
+            raise InputError(f"--save-labels: no such directory: {labels.parent}")
     mask = read_volume(_require_file(args.mask, "--mask"), "mask")
     lm = label_components(mask, cfg["connectivity"])
     out = _out_dir(cfg)

@@ -86,6 +86,8 @@ CASES: dict[str, tuple[str, ...]] = {
     "clusters_empty": ("clusters", "--mask", "empty.nii.gz"),
     "clusters_save_labels_no_dir": ("clusters", "--mask", "s1_ref.nii.gz",
                                     "--save-labels", "nodir/labels.nii.gz"),
+    "clusters_save_labels_is_dir": ("clusters", "--mask", "s1_ref.nii.gz",
+                                    "--save-labels", "."),
     "folds_5fcv": ("folds", "--manifest", "cohort.csv", "--scheme", "5fcv", "--seed", "3"),
     "folds_losocv": ("folds", "--manifest", "cohort.csv", "--scheme", "losocv"),
     "compare_region_family": CMP,

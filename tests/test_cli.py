@@ -117,6 +117,13 @@ class TestMetricsCommand:
         assert code == 2
         assert "no such file" in capsys.readouterr().err
 
+    def test_empty_pred_exit_2(self, phantom_files, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("metrics", "--pred", "", "--ref", phantom_files["root"] / "truth.nii.gz",
+                   "--out", out) == 2
+        assert capsys.readouterr().err == "pvseval: error: --pred is required\n"
+        assert not out.exists()
+
     def test_half_deletion_dice_in_csv(self, phantom_files, tmp_path):
         root = phantom_files["root"]
         code = run("metrics", "--pred", root / "half.nii.gz",
@@ -168,9 +175,21 @@ class TestMetricsCommand:
         code = run("clusters", "--mask", root / "truth.nii.gz", "--out", tmp_path / "out",
                    "--save-labels", tmp_path / "labels")
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("pvseval: error: [Errno") and "Is a directory" in err
-        assert str(tmp_path / "labels") in err
+        assert capsys.readouterr().err == (
+            f"pvseval: error: --save-labels: is a directory: {tmp_path / 'labels'}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("labels", ["out", "out/"])
+    @pytest.mark.parametrize("out", ["out", "out/deeper"])
+    def test_save_labels_names_out_or_its_parent_exit_2(self, phantom_files, tmp_path,
+                                                       capsys, monkeypatch, out, labels):
+        # neither exists yet, but --out is made before the label map is written
+        monkeypatch.chdir(tmp_path)
+        assert run("clusters", "--mask", phantom_files["root"] / "truth.nii.gz",
+                   "--out", out, "--save-labels", labels) == 2
+        assert capsys.readouterr().err == (
+            f"pvseval: error: --save-labels: is a directory: {labels}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_save_labels_in_no_directory_exit_2_before_any_write(self, phantom_files,
                                                                  tmp_path, capsys,
@@ -1124,6 +1143,22 @@ class TestCompareCommand:
             "pvseval: error: --metrics names 'dsc_vox' more than once\n")
         assert not (tmp_path / "cmp").exists()
 
+    def test_empty_csv_exit_2(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        a.write_text("")
+        assert run("compare", "--a", a, "--b", a, "--out", tmp_path / "cmp") == 2
+        assert capsys.readouterr().err == f"pvseval: error: {a}: empty CSV\n"
+        assert not (tmp_path / "cmp").exists()
+
+    def test_unknown_metric_exit_2(self, tmp_path, capsys):
+        rows = [(f"s{i}", "WM", [str(0.1 * i)] * len(METRICS)) for i in range(1, 5)]
+        a = write_per_subject(tmp_path / "a.csv", rows)
+        assert run("compare", "--a", a, "--b", a, "--out", tmp_path / "cmp",
+                   "--metrics", "dsc_vox,bogus") == 2
+        assert capsys.readouterr().err == (
+            f"pvseval: error: unknown metric 'bogus'; choose from {METRICS}\n")
+        assert not (tmp_path / "cmp").exists()
+
     def test_families_agree_when_a_region_shares_no_subjects(self, tmp_path):
         """BG has no subject in both CSVs: its rows are undefined in both
         families, and WM's are the same, as BG adds no p-value to BH."""
@@ -1594,6 +1629,16 @@ class TestPhantomCommand:
         assert capsys.readouterr().err.startswith(f"pvseval: error: {flag}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--dims", "1,2", "--dims expects three comma-separated values, got '1,2'"),
+        ("--radius-range", "1", "--radius-range expects lo,hi, got '1'"),
+    ])
+    def test_wrong_number_of_values_exit_2(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "p"
+        assert run("phantom", "--out", out, flag, value) == 2
+        assert capsys.readouterr().err == f"pvseval: error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value, field", [
         ("--clearance", "nan", "clearance"),
         ("--offset", "nan", "tube_offset"),
@@ -1699,6 +1744,21 @@ class TestConfigTypes:
         # accepted, and dropped: folds reads none of them
         config = json.loads((out / "foldspec.json").read_text())["config"]
         assert config == {"out_dir": str(out)}
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (("folds", "--scheme", "5fcv"), {"connectivity": 7},
+         "connectivity must be one of (6, 18, 26)"),
+        # folds does not read fdr_q, but a value the file gives is checked all the same
+        (("folds", "--scheme", "5fcv"), {"fdr_q": 1.5}, "fdr q must lie in (0, 1)"),
+        (("aggregate", "--workers", "0"), {}, "workers must be >= 1"),
+    ])
+    def test_value_out_of_range(self, manifest, tmp_path, capsys, argv, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert run(*argv, "--manifest", manifest, "--config", cfg, "--out", out) == 2
+        assert capsys.readouterr().err == f"pvseval: error: {message}\n"
+        assert not out.exists()
 
     def test_config_not_utf8_exit_2(self, manifest, tmp_path, capsys):
         config = tmp_path / "c.json"

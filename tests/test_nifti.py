@@ -156,6 +156,12 @@ class TestReadVolume:
         with pytest.raises(BadHeaderError):
             read_volume(path, "mask")
 
+    def test_zero_grid_extent(self, tmp_path):
+        path = tmp_path / "z.nii"
+        write_raw(path, minimal_header(dims=(4, 0, 4)), b"")
+        with pytest.raises(BadHeaderError, match=r"non-positive grid extents \(4, 0, 4\)"):
+            read_volume(path, "mask")
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("code", sorted(DATATYPES))
@@ -533,6 +539,38 @@ class TestStreamingRead:
         path.write_bytes(gzip.compress(raw[:-8]))
         with pytest.raises(TruncatedDataError):
             read_volume(path, "mask")
+
+    @pytest.mark.parametrize("damage, message", [
+        ("cut", "end-of-stream"), ("crc", "incorrect data check")])
+    def test_bad_header_of_a_stream_longer_than_a_piece(self, tmp_path, damage, message):
+        # the header fails in the first piece; the damage is only met in a later one
+        raw = bytearray(write_nifti(tmp_path / "g.nii", np.zeros((48, 48, 48)), 64)
+                        .read_bytes())
+        assert len(raw) > 2 * nifti._PIECE
+        raw[344:348] = b"ni1\x00"
+        blob = gzip.compress(bytes(raw))
+        blob = blob[:-3] if damage == "cut" else blob[:-8] + bytes([blob[-8] ^ 0xFF]) + blob[-7:]
+        path = tmp_path / "bad.nii.gz"
+        path.write_bytes(blob)
+        with pytest.raises(InputError, match=message):
+            read_volume(path, "mask")
+
+    @pytest.mark.parametrize("follows", ["padding", "member"])
+    def test_member_ending_on_a_block_edge(self, grid, tmp_path, follows):
+        # a gzip comment sizes the first member to exactly one file block, so
+        # the next read starts with what follows it
+        raw = write_nifti(tmp_path / "g.nii", grid, 64).read_bytes()
+        cut = len(raw) if follows == "padding" else 500
+        deflate = zlib.compressobj(6, zlib.DEFLATED, -zlib.MAX_WBITS)
+        body = (deflate.compress(raw[:cut]) + deflate.flush()
+                + struct.pack("<II", zlib.crc32(raw[:cut]), len(raw[:cut])))
+        comment = b"c" * (nifti._BLOCK - 11 - len(body))
+        first = b"\x1f\x8b\x08\x10" + bytes(6) + comment + b"\x00" + body
+        assert len(first) == nifti._BLOCK
+        rest = bytes(100) if follows == "padding" else gzip.compress(raw[cut:]) + bytes(3)
+        path = tmp_path / "edge.nii.gz"
+        path.write_bytes(first + rest)
+        assert np.array_equal(read_volume(path, "intensity").data, grid)
 
     @pytest.mark.parametrize("block", [3, 1 << 18])
     def test_gzip_header_with_every_optional_field(self, grid, tmp_path, monkeypatch, block):

@@ -48,6 +48,7 @@ CMP = ("compare", "--a", "cmp_a.csv", "--b", "cmp_b.csv")
 # name -> argv; each case writes under out/<name>
 CASES: dict[str, tuple[str, ...]] = {
     "phantom_plain": PHANTOM,
+    "phantom_defaults": ("phantom",),  # every spec flag at its PhantomSpec default
     "phantom_delete_fraction": (*PHANTOM, "--perturb", "delete_fraction:0.4",
                                 "--perturb-seed", "2"),
     "phantom_dilate_once": (*PHANTOM, "--perturb", "dilate_once", "--connectivity", "18"),

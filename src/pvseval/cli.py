@@ -30,7 +30,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -49,7 +49,7 @@ from .harness import (
 from .metrics import METRIC_NAMES, evaluate_subject
 from .morphology import contrast_stat, contrast_stat_per_cluster
 from .nifti import read_volume, read_voxels, write_volume
-from .phantom import PhantomSpec, Perturbation, generate, perturb
+from .phantom import PERTURBATION_PARAMS, PhantomSpec, Perturbation, generate, perturb
 from .stats import compare_models
 
 WORKERS_ENV = "PVSEVAL_WORKERS"
@@ -461,60 +461,53 @@ def cmd_clusters(args) -> int:
 
 # -- phantom ---------------------------------------------------------------
 
-def _cast(parts: list[str], flag: str, cast) -> tuple:
+# a tuple value's shape, by its length, as its parse error states it
+_TUPLE_FORMS = {2: "lo,hi", 3: "three comma-separated values"}
+# PhantomSpec field -> its flag, where that is not --<field> with - for _
+_PHANTOM_FLAGS = {"tube_offset": "--offset"}
+
+
+def _phantom_flag(name: str) -> str:
+    return _PHANTOM_FLAGS.get(name, "--" + name.replace("_", "-"))
+
+
+def _parse_value(text: str, flag: str, default):
+    """`text` as a value shaped as `default`: a scalar of its type, or a
+    tuple of as many comma-separated values, each of its item's type."""
+    items = default if isinstance(default, tuple) else (default,)
+    parts = text.split(",") if isinstance(default, tuple) else [text]
+    if len(parts) != len(items):
+        raise InputError(f"{flag} expects {_TUPLE_FORMS[len(items)]}, got {text!r}")
     try:
-        return tuple(cast(p) for p in parts)
+        values = tuple(type(item)(part) for item, part in zip(items, parts))
     except ValueError as exc:
         raise InputError(f"{flag}: {exc}") from exc
-
-
-def _parse_triple(text: str, flag: str, cast=int) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise InputError(f"{flag} expects three comma-separated values, got {text!r}")
-    return _cast(parts, flag, cast)
-
-
-def _parse_range(text: str, flag: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise InputError(f"{flag} expects lo,hi, got {text!r}")
-    return _cast(parts, flag, float)
+    return values if isinstance(default, tuple) else values[0]
 
 
 def _parse_perturbation(text: str, connectivity: int) -> Perturbation:
     kind, _, param = text.partition(":")
-    if kind == "delete_fraction":
-        (fraction,) = _cast([param], "--perturb delete_fraction", float)
-        fields = {"fraction": fraction}
-    elif kind == "dilate_once":
-        fields = {}
-    elif kind == "drop_clusters":
-        (k,) = _cast([param], "--perturb drop_clusters", int)
-        fields = {"k": k}
-    elif kind == "translate":
-        fields = {"offset": _parse_triple(param, "--perturb translate")}
-    else:
+    if kind not in PERTURBATION_PARAMS:
         raise InputError(f"unknown perturbation {kind!r}")
-    return Perturbation(kind=kind, connectivity=connectivity, **fields)
+    name = PERTURBATION_PARAMS[kind]
+    given = {}
+    if name is not None:  # dilate_once has no parameter, and ignores one given
+        default = Perturbation.__dataclass_fields__[name].default
+        given[name] = _parse_value(param, f"--perturb {kind}", default)
+    return Perturbation(kind=kind, connectivity=connectivity, **given)
 
 
 def cmd_phantom(args) -> int:
     cfg = _resolve_config(args)
     p = _parse_perturbation(args.perturb, cfg["connectivity"]) if args.perturb else None
-    spec = PhantomSpec(
-        dims=_parse_triple(args.dims, "--dims"),
-        spacing=_parse_triple(args.spacing, "--spacing", float),
-        n_tubes=args.n_tubes,
-        radius_range=_parse_range(args.radius_range, "--radius-range"),
-        length_range=_parse_range(args.length_range, "--length-range"),
-        clearance=args.clearance,
-        bend_amplitude=args.bend_amplitude,
-        bg_mean=args.bg_mean,
-        bg_sd=args.bg_sd,
-        tube_offset=args.offset,
-        seed=args.seed,
-    )
+    # a flag not given keeps its field's default; argparse has typed the scalars
+    given = {}
+    for field in fields(PhantomSpec):
+        value = getattr(args, field.name)
+        if value is not None:
+            given[field.name] = (_parse_value(value, _phantom_flag(field.name), field.default)
+                                 if isinstance(field.default, tuple) else value)
+    spec = PhantomSpec(**given)
     image, truth, count = generate(spec)
     # a perturbation that does not apply to this truth is rejected before any write
     pred = perturb(truth, p, seed=args.perturb_seed) if p is not None else None
@@ -595,17 +588,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save-labels", help="write the label map as NIfTI i32")
 
     p = command("phantom", cmd_phantom, "generate a synthetic tubular phantom")
-    p.add_argument("--dims", default="64,64,64")
-    p.add_argument("--spacing", default="1,1,1")
-    p.add_argument("--n-tubes", type=int, default=5)
-    p.add_argument("--radius-range", default="1,2")
-    p.add_argument("--length-range", default="10,25")
-    p.add_argument("--clearance", type=float, default=3.0)
-    p.add_argument("--bend-amplitude", type=float, default=1.0)
-    p.add_argument("--bg-mean", type=float, default=0.0)
-    p.add_argument("--bg-sd", type=float, default=1.0)
-    p.add_argument("--offset", type=float, default=6.0)
-    p.add_argument("--seed", type=int, default=0)
+    for field in fields(PhantomSpec):
+        flag = _phantom_flag(field.name)
+        scalar = not isinstance(field.default, tuple)  # a tuple is parsed by _parse_value
+        p.add_argument(flag, dest=field.name, type=type(field.default) if scalar else str,
+                       metavar=flag[2:].replace("-", "_").upper())
     p.add_argument("--perturb",
                    help="also write pred.nii.gz, e.g. delete_fraction:0.5, "
                         "drop_clusters:2, dilate_once, translate:1,0,0")

@@ -17,7 +17,7 @@ import csv
 import io
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import repeat
 from pathlib import Path
 
@@ -26,15 +26,6 @@ import numpy as np
 from .errors import EmptyManifestError, InputError, TooFewSitesError
 from .metrics import METRIC_NAMES, RoiMask, SubjectMetrics, evaluate_subject, pearson_r
 from .nifti import BinaryMask, read_mask_voxels, read_volume
-
-MANIFEST_COLUMNS = (
-    "subject_id",
-    "site",
-    "pred_path",
-    "ref_path",
-    "roi_wm_path",
-    "roi_bg_path",
-)
 
 N_FOLDS = 5
 ALL_SITES = "All Sites"  # the site of each region's pooled report
@@ -48,6 +39,11 @@ class SubjectRecord:
     ref_path: str
     roi_wm_path: str = ""
     roi_bg_path: str = ""
+
+
+# a manifest's columns are SubjectRecord's fields; those with no default are required
+MANIFEST_COLUMNS = tuple(f.name for f in fields(SubjectRecord))
+_REQUIRED_COLUMNS = [f.name for f in fields(SubjectRecord) if f.default is MISSING]
 
 
 @dataclass
@@ -121,8 +117,7 @@ def read_manifest(path: str | Path) -> list[SubjectRecord]:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise EmptyManifestError(f"{path}: empty manifest")
-        missing = [c for c in ("subject_id", "site", "pred_path", "ref_path")
-                   if c not in reader.fieldnames]
+        missing = [c for c in _REQUIRED_COLUMNS if c not in reader.fieldnames]
         if missing:
             raise InputError(f"{path}: manifest header missing columns {missing}")
         unknown = [c for c in reader.fieldnames
@@ -135,22 +130,14 @@ def read_manifest(path: str | Path) -> list[SubjectRecord]:
             for column, cell in row.items():
                 if cell and "\x00" in cell:  # no path holds one, and open() fails on it
                     raise InputError(f"{path}: row {i}, column {column}: holds a NUL byte")
-            sid = (row.get("subject_id") or "").strip()
+            cells = {c: (row.get(c) or "").strip() for c in MANIFEST_COLUMNS}
+            sid = cells["subject_id"]
             if not sid:
                 raise InputError(f"{path}: row {i}: empty subject_id")
             if sid in seen:
                 raise InputError(f"{path}: row {i}: duplicate subject_id {sid!r}")
             seen.add(sid)
-            records.append(
-                SubjectRecord(
-                    subject_id=sid,
-                    site=(row.get("site") or "").strip(),
-                    pred_path=(row.get("pred_path") or "").strip(),
-                    ref_path=(row.get("ref_path") or "").strip(),
-                    roi_wm_path=(row.get("roi_wm_path") or "").strip(),
-                    roi_bg_path=(row.get("roi_bg_path") or "").strip(),
-                )
-            )
+            records.append(SubjectRecord(**cells))
     if not records:
         raise EmptyManifestError(f"{path}: no subjects")
     return records

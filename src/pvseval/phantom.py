@@ -225,18 +225,23 @@ def generate(spec: PhantomSpec) -> tuple[Volume3D, BinaryMask, int]:
     return image, truth, len(placed)
 
 
+# each perturbation kind -> the Perturbation field that parametrizes it
+PERTURBATION_PARAMS = {"delete_fraction": "fraction", "dilate_once": None,
+                       "drop_clusters": "k", "translate": "offset"}
+
+
 @dataclass(frozen=True)
 class Perturbation:
     """A controlled degradation of a truth mask."""
 
-    kind: str  # delete_fraction | dilate_once | drop_clusters | translate
+    kind: str  # a key of PERTURBATION_PARAMS
     fraction: float = 0.0
     k: int = 0
     offset: tuple[int, int, int] = (0, 0, 0)
     connectivity: int = 26
 
     def validate(self) -> None:
-        kinds = ("delete_fraction", "dilate_once", "drop_clusters", "translate")
+        kinds = tuple(PERTURBATION_PARAMS)
         if self.kind not in kinds:
             raise BadParameterError(f"kind must be one of {kinds}, got {self.kind!r}")
         if self.kind == "delete_fraction" and not 0.0 <= self.fraction <= 1.0:

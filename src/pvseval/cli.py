@@ -39,6 +39,7 @@ from .errors import InputError
 from .harness import (
     ALL_SITES,
     aggregate,
+    csv_rows,
     evaluate_manifest,
     losocv_table,
     make_folds,
@@ -153,6 +154,7 @@ COMPARE_COLUMNS = {
     **_same("region", "metric", "n", "median_a", "median_b", "median_diff", "p_fdr"),
     "sig": ("significant",),
     "r": ("rank_biserial",),
+    **_same("n_pairs", "method"),
 }
 FAILURE_COLUMNS = _same("subject_id", "site", "error", "message")
 CONTRAST_COLUMNS = _same("subject_id", "modality", "mask_mean", "shell_mean",
@@ -325,9 +327,9 @@ def _read_per_subject_csv(path: str):
         missing = sorted(needed - set(reader.fieldnames))
         if missing:
             raise InputError(f"{path}: missing columns {missing}")
-        for i, row in enumerate(reader, start=2):
-            sid = (row.get("subject_id") or "").strip()
-            region = (row.get("region") or "").strip()
+        for i, row in csv_rows(reader, path):
+            sid = row["subject_id"].strip()
+            region = row["region"].strip()
             if not sid or not region:
                 raise InputError(f"{path}: row {i}: empty subject_id or region")
             if sid in regions.setdefault(region, set()):
@@ -338,7 +340,7 @@ def _read_per_subject_csv(path: str):
                 connectivities.add(row["connectivity"].strip())
             values = by_subject.setdefault(sid, {})
             for metric in METRIC_NAMES:
-                text = (row.get(metric) or "").strip()
+                text = row[metric].strip()
                 try:
                     value = float(text) if text else None
                 except ValueError as exc:

@@ -18,6 +18,7 @@ import io
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
+from collections.abc import Iterator
 from itertools import repeat
 from pathlib import Path
 
@@ -107,6 +108,20 @@ def read_text(path: str | Path) -> str:
                          f"({exc.reason} at byte {exc.start})") from None
 
 
+def csv_rows(reader: csv.DictReader, path) -> Iterator[tuple[int, dict[str, str]]]:
+    """(row number, row) of each data row of `reader`, the header being row
+    1; a row with more or fewer cells than the header, as a cut write or a
+    stray comma leaves, is an InputError naming the file and the row.
+    DictReader fills a short row's missing cells with None and puts a long
+    row's extra cells in a list under the key None."""
+    width = len(reader.fieldnames)
+    for i, row in enumerate(reader, start=2):
+        cells = width - list(row.values()).count(None) + len(row.get(None, ()))
+        if cells != width:
+            raise InputError(f"{path}: row {i}: {cells} cells, the header has {width}")
+        yield i, row
+
+
 def read_manifest(path: str | Path) -> list[SubjectRecord]:
     """Parse a manifest CSV; unknown columns are rejected by name.
 
@@ -126,14 +141,15 @@ def read_manifest(path: str | Path) -> list[SubjectRecord]:
             raise InputError(f"{path}: unknown manifest columns {unknown}")
         records = []
         seen = set()
-        for i, row in enumerate(reader, start=2):
+        for i, row in csv_rows(reader, path):
             for column, cell in row.items():
-                if cell and "\x00" in cell:  # no path holds one, and open() fails on it
+                if "\x00" in cell:  # no path holds one, and open() fails on it
                     raise InputError(f"{path}: row {i}, column {column}: holds a NUL byte")
-            cells = {c: (row.get(c) or "").strip() for c in MANIFEST_COLUMNS}
+            cells = {c: row.get(c, "").strip() for c in MANIFEST_COLUMNS}
+            for column in _REQUIRED_COLUMNS:
+                if not cells[column]:
+                    raise InputError(f"{path}: row {i}: empty {column}")
             sid = cells["subject_id"]
-            if not sid:
-                raise InputError(f"{path}: row {i}: empty subject_id")
             if sid in seen:
                 raise InputError(f"{path}: row {i}: duplicate subject_id {sid!r}")
             seen.add(sid)

@@ -43,6 +43,12 @@ def test_bad_connectivity():
         label_components(make_mask(np.zeros((2, 2, 2), bool)), 10)
 
 
+def test_neighbor_offsets_bad_connectivity():
+    with pytest.raises(ValueError) as got:
+        neighbor_offsets(7)
+    assert str(got.value) == "connectivity must be one of (6, 18, 26)"
+
+
 def test_neighbor_offsets_symmetric():
     for conn in (6, 18, 26):
         offsets = set(neighbor_offsets(conn))
@@ -265,3 +271,8 @@ class TestSizeHistogram:
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
             size_histogram([])
+
+    def test_size_below_one(self):
+        with pytest.raises(ValueError) as got:
+            size_histogram([0, 3])
+        assert str(got.value) == "cluster sizes must be >= 1"

@@ -289,6 +289,14 @@ def build_cohort(root, n_per_site, seed0=0):
     return manifest, records
 
 
+def write_rows(path, rows):
+    """Rewrite a CSV from read_csv's rows."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 class TestAggregateCommand:
     @pytest.mark.parametrize("command", ["aggregate", "folds"])
     def test_manifest_not_utf8_exit_2(self, tmp_path, capsys, command):
@@ -309,13 +317,36 @@ class TestAggregateCommand:
         manifest, _ = build_cohort(tmp_path, {"A": 2})
         rows = read_csv(manifest)
         rows[1][column] = rows[1][column][:3] + "\x00" + rows[1][column][3:]
-        with open(manifest, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        write_rows(manifest, rows)
         assert run("aggregate", "--manifest", manifest, "--out", tmp_path / "o") == 2
         assert capsys.readouterr().err == (
             f"pvseval: error: {manifest}: row 3, column {column}: holds a NUL byte\n")
+
+    @pytest.mark.parametrize("command", ["aggregate", "folds"])
+    @pytest.mark.parametrize("column", ["site", "pred_path", "ref_path"])
+    def test_manifest_empty_required_cell_exit_2(self, tmp_path, capsys, column, command):
+        # an empty pred_path was read as the directory "", and an empty
+        # site became a site named "" with LOSOCV headers _mean, _sd, _n
+        manifest, _ = build_cohort(tmp_path, {"A": 2, "B": 2})
+        rows = read_csv(manifest)
+        rows[1][column] = " "
+        write_rows(manifest, rows)
+        argv = ["--scheme", "5fcv"] if command == "folds" else []
+        assert run(command, "--manifest", manifest, *argv, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            f"pvseval: error: {manifest}: row 3: empty {column}\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("line, cells", [("s9,A", 2), ("s9,A,p,r,,,extra", 7)])
+    def test_manifest_row_of_the_wrong_width_exit_2(self, tmp_path, capsys, line, cells):
+        manifest, _ = build_cohort(tmp_path, {"A": 2})
+        with open(manifest, "a", newline="") as fh:
+            fh.write(line + "\r\n")
+        assert run("folds", "--manifest", manifest, "--scheme", "5fcv",
+                   "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            f"pvseval: error: {manifest}: row 4: {cells} cells, the header has 6\n")
+        assert not (tmp_path / "o").exists()
 
     def test_two_subject_hand_mean(self, tmp_path):
         manifest, _ = build_cohort(tmp_path, {"A": 2})
@@ -1143,6 +1174,21 @@ class TestCompareCommand:
             "pvseval: error: --metrics names 'dsc_vox' more than once\n")
         assert not (tmp_path / "cmp").exists()
 
+    @pytest.mark.parametrize("cut, cells", [(4, 4), (None, 9)])
+    def test_row_of_the_wrong_width_exit_2(self, tmp_path, capsys, cut, cells):
+        # a row cut after its 4th cell, as a killed write leaves it, had
+        # read as 4 undefined metrics; a long row's extra cell was dropped
+        rows = [(f"s{i}", "WM", [str(0.1 * i)] * len(METRICS)) for i in range(1, 5)]
+        good = write_per_subject(tmp_path / "good.csv", rows)
+        lines = good.read_text().splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:cut]) if cut else lines[2] + ",0.5"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run("compare", "--a", good, "--b", bad, "--out", tmp_path / "cmp") == 2
+        assert capsys.readouterr().err == (
+            f"pvseval: error: {bad}: row 3: {cells} cells, the header has 8\n")
+        assert not (tmp_path / "cmp").exists()
+
     def test_empty_csv_exit_2(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         a.write_text("")
@@ -1252,6 +1298,15 @@ class TestContrastCommand:
         row = read_csv(tmp_path / "contrast.csv")[0]
         assert row["mode"] == "per_cluster"
         assert abs(float(row["abs_contrast"]) - 6.0) < 1.5
+
+    @pytest.mark.parametrize("mode", ["global", "per_cluster"])
+    def test_empty_mask_exit_2(self, tmp_path, capsys, mode):
+        inputs = Path(__file__).parent / "golden" / "inputs"
+        assert run("contrast", "--image", inputs / "image.nii.gz",
+                   "--mask", inputs / "empty.nii.gz", "--mode", mode,
+                   "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == "pvseval: error: contrast needs a non-empty mask\n"
+        assert not (tmp_path / "o").exists()
 
     def test_strict_grid_compares_image(self, phantom_files, tmp_path, capsys):
         root, truth = phantom_files["root"], phantom_files["truth"]
@@ -1639,6 +1694,42 @@ class TestPhantomCommand:
         assert capsys.readouterr().err == f"pvseval: error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (("--dims", "1.5,2,3"), "--dims: invalid literal for int() with base 10: '1.5'"),
+        (("--perturb", "bogus"), "unknown perturbation 'bogus'"),
+        (("--perturb", "delete_fraction"),
+         "--perturb delete_fraction: could not convert string to float: ''"),
+        (("--perturb", "translate"),
+         "--perturb translate expects three comma-separated values, got ''"),
+        (("--perturb", "drop_clusters:x"),
+         "--perturb drop_clusters: invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_value_that_does_not_parse_message(self, tmp_path, capsys, args, message):
+        out = tmp_path / "p"
+        assert run("phantom", "--out", out, *args) == 2
+        assert capsys.readouterr().err == f"pvseval: error: {message}\n"
+        assert not out.exists()
+
+    def test_scalar_flag_is_typed_by_argparse(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run("phantom", "--out", tmp_path / "p", "--n-tubes", "x")
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "pvseval phantom: error: argument --n-tubes: invalid int value: 'x'\n")
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--length-range", "0,5", "bad length range (0.0, 5.0)"),
+        ("--bend-amplitude", "-1", "bend_amplitude must be >= 0"),
+        ("--bg-sd", "-1", "bg_sd must be >= 0"),
+        ("--dims", "4,64,64", "grid too small for tubes: (4, 64, 64)"),
+    ])
+    def test_spec_rejected_before_any_write(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "p"
+        assert run("phantom", "--out", out, f"{flag}={value}") == 2
+        assert capsys.readouterr().err == f"pvseval: error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value, field", [
         ("--clearance", "nan", "clearance"),
         ("--offset", "nan", "tube_offset"),
@@ -1904,7 +1995,7 @@ LOSOCV_MAP = {**same("region", "metric"),
               **summary("A", ("external", "A")), **summary("B", ("external", "B")),
               **summary("C", ("external", "C")), **summary("average", ("average",))}
 COMPARE_MAP = {**same("region", "metric", "n", "median_a", "median_b", "median_diff", "p_fdr"),
-               "sig": ("significant",), "r": ("rank_biserial",)}
+               "sig": ("significant",), "r": ("rank_biserial",), **same("n_pairs", "method")}
 COMPARE_KEYS = {"region", "metric", "n", "n_pairs", "median_a", "median_b", "median_diff",
                 "w_plus", "w_minus", "p_raw", "p_fdr", "significant", "rank_biserial",
                 "method"}

@@ -136,6 +136,11 @@ class TestMakeFolds:
         with pytest.raises(EmptyManifestError):
             make_folds([], "5fcv")
 
+    def test_unknown_scheme(self):
+        with pytest.raises(InputError) as got:
+            make_folds(cohort_manifest(), "loso")
+        assert str(got.value) == "scheme must be '5fcv' or 'losocv', got 'loso'"
+
     def test_foldspec_json_round_trip(self):
         spec = make_folds(cohort_manifest(), "5fcv", seed=1)
         assert FoldSpec.from_json_dict(spec.to_json_dict()) == spec

@@ -119,6 +119,18 @@ class TestReadVolume:
         vol = read_volume(path, "intensity")
         assert vol.data[0, 0, 0] == 7.0
 
+    def test_unknown_mode(self, tmp_path):
+        path = tmp_path / "z.nii"
+        write_raw(path, minimal_header(), bytes(64))
+        with pytest.raises(ValueError) as got:
+            read_volume(path, "grid")
+        assert str(got.value) == "mode must be 'mask' or 'intensity', got 'grid'"
+
+    def test_volume_needs_a_3d_grid(self):
+        with pytest.raises(ValueError) as got:
+            Volume3D(np.zeros((2, 2)), (1.0, 1.0, 1.0), np.eye(3, 4))
+        assert str(got.value) == "expected a 3D grid, got shape (2, 2)"
+
     def test_zero_slope_is_identity(self, tmp_path):
         path = tmp_path / "s0.nii"
         write_raw(path, minimal_header(scl_slope=0.0, scl_inter=0.0), bytes([5] * 64))

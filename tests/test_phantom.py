@@ -381,3 +381,8 @@ class TestPerturb:
             perturb(truth, Perturbation(kind="warp"))
         with pytest.raises(BadParameterError):
             perturb(truth, Perturbation(kind="drop_clusters", k=-1))
+
+    def test_bad_connectivity(self):
+        with pytest.raises(BadParameterError) as got:
+            Perturbation(kind="translate", connectivity=7).validate()
+        assert str(got.value) == "connectivity must be one of (6, 18, 26)"

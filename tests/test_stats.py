@@ -95,6 +95,16 @@ class TestWilcoxon:
         with pytest.raises(LengthMismatchError):
             wilcoxon_signed_rank([1.0], [1.0, 2.0])
 
+    def test_no_pairs(self):
+        with pytest.raises(LengthMismatchError) as got:
+            wilcoxon_signed_rank([], [])
+        assert str(got.value) == "need at least one pair"
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError) as got:
+            wilcoxon_signed_rank([1.0, 2.0, 3.0], [0.0, 0.0, 0.0], method="x")
+        assert str(got.value) == "method must be auto/exact/approx, got 'x'"
+
     def test_antisymmetry(self):
         rng = np.random.default_rng(3)
         for n in (8, 20, 30):
@@ -120,6 +130,9 @@ class TestBhFdr:
 
     def test_single_p_unchanged(self):
         assert bh_fdr([0.2]) == [0.2]
+
+    def test_no_p_values(self):
+        assert bh_fdr([]) == []
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeError):

@@ -16,9 +16,9 @@ from __future__ import annotations
 import csv
 import io
 import random
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
-from collections.abc import Iterator
 from itertools import repeat
 from pathlib import Path
 

@@ -83,7 +83,7 @@ def main():
     tables.append(("paired Wilcoxon (A vs B), BH-adjusted", out / "compare" / "compare.csv"))
     for title, path in tables:
         print(f"\n== {title}: {path} ==")
-        print(path.read_text(), end="")
+        print(path.read_text(encoding="utf-8"), end="")
 
 
 if __name__ == "__main__":

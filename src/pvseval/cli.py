@@ -23,9 +23,7 @@ Exit codes: 0 success, 2 user/input error, 1 internal failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -39,13 +37,14 @@ from .errors import InputError
 from .harness import (
     ALL_SITES,
     aggregate,
-    csv_rows,
     evaluate_manifest,
     losocv_table,
     make_folds,
+    read_csv,
     read_manifest,
     read_subject,
     read_text,
+    write_csv,
 )
 from .metrics import METRIC_NAMES, evaluate_subject
 from .morphology import contrast_stat, contrast_stat_per_cluster
@@ -196,13 +195,6 @@ def _texts(column) -> list[str]:
     return list(map(repr, column.tolist()))
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _write_json(path: Path, payload: dict, cfg: dict,
                 columns: tuple[str, dict[str, list[str]]] | None = None) -> None:
     """`payload`, with `cfg` under `config`, as json.dumps(indent=2,
@@ -229,7 +221,7 @@ def _write_json(path: Path, payload: dict, cfg: dict,
             # matches; the records go between its brackets, written uncopied
             head, anchor, tail = pieces[0].partition(f"\n  {json.dumps(key)}: [")
             pieces[:1] = [head, anchor, "\n", records, "\n  ", tail]
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(pieces)
 
 
@@ -237,8 +229,8 @@ def _write_table(out: Path, stem: str, key: str, columns: dict[str, tuple],
                  records: list, cfg: dict) -> None:
     """`stem.csv` through `columns`, and the same records as `stem.json`."""
     paths = list(columns.values())
-    _write_csv(out / f"{stem}.csv", columns,
-               ([_cell(rec, p) for p in paths] for rec in records))
+    write_csv(out / f"{stem}.csv", columns,
+              ([_cell(rec, p) for p in paths] for rec in records))
     _write_json(out / f"{stem}.json", {key: records}, cfg)
 
 
@@ -319,39 +311,30 @@ def _read_per_subject_csv(path: str):
     by_subject: dict[str, dict[tuple[str, str], float | None]] = {}
     regions: dict[str, set[str]] = {}  # region -> its subject ids
     connectivities = set()
-    with io.StringIO(read_text(path), newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise InputError(f"{path}: empty CSV")
-        needed = {"subject_id", "region", *METRIC_NAMES}
-        missing = sorted(needed - set(reader.fieldnames))
-        if missing:
-            raise InputError(f"{path}: missing columns {missing}")
-        for i, row in csv_rows(reader, path):
-            sid = row["subject_id"].strip()
-            region = row["region"].strip()
-            if not sid or not region:
-                raise InputError(f"{path}: row {i}: empty subject_id or region")
-            if sid in regions.setdefault(region, set()):
+    for i, row in read_csv(path, ["subject_id", "region", *METRIC_NAMES]):
+        sid, region = row["subject_id"], row["region"]
+        if not sid or not region:
+            raise InputError(f"{path}: row {i}: empty subject_id or region")
+        if sid in regions.setdefault(region, set()):
+            raise InputError(
+                f"{path}: row {i}: duplicate row for subject {sid!r}, region {region!r}")
+        regions[region].add(sid)
+        if row.get("connectivity"):
+            connectivities.add(row["connectivity"])
+        values = by_subject.setdefault(sid, {})
+        for metric in METRIC_NAMES:
+            text = row[metric]
+            try:
+                value = float(text) if text else None
+            except ValueError as exc:
                 raise InputError(
-                    f"{path}: row {i}: duplicate row for subject {sid!r}, region {region!r}")
-            regions[region].add(sid)
-            if row.get("connectivity"):
-                connectivities.add(row["connectivity"].strip())
-            values = by_subject.setdefault(sid, {})
-            for metric in METRIC_NAMES:
-                text = row[metric].strip()
-                try:
-                    value = float(text) if text else None
-                except ValueError as exc:
-                    raise InputError(
-                        f"{path}: row {i}, column {metric}: not a number: {text!r}"
-                    ) from exc
-                # every metric is a ratio; nan is undefined, as an empty cell
-                if value is not None and not math.isnan(value) and not 0.0 <= value <= 1.0:
-                    raise InputError(
-                        f"{path}: row {i}, column {metric}: {text!r} is outside [0, 1]")
-                values[region, metric] = value
+                    f"{path}: row {i}, column {metric}: not a number: {text!r}"
+                ) from exc
+            # every metric is a ratio; nan is undefined, as an empty cell
+            if value is not None and not math.isnan(value) and not 0.0 <= value <= 1.0:
+                raise InputError(
+                    f"{path}: row {i}, column {metric}: {text!r} is outside [0, 1]")
+            values[region, metric] = value
     if not by_subject:
         raise InputError(f"{path}: no rows")
     if len(connectivities) > 1:
@@ -441,9 +424,9 @@ def cmd_clusters(args) -> int:
     out = _out_dir(cfg)
     sizes = lm.component_sizes
     # the same IEEE product as the int size times the float voxel volume
-    _write_csv(out / "cluster_sizes.csv", CLUSTER_SIZE_COLUMNS,
-               zip(map(str, range(1, sizes.size + 1)), _texts(sizes),
-                   _texts(sizes * mask.voxel_volume_mm3)))
+    write_csv(out / "cluster_sizes.csv", CLUSTER_SIZE_COLUMNS,
+              zip(map(str, range(1, sizes.size + 1)), _texts(sizes),
+                  _texts(sizes * mask.voxel_volume_mm3)))
     payload = {
         "component_count": lm.component_count,
         "connectivity": lm.connectivity,
@@ -453,7 +436,7 @@ def cmd_clusters(args) -> int:
     if lm.component_count > 0:
         hist = size_histogram(payload["sizes_voxels"], log_binning=args.log_binning)
         cells = {field: _texts(getattr(hist, field)) for field in HISTOGRAM_COLUMNS.values()}
-        _write_csv(out / "size_histogram.csv", HISTOGRAM_COLUMNS, zip(*cells.values()))
+        write_csv(out / "size_histogram.csv", HISTOGRAM_COLUMNS, zip(*cells.values()))
         histogram = ("histogram", cells)
     _write_json(out / "clusters.json", payload, cfg, histogram)
     if args.save_labels:

@@ -1,4 +1,4 @@
-"""Manifest handling, fold construction, and report aggregation.
+"""CSV input and output, manifest handling, fold construction, and report aggregation.
 
 Folds exist so external training pipelines and this evaluator share one
 deterministic split definition; no training happens here. Aggregation
@@ -18,7 +18,7 @@ import io
 import random
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, astuple, dataclass, fields
 from itertools import repeat
 from pathlib import Path
 
@@ -97,29 +97,55 @@ class AggregateReport:
 
 def read_text(path: str | Path) -> str:
     """The text of a small input file (a manifest, a CSV, a config), read
-    as UTF-8; bytes that are not UTF-8 are an InputError naming the file
-    and the line."""
+    as UTF-8, a leading byte-order mark dropped; bytes that are not UTF-8
+    are an InputError naming the file, the line and the byte, counted from
+    the file's first byte."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise InputError(f"{path}: line {line}: not UTF-8 text "
                          f"({exc.reason} at byte {exc.start})") from None
 
 
-def csv_rows(reader: csv.DictReader, path) -> Iterator[tuple[int, dict[str, str]]]:
-    """(row number, row) of each data row of `reader`, the header being row
-    1; a row with more or fewer cells than the header, as a cut write or a
-    stray comma leaves, is an InputError naming the file and the row.
-    DictReader fills a short row's missing cells with None and puts a long
-    row's extra cells in a list under the key None."""
-    width = len(reader.fieldnames)
+def read_csv(path: str | Path, required, known=None) -> Iterator[tuple[int, dict[str, str]]]:
+    """(row number, {column: stripped cell}) of each data row of the CSV at
+    `path`, the header being row 1. An InputError naming the file rejects,
+    in this order: text read_text rejects, no header, a column named twice,
+    a `required` column missing, one outside `known` (if given), then per
+    row a cell count other than the header's and a cell with a NUL byte."""
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    header = reader.fieldnames
+    if header is None:
+        raise InputError(f"{path}: empty CSV")
+    repeated = [c for c in dict.fromkeys(header) if header.count(c) > 1]
+    if repeated:  # DictReader would keep the last of its cells
+        raise InputError(f"{path}: header names {repeated} more than once")
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise InputError(f"{path}: missing columns {missing}")
+    unknown = [c for c in header if known is not None and c not in known]
+    if unknown:
+        raise InputError(f"{path}: unknown columns {unknown}")
     for i, row in enumerate(reader, start=2):
-        cells = width - list(row.values()).count(None) + len(row.get(None, ()))
-        if cells != width:
-            raise InputError(f"{path}: row {i}: {cells} cells, the header has {width}")
-        yield i, row
+        # DictReader fills a short row's missing cells with None and puts a
+        # long row's extra cells in a list under the key None
+        cells = len(header) - list(row.values()).count(None) + len(row.get(None, ()))
+        if cells != len(header):
+            raise InputError(f"{path}: row {i}: {cells} cells, the header has {len(header)}")
+        for column, cell in row.items():
+            if "\x00" in cell:  # no path or name holds one; open() fails on it
+                raise InputError(f"{path}: row {i}, column {column}: holds a NUL byte")
+        yield i, {column: cell.strip() for column, cell in row.items()}
+
+
+def write_csv(path: str | Path, header, rows) -> None:
+    """`header`, then each of `rows`, as a UTF-8 CSV."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_manifest(path: str | Path) -> list[SubjectRecord]:
@@ -128,43 +154,25 @@ def read_manifest(path: str | Path) -> list[SubjectRecord]:
     An image_path column, written by older versions, is accepted and ignored.
     """
     path = Path(path)
-    with io.StringIO(read_text(path), newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise EmptyManifestError(f"{path}: empty manifest")
-        missing = [c for c in _REQUIRED_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise InputError(f"{path}: manifest header missing columns {missing}")
-        unknown = [c for c in reader.fieldnames
-                   if c not in MANIFEST_COLUMNS and c != "image_path"]
-        if unknown:
-            raise InputError(f"{path}: unknown manifest columns {unknown}")
-        records = []
-        seen = set()
-        for i, row in csv_rows(reader, path):
-            for column, cell in row.items():
-                if "\x00" in cell:  # no path holds one, and open() fails on it
-                    raise InputError(f"{path}: row {i}, column {column}: holds a NUL byte")
-            cells = {c: row.get(c, "").strip() for c in MANIFEST_COLUMNS}
-            for column in _REQUIRED_COLUMNS:
-                if not cells[column]:
-                    raise InputError(f"{path}: row {i}: empty {column}")
-            sid = cells["subject_id"]
-            if sid in seen:
-                raise InputError(f"{path}: row {i}: duplicate subject_id {sid!r}")
-            seen.add(sid)
-            records.append(SubjectRecord(**cells))
+    records = []
+    seen = set()
+    for i, row in read_csv(path, _REQUIRED_COLUMNS, (*MANIFEST_COLUMNS, "image_path")):
+        cells = {c: row.get(c, "") for c in MANIFEST_COLUMNS}
+        for column in _REQUIRED_COLUMNS:
+            if not cells[column]:
+                raise InputError(f"{path}: row {i}: empty {column}")
+        sid = cells["subject_id"]
+        if sid in seen:
+            raise InputError(f"{path}: row {i}: duplicate subject_id {sid!r}")
+        seen.add(sid)
+        records.append(SubjectRecord(**cells))
     if not records:
         raise EmptyManifestError(f"{path}: no subjects")
     return records
 
 
 def write_manifest(records: list[SubjectRecord], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=MANIFEST_COLUMNS)
-        writer.writeheader()
-        for rec in records:
-            writer.writerow(asdict(rec))
+    write_csv(path, MANIFEST_COLUMNS, map(astuple, records))
 
 
 def make_folds(manifest: list[SubjectRecord], scheme: str, seed: int = 0) -> FoldSpec:

@@ -5,7 +5,10 @@ import gzip
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -21,7 +24,7 @@ from pvseval import cli, harness
 from pvseval.ccl import label_components
 from pvseval.cli import main
 from pvseval.harness import SubjectRecord, write_manifest
-from pvseval.metrics import RoiMask
+from pvseval.metrics import METRIC_NAMES, RoiMask
 from pvseval.morphology import contrast_stat, contrast_stat_per_cluster
 from pvseval.nifti import BinaryMask, Volume3D, read_volume, write_volume
 from pvseval.phantom import PhantomSpec, Perturbation, generate, perturb
@@ -1279,6 +1282,153 @@ class TestCompareCommand:
         assert all(float(r["median_diff"]) == pytest.approx(-0.1) for r in records)
 
 
+# a valid header and row of each CSV reader's input
+CSV_READERS = {
+    "manifest": (["subject_id", "site", "pred_path", "ref_path"], ["s1", "A", "p", "r"]),
+    "per_subject": (["subject_id", "region", *METRIC_NAMES], ["s1", "WM", *["0.5"] * 6]),
+}
+
+
+def run_reader(reader, path, out):
+    """Read `path` as a manifest (through folds) or as a per-subject CSV
+    (through compare)."""
+    if reader == "manifest":
+        return run("folds", "--manifest", path, "--scheme", "5fcv", "--out", out)
+    return run("compare", "--a", path, "--b", path, "--out", out)
+
+
+class TestCsvInput:
+    """Manifests and per-subject CSVs are read by one harness.read_csv, with
+    one set of rules and messages."""
+
+    @pytest.mark.parametrize("reader", CSV_READERS)
+    @pytest.mark.parametrize("case", ["empty", "repeated", "missing", "width", "nul"])
+    def test_each_rule_has_one_message(self, tmp_path, capsys, reader, case):
+        header, row = CSV_READERS[reader]
+        want = {
+            "empty": ([], None, "empty CSV"),
+            "repeated": ([*header, header[1]], [*row, "x"],
+                         f"header names {header[1:2]} more than once"),
+            # in schema order, not sorted
+            "missing": (header[2:], row[2:], f"missing columns {header[:2]}"),
+            "width": (header, [*row, "x"],
+                      f"row 2: {len(header) + 1} cells, the header has {len(header)}"),
+            "nul": (header, ["s\x001", *row[1:]],
+                    "row 2, column subject_id: holds a NUL byte"),
+        }
+        lines, cells, message = want[case]
+        path = tmp_path / "in.csv"
+        path.write_text("".join(",".join(line) + "\n" for line in (lines, cells) if line),
+                        encoding="utf-8")
+        assert run_reader(reader, path, tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"pvseval: error: {path}: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_manifest_unknown_column_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text("subject_id,site,pred_path,ref_path,extra\ns1,A,p,r,x\n")
+        assert run_reader("manifest", path, tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            f"pvseval: error: {path}: unknown columns ['extra']\n")
+
+    @pytest.mark.parametrize("command", ["folds", "aggregate", "compare"])
+    def test_header_naming_a_column_twice_exit_2(self, tmp_path, capsys, command):
+        # DictReader kept the last cell: s1 was read at site B, or at the
+        # second dsc_vox column's value
+        path = tmp_path / "in.csv"
+        if command == "compare":
+            header, row = CSV_READERS["per_subject"]
+            path.write_text(f"{','.join(header)},dsc_vox\n{','.join(row)},0.9\n")
+            argv, repeated = ("--a", path, "--b", path), "dsc_vox"
+        else:
+            path.write_text("subject_id,site,pred_path,ref_path,site\ns1,A,p,r,B\n")
+            argv, repeated = ("--manifest", path, "--scheme", "losocv"), "site"
+        assert run(command, *argv, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            f"pvseval: error: {path}: header names [{repeated!r}] more than once\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("column, cell", [
+        ("subject_id", "s\x002"), ("region", "W\x00M"), ("sen_vox", "0.\x002")])
+    def test_per_subject_cell_with_nul_exit_2(self, tmp_path, capsys, column, cell):
+        rows = [(f"s{i}", "WM", [str(0.1 * i)] * len(METRICS)) for i in range(1, 4)]
+        path = write_per_subject(tmp_path / "a.csv", rows)
+        table = read_csv(path)
+        table[1][column] = cell
+        write_rows(path, table)
+        assert run("compare", "--a", path, "--b", path, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            f"pvseval: error: {path}: row 3, column {column}: holds a NUL byte\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_manifest_with_a_byte_order_mark(self, tmp_path):
+        manifest, _ = build_cohort(tmp_path, {"A": 3, "B": 3})
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
+        specs = []
+        for path in (manifest, bom):
+            out = tmp_path / path.stem
+            assert run("folds", "--manifest", path, "--scheme", "5fcv", "--seed", "3",
+                       "--out", out) == 0
+            specs.append(json.loads((out / "foldspec.json").read_text()))
+            del specs[-1]["config"]
+        assert specs[0] == specs[1]
+
+    def test_per_subject_csv_with_a_byte_order_mark(self, tmp_path):
+        rows = [(f"s{i}", "WM", [str(0.1 * i)] * len(METRICS)) for i in range(1, 6)]
+        a = write_per_subject(tmp_path / "a.csv", rows)
+        b = write_per_subject(tmp_path / "b.csv", [
+            (sid, region, [str(0.05 + 0.1 * i)] * len(METRICS))
+            for i, (sid, region, _) in enumerate(rows)])
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + b.read_bytes())
+        for path in (b, bom):
+            assert run("compare", "--a", a, "--b", path, "--out", tmp_path / path.stem) == 0
+        assert ((tmp_path / "b" / "compare.csv").read_bytes()
+                == (tmp_path / "bom" / "compare.csv").read_bytes())
+
+    def test_byte_order_mark_then_bad_byte(self, tmp_path, capsys):
+        # the line and the byte count from the file's first byte, the mark's
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\xef\xbb\xbfsubject_id,site,pred_path,ref_path\ns1,\xff,p,r\n")
+        assert run_reader("manifest", path, tmp_path / "o") == 2
+        offset = path.read_bytes().index(b"\xff")
+        assert capsys.readouterr().err == (
+            f"pvseval: error: {path}: line 2: not UTF-8 text "
+            f"(invalid start byte at byte {offset})\n")
+
+    def test_outputs_are_utf8_whatever_the_locale(self, tmp_path):
+        # under an ASCII locale, the parent wrote per_subject.csv through the
+        # locale's codec: UnicodeEncodeError, exit 1, a partial file
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                              os.environ.get("PYTHONPATH", "")])}
+        codec = subprocess.run(
+            [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+            env=env, capture_output=True, text=True, check=True).stdout.strip()
+        if codec.lower().replace("-", "").replace("_", "") == "utf8":
+            pytest.skip(f"the C locale's codec is {codec} here")
+        manifest, records = build_cohort(tmp_path, {"A": 2, "B": 2})
+        write_manifest([dataclasses.replace(r, subject_id=f"Zürich-{r.subject_id}",
+                                            site="Zürich" if r.site == "A" else r.site)
+                        for r in records], manifest)
+
+        def pvseval(*argv):
+            return subprocess.run(
+                [sys.executable, "-c", "import sys; from pvseval.cli import main; "
+                                       "sys.exit(main(sys.argv[1:]))", *map(str, argv)],
+                env=env, capture_output=True, text=True)
+
+        proc = pvseval("aggregate", "--manifest", manifest, "--per-site", "--out", tmp_path / "o")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        per_subject = tmp_path / "o" / "per_subject.csv"
+        assert "Zürich-A00" in per_subject.read_bytes().decode("utf-8")
+        assert "Zürich" in (tmp_path / "o" / "aggregate.csv").read_bytes().decode("utf-8")
+        proc = pvseval("compare", "--a", per_subject, "--b", per_subject,
+                       "--out", tmp_path / "cmp")
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+
 class TestContrastCommand:
     def test_contrast_output(self, phantom_files, tmp_path):
         root = phantom_files["root"]
@@ -1859,6 +2009,16 @@ class TestConfigTypes:
         assert capsys.readouterr().err == (
             f"pvseval: error: {config}: line 2: not UTF-8 text "
             f"(invalid start byte at byte 16)\n")
+
+    def test_config_with_a_byte_order_mark(self, manifest, tmp_path):
+        # as a spreadsheet's or an editor's "UTF-8 with BOM" save writes it
+        config = tmp_path / "c.json"
+        out = tmp_path / "o"
+        config.write_bytes(b"\xef\xbb\xbf" + json.dumps({"out_dir": str(out)}).encode())
+        assert run("folds", "--manifest", manifest, "--scheme", "5fcv",
+                   "--config", config) == 0
+        assert json.loads((out / "foldspec.json").read_text())["config"] == {
+            "out_dir": str(out)}
 
     def test_config_path_with_nul_exit_2(self, manifest, tmp_path, capsys):
         config = tmp_path / "c.json"

@@ -85,6 +85,15 @@ class TestManifest:
         with pytest.raises(EmptyManifestError):
             read_manifest(path)
 
+    def test_no_header(self, tmp_path):
+        # read_csv's message, as a per-subject CSV gives; not EmptyManifestError
+        path = tmp_path / "m.csv"
+        path.write_text("")
+        with pytest.raises(InputError) as got:
+            read_manifest(path)
+        assert type(got.value) is InputError
+        assert str(got.value) == f"{path}: empty CSV"
+
     def test_image_path_column_ignored(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text(

@@ -386,7 +386,7 @@ def cmd_compare(args) -> int:
 def cmd_contrast(args) -> int:
     cfg = _resolve_config(args)
     image_path = _require_file(args.image, "--image")
-    mask = read_volume(_require_file(args.mask, "--mask"), "mask")
+    mask = read_volume(_require_file(args.mask, "--mask"))
     # the image is read only where contrast needs it, at the mask and ring voxels
     image = functools.partial(read_voxels, image_path, grid=mask, strict=cfg["strict_grid"])
     subject_id = args.subject_id or Path(args.mask).name.split(".")[0]
@@ -419,7 +419,7 @@ def cmd_clusters(args) -> int:
             raise InputError(f"--save-labels: is a directory: {args.save_labels}")
         if not labels.parent.is_dir() and labels.parent.resolve() != out_dir:
             raise InputError(f"--save-labels: no such directory: {labels.parent}")
-    mask = read_volume(_require_file(args.mask, "--mask"), "mask")
+    mask = read_volume(_require_file(args.mask, "--mask"))
     lm = label_components(mask, cfg["connectivity"])
     out = _out_dir(cfg)
     sizes = lm.component_sizes

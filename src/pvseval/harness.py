@@ -219,8 +219,8 @@ def read_subject(pred_path: str, ref_path: str, roi_wm_path: str = "", roi_bg_pa
     restriction reads: its RoiMask holds the ROI's voxels there and whether
     the whole file has any foreground. So no grid is built.
     """
-    pred = read_volume(pred_path, "mask")
-    ref = read_volume(ref_path, "mask", pred, strict)
+    pred = read_volume(pred_path)
+    ref = read_volume(ref_path, pred, strict)
     # their union: a merge of two sorted runs, then repeats dropped
     # (np.union1d's hashing unique is ~8x slower on this)
     at = np.sort(np.concatenate((pred.fg_index, ref.fg_index)), kind="stable")
@@ -345,15 +345,13 @@ class LosocvRow:
     average: MetricSummary  # the region's All Sites cell
 
 
-def losocv_table(reports: list[AggregateReport], sites=None) -> list[LosocvRow]:
+def losocv_table(reports: list[AggregateReport], sites: list[str]) -> list[LosocvRow]:
     """Leave-one-site-out matrix read off aggregate's per-site reports: one
-    external column per left-out site of `sites` (by default the sites the
-    reports name, sorted), that site's cell, and the region's All Sites cell
-    as the subject-weighted pooled average. A site with no record in a
-    region, as one whose every subject failed, gets an empty cell."""
+    external column per left-out site of `sites`, that site's cell, and the
+    region's All Sites cell as the subject-weighted pooled average. A site
+    with no record in a region, as one whose every subject failed, gets an
+    empty cell."""
     cells = {(r.region, r.site): r.metrics for r in reports}
-    if sites is None:
-        sites = sorted({r.site for r in reports if r.site != ALL_SITES})
     no_records = dict.fromkeys(METRIC_NAMES, MetricSummary(None, None, 0, 0))
     return [
         LosocvRow(

@@ -10,12 +10,12 @@ orientation lives in the affine, never in the array layout.
 Every read goes through one streaming decoder: the file is read in blocks,
 a .nii.gz inflated by zlib member by member (several members and trailing
 zero padding are accepted, and zlib checks each member's header, CRC32 and
-length) in bounded pieces, and the voxels are handed on in blocks. A mask
-read keeps each block's foreground indices, so a mask is held as its index
-and no grid is built; an intensity read casts each block straight into the
-output grid. read_voxels and read_mask_voxels keep only the values at the
-voxels asked for, so a caller that needs a few voxels of a large image or
-region never holds its grid. The readers share one scaffold, _volume, which
+length) in bounded pieces, and the voxels are handed on in blocks.
+read_volume reads a mask: it keeps each block's foreground indices, so a
+mask is held as its index and no grid is built. Intensities are gathered by
+read_voxels, and mask tests by read_mask_voxels, only at the voxels asked
+for, so a caller that needs a few voxels of a large image or region never
+holds its grid. The readers share one scaffold, _volume, which
 raises every failure, an OSError included, as an InputError that starts
 with the path, so no caller names a volume-read failure.
 
@@ -73,9 +73,9 @@ DATATYPES: dict[int, tuple[np.dtype, int]] = {
     16: (np.dtype(np.float32), 32),
     64: (np.dtype(np.float64), 64),
 }
-# the codes read_volume/read_voxels read: also the int8, unsigned and 64-bit
-# label types of segmentation tools. A 64-bit integer is exact in float64
-# only up to 2**53 in magnitude, so an intensity read rejects a larger one
+# the codes the readers take: also the int8, unsigned and 64-bit label
+# types of segmentation tools. A 64-bit integer is exact in float64 only up
+# to 2**53 in magnitude, so read_voxels rejects a larger one
 READ_DATATYPES: dict[int, tuple[np.dtype, int]] = {
     **DATATYPES,
     256: (np.dtype(np.int8), 8),
@@ -496,67 +496,52 @@ def _holds_nan(values: np.ndarray) -> bool:
     return values.dtype.kind == "f" and bool(np.isnan(values).any())
 
 
-def read_volume(path: str | Path, mode: str = "intensity", grid: Volume3D | None = None,
-                strict: bool = False) -> Volume3D | BinaryMask:
-    """Read a single-file NIfTI-1 volume.
+def read_volume(path: str | Path, grid: Volume3D | None = None,
+                strict: bool = False) -> BinaryMask:
+    """Read a single-file NIfTI-1 mask.
 
-    mode="mask" binarizes the raw stored values (nonzero test, before any
-    scl scaling) and returns a BinaryMask held as its foreground index, kept
-    block by block, so no grid is built; a float mask that holds NaN, which
-    is neither foreground nor background, is rejected. mode="intensity"
-    applies scl_slope/scl_inter (slope 0 treated as 1) and returns a
-    Volume3D of float64, decoded block by block straight into the output
-    grid, rejecting a 64-bit integer beyond 2**53 in magnitude, which
-    float64 would round. No more than a few blocks of the file are held at
-    once. Given a grid, the header is then checked against it as
-    ensure_same_grid does (dims, and in strict mode the affine). Every
-    failure, a file that cannot be opened, a truncated or corrupt gzip
-    stream and a grid mismatch included, is an InputError whose message
-    starts with the path.
+    The raw stored values are binarized (nonzero test, before any scl
+    scaling) and the BinaryMask is held as its foreground index, kept block
+    by block, so no grid is built; a float mask that holds NaN, which is
+    neither foreground nor background, is rejected. No more than a few
+    blocks of the file are held at once. Given a grid, the header is then
+    checked against it as ensure_same_grid does (dims, and in strict mode
+    the affine). Every failure, a file that cannot be opened, a truncated or
+    corrupt gzip stream and a grid mismatch included, is an InputError whose
+    message starts with the path.
     """
-    if mode not in ("mask", "intensity"):
-        raise ValueError(f"mode must be 'mask' or 'intensity', got {mode!r}")
     with _volume(path, grid, strict) as (hdr, stream):
-        if mode == "mask":
-            parts, total, nan = [], 0, False
-            for first, values in stream:
-                fg = values != 0  # binarized first: flatnonzero is ~10x faster on bool
-                part = np.flatnonzero(fg)
-                # a dense block keeps its nonzero test instead, which is the
-                # smaller, so a dense mask holds no more than its grid
-                parts.append((first, part.size, part if 8 * part.size < fg.size else fg))
-                total += part.size
-                nan = nan or _holds_nan(values)
-            if nan:
-                raise InputError("mask holds NaN voxels")
-        else:
-            out = np.empty(math.prod(hdr.dims), dtype=np.float64)
-            for first, values in stream:
-                out[first:first + values.size] = _exact(values)
-            # in place, bit-identical to stored.astype(np.float64) * slope + inter
-            _scale(out, hdr)
-    spacing, affine = hdr.pixdim[1:4], affine_from_header(hdr)
-    if mode == "mask":
-        index, end = np.empty(total, dtype=np.int64), 0
-        for first, n, part in parts:
-            if part.dtype == bool:
-                part = np.flatnonzero(part)
-            np.add(part, first, out=index[end:end + n])
-            end += n
-        return BinaryMask.from_index(index, hdr.dims, spacing, affine)
-    return Volume3D(data=out.reshape(hdr.dims, order="F"), spacing=spacing, affine=affine)
+        parts, total, nan = [], 0, False
+        for first, values in stream:
+            fg = values != 0  # binarized first: flatnonzero is ~10x faster on bool
+            part = np.flatnonzero(fg)
+            # a dense block keeps its nonzero test instead, which is the
+            # smaller, so a dense mask holds no more than its grid
+            parts.append((first, part.size, part if 8 * part.size < fg.size else fg))
+            total += part.size
+            nan = nan or _holds_nan(values)
+        if nan:
+            raise InputError("mask holds NaN voxels")
+    index, end = np.empty(total, dtype=np.int64), 0
+    for first, n, part in parts:
+        if part.dtype == bool:
+            part = np.flatnonzero(part)
+        np.add(part, first, out=index[end:end + n])
+        end += n
+    return BinaryMask.from_index(index, hdr.dims, hdr.pixdim[1:4], affine_from_header(hdr))
 
 
 def read_voxels(path: str | Path, index: np.ndarray, grid: Volume3D,
                 strict: bool = False) -> np.ndarray:
     """Intensity values of a single-file NIfTI-1 volume at sorted flat
-    x-fastest indices (repeats allowed): read_volume(path).data.ravel("F")[index],
-    bit for bit, without building the grid.
+    x-fastest indices (repeats allowed), as float64: each stored value
+    times scl_slope plus scl_inter, with slope 0 or NaN read as 1 and a NaN
+    intercept as 0, without building the grid.
 
-    The whole file is still decoded, so a damaged stream, or a 64-bit
-    integer beyond 2**53 anywhere in it, fails as in read_volume, and the
-    header's grid is then checked against grid as in read_volume, with the
-    path named.
+    The whole file is still decoded, so a damaged stream fails as in
+    read_volume, and so does a 64-bit integer beyond 2**53 in magnitude
+    anywhere in it, which float64 would round. The header's grid is then
+    checked against grid as in read_volume, with the path named.
     """
     values = np.empty(index.size)
     with _volume(path, grid, strict) as (hdr, stream):
@@ -571,8 +556,8 @@ def read_mask_voxels(path: str | Path, index: np.ndarray, grid: Volume3D,
                      strict: bool = False) -> tuple[np.ndarray, bool]:
     """(foreground test at sorted flat x-fastest indices, whether any voxel
     of the file is foreground) of a single-file NIfTI-1 mask:
-    read_volume(path, "mask").contains(index) and .foreground_count > 0,
-    without building its index or its grid.
+    read_volume(path).contains(index) and .foreground_count > 0, without
+    building its index or its grid.
 
     The whole file is decoded and checked as in read_volume: a damaged
     stream, then NaN anywhere in a float mask, then the grid, each error

@@ -73,12 +73,9 @@ def _normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def wilcoxon_signed_rank(a, b, method: str = "auto") -> WilcoxonResult:
-    """Two-sided paired Wilcoxon signed-rank test of a vs b.
-
-    method="auto" picks the exact path when n_eff <= 25 and |d| is
-    tie-free, else the normal approximation; "exact"/"approx" force a path
-    (exact is refused when ties are present).
+def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
+    """Two-sided paired Wilcoxon signed-rank test of a vs b: exact when
+    n_eff <= EXACT_LIMIT and |d| is tie-free, else the normal approximation.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -98,20 +95,13 @@ def wilcoxon_signed_rank(a, b, method: str = "auto") -> WilcoxonResult:
     ranks = (np.cumsum(ties) - 0.5 * (ties - 1))[inverse]
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
-    has_ties = ties.size < n
 
-    if method == "auto":
-        method = "exact" if (n <= EXACT_LIMIT and not has_ties) else "approx"
-    if method == "exact":
-        if has_ties:
-            raise ValueError("exact method is undefined with ties in |d|")
+    if n <= EXACT_LIMIT and ties.size == n:
         w_min = int(round(min(w_plus, w_minus)))
         counts = _exact_tail_counts(n)
         tail = int(counts[: w_min + 1].sum())
         p = min(1.0, 2.0 * tail / float(2**n))
         return WilcoxonResult(w_plus, w_minus, max(p, math.ulp(0.0)), "exact", n)
-    if method != "approx":
-        raise ValueError(f"method must be auto/exact/approx, got {method!r}")
 
     mean = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0

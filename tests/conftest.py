@@ -29,9 +29,9 @@ def write_nifti(path, data, datatype, order="<", slope=1.0, inter=0.0, vox_offse
     scaling, an extension filling the bytes up to vox_offset, and, for a .gz
     path, the stream split into `members` gzip members. Any datatype the
     reader takes is written, the read-only ones included."""
-    from pvseval.nifti import READ_DATATYPES
+    from oracles import NIFTI_DATATYPES
 
-    dtype, bitpix = READ_DATATYPES[datatype]
+    dtype, bitpix = NIFTI_DATATYPES[datatype]
     data = np.asarray(data)
     if affine is None:
         affine = np.eye(3, 4)

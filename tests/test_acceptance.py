@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from pvseval import stats
 from pvseval.ccl import label_components
 from pvseval.harness import (
     SubjectRecord,
@@ -21,12 +22,12 @@ from pvseval.harness import (
 )
 from pvseval.metrics import cluster_metrics, evaluate_subject, voxel_metrics
 from pvseval.morphology import contrast_stat, shell
-from pvseval.nifti import DATATYPES, Volume3D, read_volume, write_volume
+from pvseval.nifti import DATATYPES, Volume3D, read_volume, read_voxels, write_volume
 from pvseval.phantom import Perturbation, PhantomSpec, generate, perturb
 from pvseval.stats import bh_fdr, wilcoxon_signed_rank
 
 from conftest import make_mask
-from oracles import bfs_label, random_mask, wilcoxon_enum_p
+from oracles import bfs_label, random_mask, read_nifti_grid, wilcoxon_enum_p
 from test_nifti import byteswap_file
 from test_stats import diffs_with_w_plus
 
@@ -100,7 +101,7 @@ def test_analytic_perturbation():
             assert sen_num == (5 - k) / 5  # identical division, exact
 
 
-def test_wilcoxon_exactness():
+def test_wilcoxon_exactness(monkeypatch):
     """All no-tie classes n<=12 vs enumeration; n=5 tail; approx at n=20."""
     for n in range(1, 13):
         for w in range(n * (n + 1) // 2 + 1):
@@ -112,11 +113,14 @@ def test_wilcoxon_exactness():
     res = wilcoxon_signed_rank([1.0, 2.0, 3.0, 4.0, 5.0], [0.0] * 5)
     assert res.p_value == 0.0625
 
+    # tie-free n = 20 is exact by default; a zero limit takes the approximation
+    monkeypatch.setattr(stats, "EXACT_LIMIT", 0)
     rng = np.random.default_rng(4_000_000)
     for _ in range(100):
         a = rng.normal(size=20)
         b = rng.normal(size=20)
-        approx = wilcoxon_signed_rank(a, b, method="approx")
+        approx = wilcoxon_signed_rank(a, b)
+        assert approx.method == "normal_approx"
         assert abs(approx.p_value - wilcoxon_enum_p(a, b)) < 0.01
 
 
@@ -159,15 +163,17 @@ def test_nifti_round_trip_all_datatypes(tmp_path):
         vol = Volume3D(data=data, spacing=(0.8, 0.9, 1.1), affine=np.eye(3, 4))
         path = tmp_path / f"dt{code}.nii"
         write_volume(vol, path, datatype=code)
-        back = read_volume(path, "intensity")
-        assert np.array_equal(back.data, data)
+        assert np.array_equal(read_nifti_grid(path), data)
+        back = read_volume(path)
         assert back.dims == (7, 6, 5)
         assert back.spacing == tuple(np.float32(s) for s in vol.spacing)
 
         swapped = tmp_path / f"dt{code}_be.nii"
         swapped.write_bytes(byteswap_file(path.read_bytes(), dtype.itemsize))
-        other = read_volume(swapped, "intensity")
-        assert np.array_equal(other.data, back.data)
+        other = read_volume(swapped)
+        assert np.array_equal(read_nifti_grid(swapped), data)
+        assert np.array_equal(read_voxels(swapped, np.arange(data.size), other),
+                              data.ravel("F"))
         assert other.spacing == back.spacing
 
 
@@ -207,7 +213,7 @@ def test_harness_shapes():
 
     sites = sorted(SITE_SIZES)
     records, site_of = site_records(per_site)
-    rows = losocv_table(aggregate(records, site_of))
+    rows = losocv_table(aggregate(records, site_of), sites)
     row = next(r for r in rows if r.metric == "dsc_vox")
     assert sorted(row.external) == sites  # 6 external columns
     pooled = [v for site in sites for v in site_values[site]]

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -30,11 +31,21 @@ from pvseval.nifti import BinaryMask, Volume3D, read_volume, write_volume
 from pvseval.phantom import PhantomSpec, Perturbation, generate, perturb
 
 from conftest import write_nifti
-from oracles import brute_dilate
+from oracles import brute_dilate, read_nifti_grid
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def qform_only(path, quatern, qoffset):
+    """Rewrite the little-endian .nii at path to carry its geometry as a
+    qform alone: qform_code 1, sform_code 0, quatern (b, c, d), qoffset."""
+    blob = bytearray(Path(path).read_bytes())
+    struct.pack_into("<2h", blob, 252, 1, 0)
+    struct.pack_into("<6f", blob, 256, *quatern, *qoffset)
+    Path(path).write_bytes(blob)
+    return path
 
 
 def read_csv(path):
@@ -102,7 +113,7 @@ class TestMetricsCommand:
     @pytest.mark.parametrize("code, label", [(1024, -2**63), (1280, 2**64 - 1)])
     def test_64_bit_reference_reads_as_its_nonzero_voxels(self, phantom_files, tmp_path,
                                                          monkeypatch, code, label):
-        # labels beyond 2**53 still binarize; only an intensity read rejects them
+        # labels beyond 2**53 still binarize; only read_voxels rejects them
         root, truth = phantom_files["root"], phantom_files["truth"]
         labels = np.where(truth.data, 1, 0).astype("i8" if code == 1024 else "u8")
         labels[: truth.dims[0] // 2][truth.data[: truth.dims[0] // 2]] = label
@@ -113,6 +124,50 @@ class TestMetricsCommand:
                        "--subject-id", "s", "--out", name) == 0
         assert (tmp_path / "w64/metrics.csv").read_bytes() == (
             tmp_path / "u8/metrics.csv").read_bytes()
+
+    def test_int8_prediction_reads_as_its_nonzero_voxels(self, phantom_files, tmp_path,
+                                                        monkeypatch):
+        # datatype 256, as some tools save a mask: -128 and 127 are foreground
+        root, half = phantom_files["root"], phantom_files["half"]
+        labels = np.where(half.data, 127, 0).astype(np.int8)
+        labels[: half.dims[0] // 2][half.data[: half.dims[0] // 2]] = -128
+        pred8 = write_nifti(tmp_path / "pred8.nii.gz", labels, 256, affine=half.affine)
+        monkeypatch.chdir(tmp_path)
+        for name, pred in (("i8", pred8), ("u8", root / "half.nii.gz")):
+            assert run("metrics", "--pred", pred, "--ref", root / "truth.nii.gz",
+                       "--subject-id", "s", "--out", name) == 0
+        assert (tmp_path / "i8/metrics.csv").read_bytes() == (
+            tmp_path / "u8/metrics.csv").read_bytes()
+
+    def test_empty_reference_is_flagged_ref_empty(self, tmp_path):
+        pred = np.zeros((6, 5, 4), bool)
+        pred[1, 1, 1] = pred[4, 3, 2] = True
+        write_volume(BinaryMask(pred, (1, 1, 1), np.eye(3, 4)), tmp_path / "p.nii.gz",
+                     datatype=2)
+        write_volume(BinaryMask(np.zeros_like(pred), (1, 1, 1), np.eye(3, 4)),
+                     tmp_path / "r.nii.gz", datatype=2)
+        assert run("metrics", "--pred", tmp_path / "p.nii.gz", "--ref", tmp_path / "r.nii.gz",
+                   "--out", tmp_path / "o") == 0
+        (row,) = read_csv(tmp_path / "o" / "metrics.csv")
+        assert row["degenerate_flags"] == "ref_empty"
+        assert (row["dsc_vox"], row["sen_vox"], row["ppv_vox"]) == ("0.0", "", "0.0")
+        assert (row["n_manual"], row["n_algo"], row["vol_algo_vox"]) == ("0", "2", "2")
+
+    def test_strict_grid_reads_a_qform_only_header(self, tmp_path, capsys):
+        # 180 degrees about x: the qform quaternion (1, 0, 0) and this sform
+        # are one geometry; the identity quaternion is another
+        data = np.zeros((6, 5, 4), bool)
+        data[2:4, 1:3, 1:3] = True
+        flipped = np.array([[1.0, 0, 0, 10], [0, -1, 0, 20], [0, 0, -1, 30]])
+        write_volume(BinaryMask(data, (1, 1, 1), flipped), tmp_path / "s.nii", datatype=2)
+        for name, quatern, code in (("same", (1, 0, 0), 0), ("rotated", (0, 0, 0), 2)):
+            pred = qform_only(write_nifti(tmp_path / f"{name}.nii", data, 2),
+                              quatern, (10, 20, 30))
+            args = ("metrics", "--pred", pred, "--ref", tmp_path / "s.nii")
+            assert run(*args, "--out", tmp_path / name) == 0
+            assert run(*args, "--strict-grid", "--out", tmp_path / f"{name}_strict") == code
+        assert capsys.readouterr().err == (f"pvseval: error: {tmp_path / 's.nii'}: "
+                                           "affines differ beyond 1e-4 in strict grid mode\n")
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         code = run("metrics", "--pred", tmp_path / "nope.nii",
@@ -396,7 +451,7 @@ class TestAggregateCommand:
 
     def test_strict_grid_checks_rois(self, tmp_path, capsys):
         manifest, records = build_cohort(tmp_path, {"A": 2})
-        ref = read_volume(records[0].ref_path, "mask")
+        ref = read_volume(records[0].ref_path)
         affine = np.array(ref.affine)
         affine[2, 3] -= 50.0
         roi = tmp_path / "roi.nii.gz"
@@ -453,7 +508,7 @@ class TestAggregateCommand:
         sites out of order, so a pooled mean summed site by site would
         differ in its last digits."""
         manifest, records = build_cohort(tmp_path, {"C": 5, "A": 6, "B": 5})
-        half = read_volume(records[0].ref_path, "mask")
+        half = read_volume(records[0].ref_path)
         roi = np.zeros(half.dims, bool)
         roi[: half.dims[0] // 2] = True
         for name, data in (("wm", roi), ("bg", ~roi)):
@@ -553,7 +608,7 @@ class TestDamagedGzip:
 
     def test_aggregate_nan_mask_names_file_once(self, tmp_path, capsys):
         manifest, records = build_cohort(tmp_path, {"A": 2})
-        ref = read_volume(records[1].ref_path, "mask")
+        ref = read_volume(records[1].ref_path)
         data = ref.data.astype(np.float64)
         data[0, 0, 0] = np.nan
         write_volume(Volume3D(data, ref.spacing, ref.affine), records[1].pred_path,
@@ -826,7 +881,7 @@ def dense_read_subject(pred_path, ref_path, roi_wm_path="", roi_bg_path="", stri
     """read_subject as it was before masks were held as indices: every file
     read whole into a grid, and each ROI kept whole."""
     def grid(path, like=None):
-        mask = read_volume(path, "mask", like, strict)
+        mask = read_volume(path, like, strict)
         return BinaryMask(mask.data, mask.spacing, mask.affine)
 
     pred = grid(pred_path)
@@ -938,7 +993,7 @@ class TestIndexFirstSubjectRead:
     def test_nan_roi_exit_2_names_it(self, roi_subjects, tmp_path, capsys, flag):
         rec = roi_subjects[1][1]
         roi = tmp_path / "nan_roi.nii.gz"
-        data = read_volume(rec.roi_bg_path, "mask").data.astype(np.float32)
+        data = read_volume(rec.roi_bg_path).data.astype(np.float32)
         data[23, 23, 23] = np.nan  # off the prediction and the reference
         write_volume(Volume3D(data, (1, 1, 1), np.eye(3, 4)), roi, datatype=16)
         rois = {"--roi-wm": rec.roi_wm_path, "--roi-bg": rec.roi_bg_path, flag: roi}
@@ -1254,6 +1309,31 @@ class TestCompareCommand:
         assert [r["p_fdr"] for r in got["region"]] == bh_fdr(p_raw[:6]) + bh_fdr(p_raw[6:])
         assert [r["p_fdr"] for r in got["region"]] != [r["p_fdr"] for r in got["table"]]
 
+    def test_empty_region_cell_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        values = [0.5] * 6
+        write_per_subject("e.csv", [("s1", "WM", values), ("s2", "", values)])
+        write_per_subject("g.csv", [("s1", "WM", values), ("s2", "WM", values)])
+        assert run("compare", "--a", "e.csv", "--b", "g.csv", "--out", "o") == 2
+        assert capsys.readouterr().err == (
+            "pvseval: error: e.csv: row 3: empty subject_id or region\n")
+        write_per_subject("e.csv", [("s1", "", values)])
+        assert run("compare", "--a", "e.csv", "--b", "g.csv", "--out", "o") == 2
+        assert capsys.readouterr().err == (
+            "pvseval: error: e.csv: row 2: empty subject_id or region\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_no_region_in_common_exit_2(self, tmp_path, capsys):
+        values = [0.5] * 6
+        a = write_per_subject(tmp_path / "a.csv", [("s1", "WM", values)])
+        b = write_per_subject(tmp_path / "b.csv", [("s1", "BG", values)])
+        for family in ("region", "table"):
+            assert run("compare", "--a", a, "--b", b, "--fdr-family", family,
+                       "--out", tmp_path / "o") == 2
+            assert capsys.readouterr().err == (
+                "pvseval: error: the two reports share no region\n")
+        assert not (tmp_path / "o").exists()
+
     def test_no_subject_in_common_exit_2(self, tmp_path, capsys):
         values = [0.5] * 6
         a = write_per_subject(tmp_path / "a.csv", [("a1", "WM", values)])
@@ -1517,8 +1597,9 @@ class TestContrastGather:
                    "--mode", mode, "--connectivity", connectivity, "--out", tmp_path) == 0
         row = read_csv(tmp_path / "contrast.csv")[0]
         stat = contrast_stat if mode == "global" else contrast_stat_per_cluster
-        want = stat(read_volume(files / image, "intensity"),
-                    read_volume(files / "mask.nii.gz", "mask"), connectivity)
+        mask = read_volume(files / "mask.nii.gz")
+        dense = Volume3D(read_nifti_grid(files / image), mask.spacing, mask.affine)
+        want = stat(dense, mask, connectivity)
         got = tuple(float(row[k]) for k in ("mask_mean", "shell_mean", "abs_contrast"))
         assert got == want
 
@@ -1534,7 +1615,7 @@ class TestContrastGather:
         assert not (tmp_path / "o").exists()
 
     def test_strict_grid_compares_the_image_header(self, files, tmp_path, capsys):
-        mask = read_volume(files / "mask.nii.gz", "mask")
+        mask = read_volume(files / "mask.nii.gz")
         affine = np.array(mask.affine)
         affine[0, 3] += 1e-3
         write_volume(BinaryMask(mask.data, mask.spacing, affine), tmp_path / "m.nii.gz",
@@ -1592,8 +1673,7 @@ class TestClustersCommand:
         bins = json.loads((tmp_path / "clusters.json").read_text())["histogram"]
         assert [(float(r["bin_lo"]), float(r["bin_hi"])) for r in hist] == [
             (b["lo"], b["hi"]) for b in bins]
-        saved = read_volume(labels_path, "intensity")
-        assert saved.data.max() == 4
+        assert read_nifti_grid(labels_path).max() == 4
 
     def test_empty_mask(self, tmp_path):
         from conftest import make_mask
@@ -1618,10 +1698,10 @@ class TestClustersCommand:
         finally:
             tracemalloc.stop()
         assert peak < 4 * np.prod(dims) / 4
-        saved = read_volume(labels_path, "intensity")
+        saved = read_nifti_grid(labels_path)
         lm = label_components(truth)
         assert lm.component_count == count
-        assert np.array_equal(saved.data, lm.data)
+        assert np.array_equal(saved, lm.data)
 
     def test_empty_mask_saves_an_all_zero_label_map(self, tmp_path):
         dims = (182, 218, 182)
@@ -1632,8 +1712,8 @@ class TestClustersCommand:
                    "--save-labels", labels_path) == 0
         raw = gzip.decompress(labels_path.read_bytes())
         assert len(raw) == 352 + 4 * np.prod(dims) and not any(raw[352:])
-        saved = read_volume(labels_path, "intensity")
-        assert saved.dims == dims and saved.data.max() == 0
+        saved = read_nifti_grid(labels_path)
+        assert saved.shape == dims and saved.max() == 0
 
 
 # -- clusters outputs, byte for byte against the scalar path --------------------
@@ -1800,8 +1880,8 @@ class TestPhantomCommand:
         assert run("phantom", "--out", out, "--dims", "24,24,24", "--n-tubes", "2",
                    "--seed", "4", "--perturb", "dilate_once",
                    "--connectivity", conn) == 0
-        truth = read_volume(out / "truth.nii.gz", "mask")
-        pred = read_volume(out / "pred.nii.gz", "mask")
+        truth = read_volume(out / "truth.nii.gz")
+        pred = read_volume(out / "pred.nii.gz")
         assert np.array_equal(pred.data, brute_dilate(truth.data, conn))
         payload = json.loads((out / "phantom_spec.json").read_text())
         assert payload["perturbation"]["connectivity"] == conn
@@ -2212,7 +2292,7 @@ def mirror_outputs(tmp_path_factory, phantom_files):
     for name, fill in (("empty", False), ("full", True)):
         write_volume(BinaryMask(np.full(truth.dims, fill), truth.spacing, truth.affine),
                      root / f"{name}.nii.gz", datatype=2)
-    ref0 = read_volume(records[0].ref_path, "mask")
+    ref0 = read_volume(records[0].ref_path)
     cohort_roi = np.zeros(ref0.dims, bool)
     cohort_roi[: ref0.dims[0] // 2] = True
     for name, data in (("cwm", cohort_roi), ("cbg", ~cohort_roi)):

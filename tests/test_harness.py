@@ -225,7 +225,7 @@ class TestLosocvTable:
             "B": [metric_record("b1", dsc_vox=0.9)],
         }
         records, site_of = site_records(per_site)
-        rows = losocv_table(aggregate(records, site_of))
+        rows = losocv_table(aggregate(records, site_of), ["A", "B"])
         row = next(r for r in rows if r.metric == "dsc_vox")
         assert row.external["A"].mean == pytest.approx(0.3, abs=1e-15)
         assert row.external["B"].mean == 0.9
@@ -242,7 +242,7 @@ class TestLosocvTable:
             "B": [metric_record("b1"), metric_record("b1b", region="BG")],
         }
         records, site_of = site_records(per_site)
-        rows = losocv_table(aggregate(records, site_of))
+        rows = losocv_table(aggregate(records, site_of), ["A", "B"])
         assert len(rows) == 2 * len(METRIC_NAMES)
         assert {r.region for r in rows} == {"WM", "BG"}
 

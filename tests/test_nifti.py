@@ -1,5 +1,6 @@
 import errno
 import gzip
+import math
 import os
 import struct
 import tracemalloc
@@ -36,6 +37,7 @@ from pvseval.nifti import (
 )
 
 from conftest import make_mask, write_nifti
+from oracles import read_nifti_grid
 
 
 def minimal_header(order="<", magic=b"n+1\x00", datatype=2, bitpix=None,
@@ -54,6 +56,12 @@ def minimal_header(order="<", magic=b"n+1\x00", datatype=2, bitpix=None,
     struct.pack_into(order + "f", buf, 116, scl_inter)
     buf[344:348] = magic
     return bytes(buf)
+
+
+def gather_all(path, shape):
+    """read_voxels at every voxel of the volume at path, as its [x, y, z] grid."""
+    grid = make_mask(np.zeros(shape, bool))
+    return read_voxels(path, np.arange(grid.data.size), grid).reshape(shape, order="F")
 
 
 def write_raw(path, header, payload):
@@ -107,7 +115,7 @@ class TestReadVolume:
     def test_all_zero_mask(self, tmp_path):
         path = tmp_path / "z.nii"
         write_raw(path, minimal_header(), bytes(64))
-        mask = read_volume(path, "mask")
+        mask = read_volume(path)
         assert isinstance(mask, BinaryMask)
         assert mask.foreground_count == 0
         assert mask.dims == (4, 4, 4)
@@ -116,15 +124,8 @@ class TestReadVolume:
         path = tmp_path / "s.nii"
         payload = bytes([3] * 64)
         write_raw(path, minimal_header(scl_slope=2.0, scl_inter=1.0), payload)
-        vol = read_volume(path, "intensity")
-        assert vol.data[0, 0, 0] == 7.0
-
-    def test_unknown_mode(self, tmp_path):
-        path = tmp_path / "z.nii"
-        write_raw(path, minimal_header(), bytes(64))
-        with pytest.raises(ValueError) as got:
-            read_volume(path, "grid")
-        assert str(got.value) == "mode must be 'mask' or 'intensity', got 'grid'"
+        assert (gather_all(path, (4, 4, 4)) == 7.0).all()
+        assert (read_nifti_grid(path) == 7.0).all()
 
     def test_volume_needs_a_3d_grid(self):
         with pytest.raises(ValueError) as got:
@@ -134,45 +135,46 @@ class TestReadVolume:
     def test_zero_slope_is_identity(self, tmp_path):
         path = tmp_path / "s0.nii"
         write_raw(path, minimal_header(scl_slope=0.0, scl_inter=0.0), bytes([5] * 64))
-        assert read_volume(path, "intensity").data[0, 0, 0] == 5.0
+        assert (gather_all(path, (4, 4, 4)) == 5.0).all()
+        assert (read_nifti_grid(path) == 5.0).all()
 
     def test_mask_binarizes_before_scaling(self, tmp_path):
-        # slope would zero everything out; mask mode must ignore it
+        # slope would zero everything out; a mask read must ignore it
         path = tmp_path / "m.nii"
         payload = bytes([0, 3] * 32)
         write_raw(path, minimal_header(scl_slope=0.0, scl_inter=-99.0), payload)
-        mask = read_volume(path, "mask")
+        mask = read_volume(path)
         assert mask.foreground_count == 32
 
     def test_dual_file_rejected(self, tmp_path):
         path = tmp_path / "p.nii"
         write_raw(path, minimal_header(magic=b"ni1\x00", vox_offset=0.0), bytes(64))
         with pytest.raises(UnsupportedFormatError):
-            read_volume(path, "mask")
+            read_volume(path)
 
     def test_truncated_data(self, tmp_path):
         path = tmp_path / "t.nii"
         write_raw(path, minimal_header(), bytes(10))
         with pytest.raises(TruncatedDataError):
-            read_volume(path, "mask")
+            read_volume(path)
 
     def test_bad_vox_offset(self, tmp_path):
         path = tmp_path / "v.nii"
         write_raw(path, minimal_header(vox_offset=100.0), bytes(64))
         with pytest.raises(BadHeaderError):
-            read_volume(path, "mask")
+            read_volume(path)
 
     def test_nonpositive_pixdim(self, tmp_path):
         path = tmp_path / "pd.nii"
         write_raw(path, minimal_header(pixdim=(0.0, 1.0, 1.0)), bytes(64))
         with pytest.raises(BadHeaderError):
-            read_volume(path, "mask")
+            read_volume(path)
 
     def test_zero_grid_extent(self, tmp_path):
         path = tmp_path / "z.nii"
         write_raw(path, minimal_header(dims=(4, 0, 4)), b"")
         with pytest.raises(BadHeaderError, match=r"non-positive grid extents \(4, 0, 4\)"):
-            read_volume(path, "mask")
+            read_volume(path)
 
 
 class TestRoundTrip:
@@ -188,8 +190,8 @@ class TestRoundTrip:
         vol = Volume3D(data=data, spacing=(0.8, 1.0, 1.25), affine=np.eye(3, 4))
         path = tmp_path / "v.nii"
         write_volume(vol, path, datatype=code)
-        back = read_volume(path, "intensity")
-        assert np.array_equal(back.data, data)
+        assert np.array_equal(read_nifti_grid(path), data)
+        back = read_volume(path)
         assert back.dims == vol.dims
         assert back.spacing == tuple(np.float32(s) for s in vol.spacing)
 
@@ -210,10 +212,10 @@ class TestRoundTrip:
         write_volume(vol, packed, datatype=4)
         with gzip.open(packed, "rb") as fh:
             assert fh.read() == plain.read_bytes()
-        a = read_volume(plain, "intensity")
-        b = read_volume(packed, "intensity")
-        assert np.array_equal(a.data, b.data)
-        assert a.spacing == b.spacing
+        for path in (plain, packed):
+            assert np.array_equal(read_nifti_grid(path), vol.data)
+            assert np.array_equal(gather_all(path, vol.dims), vol.data)
+        assert read_volume(plain).spacing == read_volume(packed).spacing
 
     def test_range_overflow_u8(self, tmp_path):
         vol = Volume3D(data=np.full((2, 2, 2), 300.0), spacing=(1, 1, 1),
@@ -257,10 +259,12 @@ def test_byteswapped_file_parses_identically(code, tmp_path):
     write_volume(vol, little, datatype=code)
     big = tmp_path / "be.nii"
     big.write_bytes(byteswap_file(little.read_bytes(), DATATYPES[code][0].itemsize))
-    a = read_volume(little, "intensity")
-    b = read_volume(big, "intensity")
+    a = read_volume(little)
+    b = read_volume(big)
     assert parse_header(big.read_bytes()).byte_order == ">"
-    assert np.array_equal(a.data, b.data)
+    for path in (little, big):
+        assert np.array_equal(read_nifti_grid(path), data)
+        assert np.array_equal(gather_all(path, data.shape), data)
     assert a.spacing == b.spacing
     assert np.array_equal(a.affine, b.affine)
 
@@ -270,7 +274,7 @@ def test_four_d_with_singleton_volume_axis(tmp_path):
     struct.pack_into("<8h", buf, 40, 4, 4, 4, 4, 1, 1, 1, 1)  # dim[0]=4, dim[4]=1
     path = tmp_path / "d4.nii"
     write_raw(path, bytes(buf), bytes(64))
-    assert read_volume(path, "mask").dims == (4, 4, 4)
+    assert read_volume(path).dims == (4, 4, 4)
 
 
 def test_true_four_d_rejected(tmp_path):
@@ -279,7 +283,7 @@ def test_true_four_d_rejected(tmp_path):
     path = tmp_path / "d4t.nii"
     write_raw(path, bytes(buf), bytes(128))
     with pytest.raises(UnsupportedFormatError):
-        read_volume(path, "mask")
+        read_volume(path)
 
 
 def test_qform_affine_fallback(tmp_path):
@@ -290,9 +294,45 @@ def test_qform_affine_fallback(tmp_path):
     struct.pack_into("<3f", buf, 268, 10.0, 20.0, 30.0)
     path = tmp_path / "q.nii"
     write_raw(path, bytes(buf), bytes(64))
-    vol = read_volume(path, "mask")
+    vol = read_volume(path)
     expected = np.array([[2, 0, 0, 10], [0, 3, 0, 20], [0, 0, 4, 30]], dtype=float)
     assert np.allclose(vol.affine, expected)
+
+
+def rodrigues(axis, angle):
+    """Rotation by angle about axis: cos I + sin [u]x + (1 - cos) u u^T."""
+    u = np.asarray(axis, float) / np.linalg.norm(axis)
+    cross = np.array([[0, -u[2], u[1]], [u[2], 0, -u[0]], [-u[1], u[0], 0]])
+    return np.cos(angle) * np.eye(3) + np.sin(angle) * cross + (1 - np.cos(angle)) * np.outer(u, u)
+
+
+# quatern (b, c, d), qfac, the affine's 3x3 part for pixdim (2, 3, 4) worked
+# out by hand from nifti1.h, and how far float32 storage of (b, c, d) may
+# move it: sin 45 degrees has no float32 value
+QFORM_CASES = {
+    "90_about_z": ((0.0, 0.0, math.sqrt(0.5)), 1.0, [[0, -3, 0], [2, 0, 0], [0, 0, 4]], 1e-6),
+    "180_about_x": ((1.0, 0.0, 0.0), 1.0, [[2, 0, 0], [0, -3, 0], [0, 0, -4]], 0.0),
+    "qfac_minus_1": ((0.0, 0.0, 0.0), -1.0, [[2, 0, 0], [0, 3, 0], [0, 0, -4]], 0.0),
+    "1_rad_about_122": (tuple(np.sin(0.5) * np.array([1, 2, 2]) / 3), -1.0,
+                        rodrigues([1, 2, 2], 1.0) @ np.diag([2, 3, -4]), 1e-5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QFORM_CASES))
+def test_qform_rotation(tmp_path, case):
+    quatern, qfac, rotation, tol = QFORM_CASES[case]
+    buf = bytearray(minimal_header(pixdim=(2.0, 3.0, 4.0)))
+    struct.pack_into("<f", buf, 76, qfac)  # pixdim[0]
+    struct.pack_into("<h", buf, 252, 1)  # qform_code; sform_code stays 0
+    struct.pack_into("<6f", buf, 256, *quatern, 10.0, 20.0, 30.0)
+    path = tmp_path / "q.nii"
+    write_raw(path, bytes(buf), bytes(64))
+    affine = read_volume(path).affine
+    np.testing.assert_allclose(affine[:, :3], rotation, rtol=0, atol=tol)
+    assert affine[:, 3].tolist() == [10.0, 20.0, 30.0]
+    rot = affine[:, :3] / np.array([2.0, 3.0, 4.0 * qfac])
+    np.testing.assert_allclose(rot.T @ rot, np.eye(3), rtol=0, atol=1e-6)
+    assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-6)
 
 
 def _sample_volume(code, dims=(7, 6, 5)):
@@ -352,7 +392,7 @@ class TestWriter:
         finally:
             tracemalloc.stop()
         assert peak < data.nbytes / 4
-        assert np.array_equal(read_volume(path, "intensity").data, data)
+        assert np.array_equal(read_nifti_grid(path), data)
 
 
 class TestScaling:
@@ -367,12 +407,14 @@ class TestScaling:
         path = tmp_path / "s.nii"
         write_raw(path, minimal_header(datatype=16, scl_slope=slope, scl_inter=inter),
                   grid.tobytes())
-        got = read_volume(path, "intensity").data.ravel("F")
+        got = gather_all(path, (4, 4, 4)).ravel("F")
         s = np.float32(slope)
         s = 1.0 if s == 0.0 or np.isnan(s) else float(s)
         i = 0.0 if np.isnan(np.float32(inter)) else float(np.float32(inter))
         want = grid.astype(np.float64) * s + i
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        decoded = read_nifti_grid(path).ravel("F")
+        assert np.array_equal(decoded.view(np.uint64), want.view(np.uint64))
 
 
 class TestCorruptGzip:
@@ -387,7 +429,7 @@ class TestCorruptGzip:
 
     def _read(self, path):
         with pytest.raises(InputError) as info:
-            read_volume(path, "mask")
+            read_volume(path)
         assert str(info.value).startswith(f"{path}: ")
         return str(info.value)
 
@@ -429,7 +471,7 @@ class TestCorruptGzip:
     def test_header_crc_is_accepted(self, good, tmp_path):
         path = tmp_path / "hcrc.nii.gz"
         path.write_bytes(self._with_header_crc(good))
-        assert read_volume(path, "mask").foreground_count == 6 * 5 * 4
+        assert read_volume(path).foreground_count == 6 * 5 * 4
 
     def test_wrong_header_crc(self, good, tmp_path):
         path = tmp_path / "hcrc.nii.gz"
@@ -446,7 +488,7 @@ class TestCorruptGzip:
         path = tmp_path / "short.nii"
         path.write_bytes(b"\x00" * 100)
         with pytest.raises(TooShortError) as info:
-            read_volume(path, "mask")
+            read_volume(path)
         assert str(info.value).startswith(f"{path}: ")
         nan = np.zeros((2, 2, 2))
         nan[0, 0, 0] = np.nan
@@ -456,8 +498,7 @@ class TestCorruptGzip:
 
 
 READERS = {
-    "read_volume": lambda path: read_volume(path, "intensity"),
-    "read_volume mask": lambda path: read_volume(path, "mask"),
+    "read_volume": read_volume,
     "read_voxels": lambda path: read_voxels(path, np.arange(3), make_mask(np.ones((2, 2, 2)))),
     "read_mask_voxels": lambda path: read_mask_voxels(path, np.arange(3),
                                                       make_mask(np.ones((2, 2, 2)))),
@@ -487,14 +528,15 @@ def test_signalling_nan_reads_as_nan_without_a_warning(tmp_path, code, bits):
     grid = make_mask(np.ones(stored.shape, bool))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dense = read_volume(path, "intensity").data.ravel("F")
         gathered = read_voxels(path, np.arange(stored.size), grid)
-        for read in (lambda: read_volume(path, "mask"),
+        for read in (lambda: read_volume(path),
                      lambda: read_mask_voxels(path, np.arange(3), grid)):
             with pytest.raises(InputError, match="mask holds NaN voxels"):
                 read()
-    assert np.isnan(dense[:bits.size]).all() and (dense[bits.size:] == 3.0).all()
-    assert np.array_equal(gathered, dense, equal_nan=True)
+    assert np.isnan(gathered[:bits.size]).all() and (gathered[bits.size:] == 3.0).all()
+    with np.errstate(invalid="ignore"):
+        decoded = read_nifti_grid(path).ravel("F")
+    assert np.array_equal(gathered, decoded, equal_nan=True)
 
 
 class TestStreamingRead:
@@ -508,12 +550,12 @@ class TestStreamingRead:
 
     def test_two_gzip_members(self, grid, tmp_path):
         path = write_nifti(tmp_path / "two.nii.gz", grid, 64, members=2)
-        assert np.array_equal(read_volume(path, "intensity").data, grid)
+        assert np.array_equal(gather_all(path, grid.shape), grid)
 
     def test_trailing_zero_padding_is_accepted(self, grid, tmp_path):
         path = write_nifti(tmp_path / "pad.nii.gz", grid, 64)
         path.write_bytes(path.read_bytes() + bytes(16))
-        assert np.array_equal(read_volume(path, "intensity").data, grid)
+        assert np.array_equal(gather_all(path, grid.shape), grid)
 
     @pytest.mark.parametrize("junk", [b"junk", b"\x00\x00j", b"\x1f"])
     def test_trailing_junk_is_rejected(self, grid, tmp_path, junk):
@@ -522,7 +564,7 @@ class TestStreamingRead:
         path = write_nifti(tmp_path / "junk.nii.gz", grid, 64)
         path.write_bytes(path.read_bytes() + junk)
         with pytest.raises(InputError, match=message) as info:
-            read_volume(path, "intensity")
+            read_volume(path)
         assert str(info.value).startswith(f"{path}: ")
 
     def test_damage_after_a_first_good_member(self, grid, tmp_path):
@@ -530,7 +572,7 @@ class TestStreamingRead:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8] + bytes([blob[-8] ^ 0xFF]) + blob[-7:])
         with pytest.raises(InputError, match="incorrect data check"):
-            read_volume(path, "intensity")
+            read_volume(path)
         path.write_bytes(blob[:-3])
         with pytest.raises(InputError, match="end-of-stream"):
             read_voxels(path, np.arange(5), Volume3D(grid, (1, 1, 1), np.eye(3, 4)))
@@ -544,13 +586,13 @@ class TestStreamingRead:
         path = tmp_path / "bad.nii.gz"
         path.write_bytes(packed[:-3])
         with pytest.raises(InputError, match="end-of-stream"):
-            read_volume(path, "mask")
+            read_volume(path)
         nan = grid.copy()
         nan[0, 0, 0] = np.nan
         raw = write_nifti(tmp_path / "nan.nii", nan, 64).read_bytes()
         path.write_bytes(gzip.compress(raw[:-8]))
         with pytest.raises(TruncatedDataError):
-            read_volume(path, "mask")
+            read_volume(path)
 
     @pytest.mark.parametrize("damage, message", [
         ("cut", "end-of-stream"), ("crc", "incorrect data check")])
@@ -565,7 +607,7 @@ class TestStreamingRead:
         path = tmp_path / "bad.nii.gz"
         path.write_bytes(blob)
         with pytest.raises(InputError, match=message):
-            read_volume(path, "mask")
+            read_volume(path)
 
     @pytest.mark.parametrize("follows", ["padding", "member"])
     def test_member_ending_on_a_block_edge(self, grid, tmp_path, follows):
@@ -582,7 +624,7 @@ class TestStreamingRead:
         rest = bytes(100) if follows == "padding" else gzip.compress(raw[cut:]) + bytes(3)
         path = tmp_path / "edge.nii.gz"
         path.write_bytes(first + rest)
-        assert np.array_equal(read_volume(path, "intensity").data, grid)
+        assert np.array_equal(gather_all(path, grid.shape), grid)
 
     @pytest.mark.parametrize("block", [3, 1 << 18])
     def test_gzip_header_with_every_optional_field(self, grid, tmp_path, monkeypatch, block):
@@ -599,7 +641,7 @@ class TestStreamingRead:
         path = tmp_path / "g.nii.gz"
         path.write_bytes(b"".join(members))
         monkeypatch.setattr(nifti, "_BLOCK", block)
-        assert np.array_equal(read_volume(path, "intensity").data, grid)
+        assert np.array_equal(gather_all(path, grid.shape), grid)
 
     @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
     @pytest.mark.parametrize("block, piece", [(7, 5), (97, 131), (1000, 3)])
@@ -609,8 +651,8 @@ class TestStreamingRead:
         path = write_nifti(tmp_path / f"g{suffix}", grid, 64, members=3)
         monkeypatch.setattr(nifti, "_BLOCK", block)
         monkeypatch.setattr(nifti, "_PIECE", piece)
-        assert np.array_equal(read_volume(path, "intensity").data, grid)
-        mask = read_volume(path, "mask")
+        assert np.array_equal(gather_all(path, grid.shape), grid)
+        mask = read_volume(path)
         assert np.array_equal(mask.data, grid != 0)
         index = np.sort(np.random.default_rng(2).choice(grid.size, 50, replace=False))
         assert np.array_equal(read_voxels(path, index, mask), grid.ravel("F")[index])
@@ -621,14 +663,14 @@ class TestStreamingRead:
         grid = np.arange(40 * 40 * 25, dtype=np.float64).reshape(40, 40, 25) * 1.5
         path = write_nifti(tmp_path / "edge.nii", grid, 64, vox_offset=356)
         assert (nifti._BLOCK - 356) % 8 != 0 and path.stat().st_size > nifti._BLOCK
-        assert np.array_equal(read_volume(path, "intensity").data, grid)
+        assert np.array_equal(gather_all(path, grid.shape), grid)
 
     @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
     def test_extension_bytes_before_the_voxels(self, grid, tmp_path, suffix):
         path = write_nifti(tmp_path / f"ext{suffix}", grid, 64, vox_offset=400)
         assert parse_header(path.read_bytes()[:348] if suffix == ".nii"
                             else gzip.decompress(path.read_bytes())[:348]).vox_offset == 400
-        assert np.array_equal(read_volume(path, "intensity").data, grid)
+        assert np.array_equal(gather_all(path, grid.shape), grid)
 
     @pytest.mark.parametrize("order", ["<", ">"])
     @pytest.mark.parametrize("code", sorted(DATATYPES))
@@ -644,24 +686,30 @@ class TestStreamingRead:
             info = np.iinfo(dtype)
             stored = rng.integers(info.min, info.max, (8, 7, 6), endpoint=True).astype(dtype)
         path = write_nifti(tmp_path / "v.nii.gz", stored, code, order, slope, inter)
-        dense = read_volume(path, "intensity")
         index = np.sort(rng.choice(stored.size, 60, replace=False))
         index[1] = index[0]  # a repeated index is gathered twice
-        got = read_voxels(path, index, dense)
-        want = dense.data.ravel("F")[index]
+        got = read_voxels(path, index, make_mask(np.zeros(stored.shape, bool)))
+        want = read_nifti_grid(path).ravel("F")[index]
         assert got.dtype == np.float64
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    @pytest.mark.parametrize("mode", ["mask", "intensity"])
-    def test_read_checks_the_grid_and_names_the_file(self, grid, tmp_path, mode):
+    @pytest.mark.parametrize("form", ["mask", "index"])
+    def test_read_checks_the_grid_and_names_the_file(self, grid, tmp_path, form):
+        # the grid as a bool-grid mask, or index-built as the scorer passes
+        # the prediction when it reads the reference
+        def like(shape, affine):
+            if form == "mask":
+                return BinaryMask(np.ones(shape, bool), (1, 1, 1), affine)
+            return BinaryMask.from_index(np.arange(3), shape, (1, 1, 1), affine)
+
         path = write_nifti(tmp_path / "g.nii.gz", grid, 64)
         with pytest.raises(DimMismatchError) as info:
-            read_volume(path, mode, make_mask(np.ones((9, 8, 6), bool)))
+            read_volume(path, like((9, 8, 6), np.eye(3, 4)))
         assert str(info.value) == f"{path}: grid mismatch: (9, 8, 7) vs (9, 8, 6)"
-        shifted = BinaryMask(np.ones(grid.shape, bool), (1, 1, 1), np.eye(3, 4) + 0.5)
-        assert read_volume(path, mode, shifted).dims == grid.shape
+        shifted = like(grid.shape, np.eye(3, 4) + 0.5)
+        assert read_volume(path, shifted).dims == grid.shape
         with pytest.raises(DimMismatchError) as info:
-            read_volume(path, mode, shifted, strict=True)
+            read_volume(path, shifted, strict=True)
         assert str(info.value) == f"{path}: affines differ beyond 1e-4 in strict grid mode"
 
     def test_gather_checks_the_grid(self, grid, tmp_path):
@@ -682,24 +730,28 @@ class TestStreamingRead:
         path = tmp_path / f"huge{suffix}"
         blob = minimal_header(datatype=16, dims=(32767, 32767, 32767)) + bytes(4) + bytes(400)
         path.write_bytes(gzip.compress(blob) if suffix == ".nii.gz" else blob)
-        with pytest.raises(TruncatedDataError, match="file has 400$"):
-            read_volume(path, "intensity")
+        for read in (lambda: read_volume(path),
+                     lambda: read_voxels(path, np.arange(3), make_mask(np.ones((2, 2, 2))))):
+            with pytest.raises(TruncatedDataError, match="file has 400$"):
+                read()
 
     def test_dense_read_peaks_at_its_grid_plus_a_few_blocks(self, tmp_path):
-        # 4 MB of float32 voxels in, an 8 MB float64 grid out; holding the
-        # whole decompressed file would add its 4 MB to the 2 MB allowed
+        # 4 MB of float32 voxels in, 8 MB of float64 values out when every
+        # voxel is gathered; holding the whole decompressed file would add
+        # its 4 MB to the 2 MB allowed
         grid = np.random.default_rng(3).normal(size=(100, 100, 100)).astype(np.float32)
+        like, index = make_mask(np.zeros(grid.shape, bool)), np.arange(grid.size)
         for suffix in (".nii", ".nii.gz"):
             path = tmp_path / f"big{suffix}"
             write_volume(Volume3D(grid, (1, 1, 1), np.eye(3, 4)), path, datatype=16)
             tracemalloc.start()
             try:
-                vol = read_volume(path, "intensity")
+                values = read_voxels(path, index, like)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert np.array_equal(vol.data, grid)
-            assert peak < vol.data.nbytes + 2**21, (suffix, peak)
+            assert np.array_equal(values, grid.ravel("F"))
+            assert peak < values.nbytes + 2**21, (suffix, peak)
 
     def test_mask_read_peaks_at_its_grid_plus_a_few_blocks(self, tmp_path):
         # an 8 MB bool grid from 8 MB of uint8 voxels
@@ -708,7 +760,7 @@ class TestStreamingRead:
         write_volume(make_mask(data), path, datatype=2)
         tracemalloc.start()
         try:
-            mask = read_volume(path, "mask")
+            mask = read_volume(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -741,27 +793,25 @@ class TestReadOnlyDatatypes:
         path = write_nifti(tmp_path / f"v{suffix}", stored, code, order)
         assert parse_header(path.read_bytes() if suffix == ".nii"
                             else gzip.decompress(path.read_bytes())).byte_order == order
-        mask = read_volume(path, "mask")
+        mask = read_volume(path)
         assert mask.data.dtype == bool
         assert np.array_equal(mask.data, stored != 0)
-        dense = read_volume(path, "intensity")
-        assert dense.data.dtype == np.float64
+        dense = read_nifti_grid(path)
         # every stored value is exact in float64
-        assert np.array_equal(dense.data, stored.astype(np.float64))
-        assert np.array_equal(dense.data.astype(stored.dtype), stored)
+        assert np.array_equal(dense, stored.astype(np.float64))
+        assert np.array_equal(dense.astype(stored.dtype), stored)
         index = np.sort(np.random.default_rng(1).choice(stored.size, 60, replace=False))
         got = read_voxels(path, index, mask)
-        want = dense.data.ravel("F")[index]
+        want = dense.ravel("F")[index]
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("code", sorted(READ_ONLY))
     def test_scaled_gather_equals_dense_read_bit_for_bit(self, tmp_path, code):
         stored = self.stored(code)
         path = write_nifti(tmp_path / "v.nii.gz", stored, code, ">", 2.5, -1.25)
-        dense = read_volume(path, "intensity")
         index = np.arange(0, stored.size, 3)
-        got = read_voxels(path, index, dense)
-        want = dense.data.ravel("F")[index]
+        got = read_voxels(path, index, make_mask(np.zeros(stored.shape, bool)))
+        want = read_nifti_grid(path).ravel("F")[index]
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("code", sorted(READ_ONLY))
@@ -777,7 +827,7 @@ class TestReadOnlyDatatypes:
         path = tmp_path / "v.nii"
         write_raw(path, minimal_header(datatype=code, bitpix=bitpix), bytes(8 * 64))
         with pytest.raises(UnsupportedDatatypeError) as info:
-            read_volume(path, "mask")
+            read_volume(path)
         assert str(info.value) == (f"{path}: datatype code {code} not in "
                                    f"[2, 4, 8, 16, 64, 256, 512, 768, 1024, 1280]")
 
@@ -790,8 +840,8 @@ INT64 = {1024: "i8", 1280: "u8"}
 
 
 class TestSixtyFourBitIntegers:
-    """int64 and uint64: a mask binarizes with != 0 whatever its values; an
-    intensity read is exact up to 2**53 in magnitude and rejects a larger
+    """int64 and uint64: a mask binarizes with != 0 whatever its values;
+    read_voxels is exact up to 2**53 in magnitude and rejects a larger
     value, naming the file, rather than rounding it."""
 
     @staticmethod
@@ -810,24 +860,22 @@ class TestSixtyFourBitIntegers:
     def test_mask_and_intensity_read(self, tmp_path, code, order, suffix):
         stored = self.stored(code)
         path = write_nifti(tmp_path / f"v{suffix}", stored, code, order)
-        mask = read_volume(path, "mask")
+        mask = read_volume(path)
         assert np.array_equal(mask.data, stored != 0)
-        dense = read_volume(path, "intensity")
-        assert dense.data.dtype == np.float64
-        assert np.array_equal(dense.data.astype(stored.dtype), stored)
+        dense = read_nifti_grid(path)
+        assert np.array_equal(dense.astype(stored.dtype), stored)
         index = np.sort(np.random.default_rng(1).choice(stored.size, 60, replace=False))
         got = read_voxels(path, index, mask)
-        want = dense.data.ravel("F")[index]
+        want = dense.ravel("F")[index]
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("code", sorted(INT64))
     def test_scaled_gather_equals_dense_read_bit_for_bit(self, tmp_path, code):
         stored = self.stored(code)
         path = write_nifti(tmp_path / "v.nii.gz", stored, code, ">", 2.5, -1.25)
-        dense = read_volume(path, "intensity")
         index = np.arange(0, stored.size, 3)
-        got = read_voxels(path, index, dense)
-        want = dense.data.ravel("F")[index]
+        got = read_voxels(path, index, make_mask(np.zeros(stored.shape, bool)))
+        want = read_nifti_grid(path).ravel("F")[index]
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @staticmethod
@@ -843,10 +891,7 @@ class TestSixtyFourBitIntegers:
     def test_beyond_2_53_is_rejected_not_rounded(self, tmp_path, code, value, order, suffix):
         stored, path = self.beyond(code, value, tmp_path, order, suffix)
         message = f"{path}: voxel value {value} is beyond 2**53 and has no exact float64 value"
-        with pytest.raises(RangeOverflowError) as info:
-            read_volume(path, "intensity")
-        assert str(info.value) == message
-        grid = read_volume(path, "mask")
+        grid = read_volume(path)
         assert np.array_equal(grid.data, stored != 0)
         with pytest.raises(RangeOverflowError) as info:
             read_voxels(path, np.arange(10), grid)
@@ -896,7 +941,7 @@ class TestIndexFirstMaskRead:
         monkeypatch.setattr(nifti, "_BLOCK", 61)
         monkeypatch.setattr(nifti, "_PIECE", 37)
         want = stored != 0
-        mask = read_volume(path, "mask")
+        mask = read_volume(path)
         assert "data" not in vars(mask)  # held as its index; no grid was built
         assert mask.dims == stored.shape
         assert mask.fg_index.dtype == np.int64 and not mask.fg_index.flags.writeable
@@ -913,13 +958,13 @@ class TestIndexFirstMaskRead:
     def test_negative_zero_is_background(self, tmp_path, code):
         stored = np.full((6, 5, 4), -0.0, dtype=READ_DATATYPES[code][0])
         path = write_nifti(tmp_path / "z.nii.gz", stored, code)
-        mask = read_volume(path, "mask")
+        mask = read_volume(path)
         assert mask.foreground_count == 0
         inside, found = read_mask_voxels(path, np.arange(stored.size), mask)
         assert not inside.any() and found is False
         stored[3, 2, 1] = 1.0
         write_nifti(path, stored, code)
-        assert read_volume(path, "mask").fg_index.tolist() == [3 + 6 * (2 + 5 * 1)]
+        assert read_volume(path).fg_index.tolist() == [3 + 6 * (2 + 5 * 1)]
         inside, found = read_mask_voxels(path, np.array([0, 1]), mask)
         assert not inside.any() and found is True  # foreground off the gathered voxels
 
@@ -931,7 +976,7 @@ class TestIndexFirstMaskRead:
         path = write_nifti(tmp_path / "nan.nii.gz", stored, code)
         monkeypatch.setattr(nifti, "_BLOCK", 64)
         with pytest.raises(InputError) as info:
-            read_volume(path, "mask")
+            read_volume(path)
         assert str(info.value) == f"{path}: mask holds NaN voxels"
         with pytest.raises(InputError) as info:
             read_mask_voxels(path, np.arange(10), make_mask(np.zeros(stored.shape, bool)))
@@ -941,7 +986,7 @@ class TestIndexFirstMaskRead:
     def test_damaged_stream_is_named(self, tmp_path, kind):
         stored = stored_mask(2, (40, 30, 20))
         path = write_nifti(tmp_path / "d.nii.gz", stored, 2)
-        grid = read_volume(path, "mask")
+        grid = read_volume(path)
         blob = path.read_bytes()
         if kind == "truncated":
             blob = blob[: len(blob) // 2]
@@ -952,7 +997,7 @@ class TestIndexFirstMaskRead:
         else:  # a whole stream, but short of the grid
             blob = gzip.compress(gzip.decompress(blob)[:-100])
         path.write_bytes(blob)
-        for read in (lambda: read_volume(path, "mask"),
+        for read in (lambda: read_volume(path),
                      lambda: read_mask_voxels(path, np.arange(5), grid)):
             with pytest.raises(InputError) as info:
                 read()
@@ -971,7 +1016,7 @@ class TestIndexFirstMaskRead:
         write_volume(make_mask(data), path, datatype=2)
         tracemalloc.start()
         try:
-            mask = read_volume(path, "mask")
+            mask = read_volume(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1115,8 +1160,8 @@ class TestBlockWriter:
         assert blobs[0] == blobs[1] == blobs[2]
         assert blobs[0][:10] == _plain_gzip(b"")[:10]
         assert _inflate_three_ways(blobs[0], tmp_path) == gzip.decompress(_plain_gzip(plain))
-        back = read_volume(tmp_path / "index.nii.gz")
-        assert np.array_equal(back.data.ravel("F"), flat.astype(dtype).astype(np.float64))
+        back = read_nifti_grid(tmp_path / "index.nii.gz")
+        assert np.array_equal(back.ravel("F"), flat.astype(dtype).astype(np.float64))
         if case == "zero_run_beyond_piece_cap":
             assert nifti._zero_piece(nifti._ZPIECE_MAX) in blobs[0]
         if case == "full":
@@ -1181,7 +1226,7 @@ class TestBlockWriter:
         finally:
             tracemalloc.stop()
         assert peak < 4 * np.prod(dims) / 8
-        assert np.array_equal(read_volume(path, "mask").fg_index, index)
+        assert np.array_equal(read_volume(path).fg_index, index)
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 4095, 4096, 4097, 2**20 + 7])

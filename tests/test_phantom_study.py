@@ -44,7 +44,7 @@ def test_phantom_study_runs(study):
         assert len(records) == 20
         for rec in records:
             assert Path(rec.pred_path).is_file() and Path(rec.ref_path).is_file()
-    assert read_volume(records[0].ref_path, "mask").foreground_count > 0
+    assert read_volume(records[0].ref_path).foreground_count > 0
     assert not list(out.rglob("*_image.nii.gz"))
 
     for scheme in ("5fcv", "losocv"):

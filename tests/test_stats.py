@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pvseval import stats
 from pvseval.errors import (
     AllZeroDifferencesError,
     LengthMismatchError,
@@ -67,12 +68,14 @@ class TestWilcoxon:
             assert res.method == "exact"
             assert abs(res.p_value - wilcoxon_enum_p(a, b)) < 1e-12
 
-    def test_normal_approx_close_to_enumeration_n20(self):
+    def test_normal_approx_close_to_enumeration_n20(self, monkeypatch):
+        # tie-free n = 20 is exact by default; a zero limit takes the approximation
+        monkeypatch.setattr(stats, "EXACT_LIMIT", 0)
         rng = np.random.default_rng(1)
         for _ in range(10):
             a = rng.normal(size=20)
             b = rng.normal(size=20)
-            approx = wilcoxon_signed_rank(a, b, method="approx")
+            approx = wilcoxon_signed_rank(a, b)
             assert approx.method == "normal_approx"
             assert abs(approx.p_value - wilcoxon_enum_p(a, b)) < 0.01
 
@@ -87,9 +90,12 @@ class TestWilcoxon:
         res = wilcoxon_signed_rank(a, np.zeros(40))
         assert res.method == "normal_approx"
 
-    def test_exact_refused_with_ties(self):
-        with pytest.raises(ValueError):
-            wilcoxon_signed_rank([1.0, 1.0, 2.0], [0.0, 0.0, 0.0], method="exact")
+    def test_exact_limit_is_25_tie_free_pairs(self):
+        assert stats.EXACT_LIMIT == 25
+        for n, method in ((25, "exact"), (26, "normal_approx")):
+            d = np.arange(1.0, n + 1)
+            res = wilcoxon_signed_rank(d, np.zeros(n))
+            assert (res.n_eff, res.method) == (n, method)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
@@ -99,11 +105,6 @@ class TestWilcoxon:
         with pytest.raises(LengthMismatchError) as got:
             wilcoxon_signed_rank([], [])
         assert str(got.value) == "need at least one pair"
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError) as got:
-            wilcoxon_signed_rank([1.0, 2.0, 3.0], [0.0, 0.0, 0.0], method="x")
-        assert str(got.value) == "method must be auto/exact/approx, got 'x'"
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(3)

@@ -499,6 +499,8 @@ class TestCorruptGzip:
 
 READERS = {
     "read_volume": read_volume,
+    # given a grid (here a mask), the file still fails on open, before any grid check
+    "read_volume mask": lambda path: read_volume(path, make_mask(np.ones((2, 2, 2)))),
     "read_voxels": lambda path: read_voxels(path, np.arange(3), make_mask(np.ones((2, 2, 2)))),
     "read_mask_voxels": lambda path: read_mask_voxels(path, np.arange(3),
                                                       make_mask(np.ones((2, 2, 2)))),

@@ -4,9 +4,10 @@ Foreground voxels are grouped into clusters under 6/18/26 connectivity in
 time proportional to the foreground, not the grid. The input is the mask's
 fg_index, the sorted x-fastest flat indices of its foreground. A maximal
 x-run ends wherever the index sequence jumps or a new x-line begins.
-Adjacent runs in neighboring lines are found by a sorted interval join and
-merged by a vectorized union-find: hooking of roots plus pointer jumping,
-iterated to a fixed point (the two-pass run scheme of Wu, Otoo & Suzuki
+Adjacent runs in neighboring lines, the line pairs and x-reach taken from
+neighbor_offsets, are found by a sorted interval join and merged by a
+vectorized union-find: hooking of roots plus pointer jumping, iterated to
+a fixed point (the two-pass run scheme of Wu, Otoo & Suzuki
 2009; hooking as in Shiloach & Vishkin 1982). Labels are kept per
 foreground voxel and painted onto a dense grid only on request. Ids are
 dense 1..K and assigned by first-encountered voxel in x-fastest scan
@@ -24,16 +25,6 @@ from .errors import EmptyInputError
 from .nifti import BinaryMask
 
 CONNECTIVITIES = (6, 18, 26)
-
-# per connectivity: earlier-line neighbor offsets as (dy, dz, dx_reach),
-# dx_reach 1 when |dx|<=1 voxels may touch across the line pair, 0 when
-# only aligned voxels (dx=0) are adjacent
-_LINE_OFFSETS = {
-    6: ((-1, 0, 0), (0, -1, 0)),
-    18: ((-1, 0, 1), (0, -1, 1), (-1, -1, 0), (1, -1, 0)),
-    26: ((-1, 0, 1), (0, -1, 1), (-1, -1, 1), (1, -1, 1)),
-}
-
 
 def neighbor_offsets(connectivity: int) -> list[tuple[int, int, int]]:
     """Full symmetric 3D neighbor offsets for the connectivity class."""
@@ -91,8 +82,12 @@ def _run_edges(line_id, run_s, run_e, nx: int, ny: int, connectivity: int):
     key_e = line_id * base + run_e
     run_y = line_id % ny
     run_index = np.arange(line_id.size, dtype=np.int64)
+    offsets = neighbor_offsets(connectivity)
     lefts, rights = [], []
-    for dy, dz, reach in _LINE_OFFSETS[connectivity]:
+    # each earlier line (dy, dz) holding a neighbor; voxels one apart in x
+    # touch across it iff (1, dy, dz) is a neighbor too, else only aligned ones
+    for dy, dz in dict.fromkeys((dy, dz) for _, dy, dz in offsets if (dz, dy) < (0, 0)):
+        reach = int((1, dy, dz) in offsets)
         nb_line = line_id + dy + dz * ny
         ok = (run_y + dy >= 0) & (run_y + dy < ny) & (nb_line >= 0)
         cand = run_index[ok]
@@ -136,8 +131,6 @@ def label_components(mask: BinaryMask, connectivity: int = 26) -> LabelMap:
     Two voxels share an id iff a path of connectivity-adjacent foreground
     voxels joins them.
     """
-    if connectivity not in CONNECTIVITIES:
-        raise ValueError(f"connectivity must be one of {CONNECTIVITIES}")
     nx, ny, _ = mask.dims
     idx = mask.fg_index
     # a run starts where the index sequence jumps or a new x-line begins

@@ -115,12 +115,12 @@ def read_csv(path: str | Path, required, known=None) -> Iterator[tuple[int, dict
     in this order: text read_text rejects, no header, a column named twice,
     a `required` column missing, one outside `known` (if given), then per
     row a cell count other than the header's and a cell with a NUL byte."""
-    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
-    header = reader.fieldnames
+    rows = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = next(rows, None)
     if header is None:
         raise InputError(f"{path}: empty CSV")
     repeated = [c for c in dict.fromkeys(header) if header.count(c) > 1]
-    if repeated:  # DictReader would keep the last of its cells
+    if repeated:  # a row's dict would keep only the last of its cells
         raise InputError(f"{path}: header names {repeated} more than once")
     missing = [c for c in required if c not in header]
     if missing:
@@ -128,16 +128,13 @@ def read_csv(path: str | Path, required, known=None) -> Iterator[tuple[int, dict
     unknown = [c for c in header if known is not None and c not in known]
     if unknown:
         raise InputError(f"{path}: unknown columns {unknown}")
-    for i, row in enumerate(reader, start=2):
-        # DictReader fills a short row's missing cells with None and puts a
-        # long row's extra cells in a list under the key None
-        cells = len(header) - list(row.values()).count(None) + len(row.get(None, ()))
-        if cells != len(header):
-            raise InputError(f"{path}: row {i}: {cells} cells, the header has {len(header)}")
-        for column, cell in row.items():
+    for i, cells in enumerate(filter(None, rows), start=2):  # blank lines skipped, uncounted
+        if len(cells) != len(header):
+            raise InputError(f"{path}: row {i}: {len(cells)} cells, the header has {len(header)}")
+        for column, cell in zip(header, cells):
             if "\x00" in cell:  # no path or name holds one; open() fails on it
                 raise InputError(f"{path}: row {i}, column {column}: holds a NUL byte")
-        yield i, {column: cell.strip() for column, cell in row.items()}
+        yield i, {column: cell.strip() for column, cell in zip(header, cells)}
 
 
 def write_csv(path: str | Path, header, rows) -> None:

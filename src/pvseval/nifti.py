@@ -300,7 +300,11 @@ def parse_header(raw: bytes) -> NiftiHeader:
 def _quaternion_affine(hdr: NiftiHeader) -> np.ndarray:
     b, c, d = hdr.quatern
     a2 = 1.0 - (b * b + c * c + d * d)
-    a = float(np.sqrt(a2)) if a2 > 0 else 0.0
+    if a2 < 1e-7:  # a half turn, which float32 storage leaves short of unit length (nifti1_io.c)
+        a, norm = 0.0, math.sqrt(b * b + c * c + d * d)
+        b, c, d = b / norm, c / norm, d / norm
+    else:
+        a = math.sqrt(a2)
     rot = np.array(
         [
             [a * a + b * b - c * c - d * d, 2 * b * c - 2 * a * d, 2 * b * d + 2 * a * c],
@@ -308,7 +312,7 @@ def _quaternion_affine(hdr: NiftiHeader) -> np.ndarray:
             [2 * b * d - 2 * a * c, 2 * c * d + 2 * a * b, a * a + d * d - b * b - c * c],
         ]
     )
-    qfac = -1.0 if hdr.pixdim[0] == -1.0 else 1.0
+    qfac = -1.0 if hdr.pixdim[0] < 0 else 1.0
     scale = np.diag([hdr.pixdim[1], hdr.pixdim[2], qfac * hdr.pixdim[3]])
     affine = np.empty((3, 4))
     affine[:, :3] = rot @ scale

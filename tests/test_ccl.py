@@ -39,8 +39,11 @@ def test_edge_pair_connectivity():
 
 
 def test_bad_connectivity():
-    with pytest.raises(ValueError):
-        label_components(make_mask(np.zeros((2, 2, 2), bool)), 10)
+    # neighbor_offsets raises it, on an empty mask as on any other
+    for data in (np.zeros((2, 2, 2), bool), np.ones((2, 2, 2), bool)):
+        with pytest.raises(ValueError) as got:
+            label_components(make_mask(data), 10)
+        assert str(got.value) == "connectivity must be one of (6, 18, 26)"
 
 
 def test_neighbor_offsets_bad_connectivity():

@@ -169,6 +169,19 @@ class TestMetricsCommand:
         assert capsys.readouterr().err == (f"pvseval: error: {tmp_path / 's.nii'}: "
                                            "affines differ beyond 1e-4 in strict grid mode\n")
 
+    def test_strict_grid_reads_a_half_turn_qform(self, tmp_path):
+        # 180 degrees about x = y: float32 storage of the quaternion
+        # (sqrt 0.5, sqrt 0.5, 0) leaves it short of unit length, which
+        # nifti1_io.c reads as a = 0 and a renormalized (b, c, d)
+        data = np.zeros((6, 5, 4), bool)
+        data[2:4, 1:3, 1:3] = True
+        swapped = np.array([[0.0, 1, 0, 10], [1, 0, 0, 20], [0, 0, -1, 30]])
+        write_volume(BinaryMask(data, (1, 1, 1), swapped), tmp_path / "s.nii", datatype=2)
+        pred = qform_only(write_nifti(tmp_path / "q.nii", data, 2),
+                          (math.sqrt(0.5), math.sqrt(0.5), 0), (10, 20, 30))
+        assert run("metrics", "--pred", pred, "--ref", tmp_path / "s.nii", "--strict-grid",
+                   "--out", tmp_path / "out") == 0
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         code = run("metrics", "--pred", tmp_path / "nope.nii",
                    "--ref", tmp_path / "nope.nii", "--out", tmp_path)
@@ -1400,6 +1413,24 @@ class TestCsvInput:
         path = tmp_path / "in.csv"
         path.write_text("".join(",".join(line) + "\n" for line in (lines, cells) if line),
                         encoding="utf-8")
+        assert run_reader(reader, path, tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"pvseval: error: {path}: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("reader", CSV_READERS)
+    @pytest.mark.parametrize("case", ["blank_then_short", "blank_first", "empty_file"])
+    def test_blank_lines(self, tmp_path, capsys, reader, case):
+        # a blank line is skipped and not counted as a row; a blank first
+        # line is a header of no columns
+        header, row = CSV_READERS[reader]
+        lines, message = {
+            "blank_then_short": ([header, row, [], row[:-1]],
+                                 f"row 3: {len(header) - 1} cells, the header has {len(header)}"),
+            "blank_first": ([[], header, row], f"missing columns {header}"),
+            "empty_file": ([], "empty CSV"),
+        }[case]
+        path = tmp_path / "in.csv"
+        path.write_text("".join(",".join(line) + "\n" for line in lines), encoding="utf-8")
         assert run_reader(reader, path, tmp_path / "o") == 2
         assert capsys.readouterr().err == f"pvseval: error: {path}: {message}\n"
         assert not (tmp_path / "o").exists()

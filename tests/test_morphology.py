@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pvseval.ccl import label_components
 from pvseval.errors import DimMismatchError, EmptyMaskError, EmptyShellError
 from pvseval.morphology import (
     contrast_stat,
@@ -187,13 +188,34 @@ class TestContrast:
         assert abs((mask_mean + 2.5) - (shell_mean + 2.5)) == pytest.approx(contrast, abs=1e-12)
 
     def test_errors(self):
+        # both modes run one path; only the empty-shell message is their own
         img = make_image(np.zeros((4, 4, 4)))
-        with pytest.raises(EmptyMaskError):
-            contrast_stat(img, make_mask(np.zeros((4, 4, 4), bool)))
-        with pytest.raises(EmptyShellError):
-            contrast_stat(img, make_mask(np.ones((4, 4, 4), bool)))
-        with pytest.raises(DimMismatchError):
-            contrast_stat(img, make_mask(np.ones((5, 4, 4), bool)))
+        for contrast, no_shell in ((contrast_stat, "mask saturates the grid; shell is empty"),
+                                   (contrast_stat_per_cluster, "no cluster has a non-empty shell")):
+            for error, data, message in (
+                (EmptyMaskError, np.zeros((4, 4, 4), bool), "contrast needs a non-empty mask"),
+                (EmptyShellError, np.ones((4, 4, 4), bool), no_shell),
+                (DimMismatchError, np.ones((5, 4, 4), bool), "grid mismatch: (4, 4, 4) vs (5, 4, 4)"),
+            ):
+                with pytest.raises(error) as got:
+                    contrast(img, make_mask(data))
+                assert str(got.value) == message
+
+    @pytest.mark.parametrize("conn", [6, 18, 26])
+    def test_one_cluster_per_cluster_equals_global(self, conn):
+        # a 6-connected random walk is one cluster at every connectivity, and
+        # the mean of one value is that value, so the two modes agree exactly
+        rng = np.random.default_rng(conn)
+        data, at = np.zeros((10, 10, 10), bool), np.array([5, 5, 5])
+        for axis, step in zip(rng.integers(0, 3, 60), rng.choice([-1, 1], 60)):
+            at[axis] = np.clip(at[axis] + step, 1, 8)
+            data[tuple(at)] = True
+        img, m = make_image(rng.normal(size=data.shape)), make_mask(data)
+        assert label_components(m, conn).component_count == 1
+        assert contrast_stat_per_cluster(img, m, conn) == contrast_stat(img, m, conn)
+        if conn == 26:  # the default of both modes
+            assert contrast_stat_per_cluster(img, m) == contrast_stat(img, m) == \
+                contrast_stat(img, m, conn)
 
     def test_per_cluster_mode_two_clusters(self):
         img = np.zeros((9, 3, 3))

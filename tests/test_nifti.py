@@ -306,13 +306,17 @@ def rodrigues(axis, angle):
     return np.cos(angle) * np.eye(3) + np.sin(angle) * cross + (1 - np.cos(angle)) * np.outer(u, u)
 
 
-# quatern (b, c, d), qfac, the affine's 3x3 part for pixdim (2, 3, 4) worked
-# out by hand from nifti1.h, and how far float32 storage of (b, c, d) may
-# move it: sin 45 degrees has no float32 value
+# quatern (b, c, d), pixdim[0] (any negative value is qfac -1), the affine's
+# 3x3 part for pixdim (2, 3, 4) worked out by hand from nifti1.h, and how far
+# float32 storage of (b, c, d) may move it: sin 45 degrees has no float32
+# value, so a half turn about x = y is stored just short of unit length
 QFORM_CASES = {
     "90_about_z": ((0.0, 0.0, math.sqrt(0.5)), 1.0, [[0, -3, 0], [2, 0, 0], [0, 0, 4]], 1e-6),
     "180_about_x": ((1.0, 0.0, 0.0), 1.0, [[2, 0, 0], [0, -3, 0], [0, 0, -4]], 0.0),
+    "180_about_xy": ((math.sqrt(0.5), math.sqrt(0.5), 0.0), 1.0,
+                     [[0, 3, 0], [2, 0, 0], [0, 0, -4]], 1e-6),
     "qfac_minus_1": ((0.0, 0.0, 0.0), -1.0, [[2, 0, 0], [0, 3, 0], [0, 0, -4]], 0.0),
+    "qfac_minus_half": ((0.0, 0.0, 0.0), -0.5, [[2, 0, 0], [0, 3, 0], [0, 0, -4]], 0.0),
     "1_rad_about_122": (tuple(np.sin(0.5) * np.array([1, 2, 2]) / 3), -1.0,
                         rodrigues([1, 2, 2], 1.0) @ np.diag([2, 3, -4]), 1e-5),
 }
@@ -330,7 +334,7 @@ def test_qform_rotation(tmp_path, case):
     affine = read_volume(path).affine
     np.testing.assert_allclose(affine[:, :3], rotation, rtol=0, atol=tol)
     assert affine[:, 3].tolist() == [10.0, 20.0, 30.0]
-    rot = affine[:, :3] / np.array([2.0, 3.0, 4.0 * qfac])
+    rot = affine[:, :3] / np.array([2.0, 3.0, math.copysign(4.0, qfac)])
     np.testing.assert_allclose(rot.T @ rot, np.eye(3), rtol=0, atol=1e-6)
     assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-6)
 

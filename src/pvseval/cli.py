@@ -244,8 +244,7 @@ def _require_file(path: str, flag: str) -> str:
 
 # -- metrics ---------------------------------------------------------------
 
-def cmd_metrics(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_metrics(args, cfg: dict) -> int:
     # every input file must exist before the first read
     _require_file(args.pred, "--pred")
     _require_file(args.ref, "--ref")
@@ -264,8 +263,7 @@ def cmd_metrics(args) -> int:
 
 # -- aggregate ---------------------------------------------------------------
 
-def cmd_aggregate(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_aggregate(args, cfg: dict) -> int:
     manifest = read_manifest(_require_file(args.manifest, "--manifest"))
     scheme = args.scheme or ""
     per_site = args.per_site or scheme == "losocv"
@@ -343,8 +341,7 @@ def _read_per_subject_csv(path: str):
     return by_subject, list(regions), min(connectivities, default=None)
 
 
-def cmd_compare(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_compare(args, cfg: dict) -> int:
     a, regions_a, conn_a = _read_per_subject_csv(_require_file(args.a, "--a"))
     b, regions_b, conn_b = _read_per_subject_csv(_require_file(args.b, "--b"))
     if conn_a and conn_b and conn_a != conn_b:
@@ -383,8 +380,7 @@ def cmd_compare(args) -> int:
 
 # -- contrast ---------------------------------------------------------------
 
-def cmd_contrast(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_contrast(args, cfg: dict) -> int:
     image_path = _require_file(args.image, "--image")
     mask = read_volume(_require_file(args.mask, "--mask"))
     # the image is read only where contrast needs it, at the mask and ring voxels
@@ -409,8 +405,7 @@ def cmd_contrast(args) -> int:
 
 # -- clusters ---------------------------------------------------------------
 
-def cmd_clusters(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_clusters(args, cfg: dict) -> int:
     if args.save_labels:
         # a file, in a directory that exists unless it is --out; --out and
         # its parents are directories once it is made below
@@ -482,8 +477,7 @@ def _parse_perturbation(text: str, connectivity: int) -> Perturbation:
     return Perturbation(kind=kind, connectivity=connectivity, **given)
 
 
-def cmd_phantom(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_phantom(args, cfg: dict) -> int:
     p = _parse_perturbation(args.perturb, cfg["connectivity"]) if args.perturb else None
     # a flag not given keeps its field's default; argparse has typed the scalars
     given = {}
@@ -510,8 +504,7 @@ def cmd_phantom(args) -> int:
 
 # -- folds ---------------------------------------------------------------
 
-def cmd_folds(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_folds(args, cfg: dict) -> int:
     manifest = read_manifest(_require_file(args.manifest, "--manifest"))
     spec = make_folds(manifest, args.scheme, args.seed)
     out = _out_dir(cfg)
@@ -594,7 +587,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _resolve_config(args))
     except (InputError, OSError) as exc:
         print(f"pvseval: error: {exc}", file=sys.stderr)
         return 2

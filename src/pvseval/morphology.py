@@ -57,8 +57,9 @@ def _ring(m: BinaryMask, group, connectivity: int) -> np.ndarray:
 
 
 def _group_means(gather: Gather, m: BinaryMask, *key_sets: np.ndarray):
-    """For each array of sorted keys, (group ids, mean image value of each
-    group); the image is gathered once, at the voxels of all of them."""
+    """For each array of sorted keys, the mean image value of each of its
+    groups, in group order; the image is gathered once, at the voxels of all
+    of them."""
     groups, wanted = [], []
     for keys in key_sets:
         group, c_index = np.divmod(keys, math.prod(m.dims))
@@ -75,7 +76,7 @@ def _group_means(gather: Gather, m: BinaryMask, *key_sets: np.ndarray):
         starts = np.flatnonzero(np.diff(group, prepend=-1))
         ends = np.append(starts[1:], group.size)
         # not np.add.reduceat: it sums in another order than mean() on 8+ values
-        out.append((group[starts], [float(group_values[s:e].mean()) for s, e in zip(starts, ends)]))
+        out.append(np.array([float(group_values[s:e].mean()) for s, e in zip(starts, ends)]))
     return out
 
 
@@ -95,8 +96,10 @@ def shell(m: BinaryMask, connectivity: int = 26) -> BinaryMask:
 def _contrast(image: Volume3D | Gather, m: BinaryMask, group, connectivity: int,
               no_shell: str) -> tuple[float, float, float]:
     """(mask mean, shell mean, |difference|) of each group of foreground
-    voxels with a non-empty ring, averaged over those groups. A Volume3D
-    image must be on m's grid; a function checks the grid itself."""
+    voxels, averaged over the groups. A group's ring is empty only when the
+    group fills the grid, so each group has a ring and their means pair by
+    position. A Volume3D image must be on m's grid; a function checks the
+    grid itself."""
     if not callable(image):
         ensure_same_grid(image, m)
         image = image.data.ravel("F").__getitem__
@@ -105,9 +108,7 @@ def _contrast(image: Volume3D | Gather, m: BinaryMask, group, connectivity: int,
     ring = _ring(m, group, connectivity)
     if not ring.size:
         raise EmptyShellError(no_shell)
-    (mask_groups, mask_means), (ring_groups, shell_means) = _group_means(
-        image, m, np.sort(_fg_keys(m, group)), ring)
-    mask_means = np.array(mask_means)[np.searchsorted(mask_groups, ring_groups)]
+    mask_means, shell_means = _group_means(image, m, np.sort(_fg_keys(m, group)), ring)
     contrasts = np.abs(mask_means - shell_means)
     return tuple(float(np.mean(v)) for v in (mask_means, shell_means, contrasts))
 
@@ -131,9 +132,8 @@ def contrast_stat_per_cluster(
 
     Each cluster is contrasted against its own one-voxel ring; ring voxels
     belonging to any other cluster are excluded so surroundings never
-    include foreground. Clusters with an empty ring are skipped. Returned
-    means are averages of the per-cluster values. image is as in
-    contrast_stat.
+    include foreground. Returned means are averages of the per-cluster
+    values. image is as in contrast_stat.
     """
     return _contrast(image, m, label_components(m, connectivity).fg_labels, connectivity,
                      "no cluster has a non-empty shell")

@@ -19,15 +19,17 @@ holds its grid. The readers share one scaffold, _volume, which
 raises every failure, an OSError included, as an InputError that starts
 with the path, so no caller names a volume-read failure.
 
-Every write goes through one block writer. A volume held as its foreground
-(an index-built BinaryMask, a ccl.LabelMap) is painted only a range at a
-time, so no grid is built. A .nii.gz is one gzip member whose deflate
-stream is spliced together: the 4 kB blocks of the byte stream that hold a
-nonzero byte are deflated by one Z_RLE compressor, and each run of all-zero
-blocks is a full flush followed by precomputed deflate of 2**k zero blocks,
-with the CRC carried over the zeros by a GF(2) operator, as pigz joins
-independently compressed pieces. It decompresses to exactly the bytes of
-the .nii write.
+Every write goes through one block writer. write_volume alone looks at the
+volume's form: a grid is served from its buffer, and a volume held as its
+foreground (an index-built BinaryMask, a ccl.LabelMap) is painted only a
+range at a time, so no grid is built; for a .nii.gz, the grid's bytes or the
+index mark the 4 kB blocks of the byte stream that may hold a nonzero byte.
+_write_stream sees only those bytes and busy blocks. A .nii.gz is one gzip
+member whose deflate stream is spliced together: the busy blocks are
+deflated by one Z_RLE compressor, and each run of all-zero blocks is a full
+flush followed by precomputed deflate of 2**k zero blocks, with the CRC
+carried over the zeros by a GF(2) operator, as pigz joins independently
+compressed pieces. It decompresses to exactly the bytes of the .nii write.
 """
 
 from __future__ import annotations
@@ -696,58 +698,17 @@ def _zero_piece(k: int) -> bytes:
     return b"".join(pieces) + stream.flush(zlib.Z_FULL_FLUSH)
 
 
-def _busy_blocks(length: int, head: int, grid: np.ndarray | None, index: np.ndarray,
-                 size: int) -> np.ndarray:
-    """Per block of a length-byte stream (head <= _ZBLOCK header bytes, then
-    voxels of size bytes): False when the block is known to hold only zero
-    bytes.
+def _write_stream(fh, head: bytes, length: int, voxel_bytes, busy: np.ndarray | None) -> None:
+    """Write the length-byte stream of head and then voxel_bytes(lo, hi),
+    the voxels' bytes [lo, hi), to fh: as they are when busy is None, else
+    as one gzip member.
 
-    The header's block and a partial last block are always busy. A grid's
-    bytes are scanned block by block; a volume held as its foreground marks
-    the blocks its voxels' bytes fall in.
+    busy marks each 4 kB block of the stream that may hold a nonzero byte.
+    The busy blocks go through one Z_RLE deflate stream, and each run of
+    all-zero blocks is a full flush followed by precomputed pieces of 2**k
+    zero blocks, its CRC advanced by crc32_zeros; the member decompresses
+    to exactly the bytes written uncompressed.
     """
-    busy = np.zeros(-(-length // _ZBLOCK), dtype=bool)
-    busy[0] = True
-    busy[-1] |= length % _ZBLOCK != 0
-    if grid is not None:
-        raw = grid.view(np.uint8)[_ZBLOCK - head:]
-        full = raw.size // _ZBLOCK
-        words = raw[:full * _ZBLOCK].view(np.uint64)
-        busy[1:1 + full] = words.reshape(full, _ZBLOCK // 8).any(axis=1)
-    else:
-        first = head + index * size
-        busy[first // _ZBLOCK] = True
-        busy[(first + size - 1) // _ZBLOCK] = True  # a voxel across a block edge
-    return busy
-
-
-def _write_stream(fh, head: bytes, dtype: np.dtype, count: int, compress: bool,
-                  grid: np.ndarray | None = None, index: np.ndarray | None = None,
-                  values: np.ndarray | None = None) -> None:
-    """Write head and then count voxels of dtype to fh, as they are or as
-    one gzip member.
-
-    The voxels are a flat grid, or the sorted flat index of the nonzero
-    ones and their values (None: all 1), painted range by range. Compressed,
-    the stream's busy blocks go through one Z_RLE deflate stream, and each
-    run of all-zero blocks is a full flush followed by precomputed pieces of
-    2**k zero blocks, its CRC advanced by crc32_zeros; the member
-    decompresses to exactly the bytes written uncompressed.
-    """
-    size, length = dtype.itemsize, len(head) + count * dtype.itemsize
-    if grid is not None:
-        raw = grid.view(np.uint8)
-
-        def voxel_bytes(lo: int, hi: int):
-            return raw[lo:hi]
-    else:
-        def voxel_bytes(lo: int, hi: int):
-            first, end = lo // size, -(-hi // size)
-            buf = np.zeros(end - first, dtype)
-            at, stop = index.searchsorted((first, end))
-            buf[index[at:stop] - first] = 1 if values is None else values[at:stop]
-            return buf.view(np.uint8)[lo - first * size:hi - first * size]
-
     def read(start: int, stop: int) -> Iterator:
         """The stream's bytes [start, stop), in at most _STEP bytes a piece."""
         for lo in range(start, stop, _STEP):
@@ -757,10 +718,9 @@ def _write_stream(fh, head: bytes, dtype: np.dtype, count: int, compress: bool,
             if hi > len(head):
                 yield voxel_bytes(max(lo - len(head), 0), hi - len(head))
 
-    if not compress:
+    if busy is None:
         fh.writelines(read(0, length))
         return
-    busy = _busy_blocks(length, len(head), grid, index, size)
     bounds = [0, *(np.flatnonzero(busy[1:] != busy[:-1]) + 1).tolist(), busy.size]
     stream, crc = _raw_deflate(), 0
     fh.write(_GZIP_HEAD)
@@ -779,8 +739,9 @@ def _write_stream(fh, head: bytes, dtype: np.dtype, count: int, compress: bool,
     fh.write(struct.pack("<II", crc, length & 0xFFFFFFFF))
 
 
-def write_volume(vol, path: str | Path, datatype: int = 16) -> None:
-    """Write a single-file NIfTI-1 volume (vox_offset 352, little-endian).
+def write_volume(vol, path: str | Path, datatype: int) -> None:
+    """Write a single-file NIfTI-1 volume (vox_offset 352, little-endian)
+    whose voxels are of datatype code `datatype`.
 
     vol is a Volume3D, or a volume held as its foreground: a BinaryMask
     built from its index, or a ccl.LabelMap. It is written from what it
@@ -790,27 +751,48 @@ def write_volume(vol, path: str | Path, datatype: int = 16) -> None:
     no grid is built.
 
     A path whose name ends in .gz is written compressed, as one gzip member
-    (mtime 0, no file name) holding one deflate stream: the byte stream is
-    cut into 4 kB blocks, the blocks that hold a nonzero byte are deflated
-    at strategy Z_RLE, and each run of all-zero blocks is spliced in as
-    precomputed deflate after a full flush. The output bytes are the same
-    on every run, and they decompress to exactly the bytes of the
-    uncompressed write.
+    (mtime 0, no file name) whose all-zero 4 kB blocks are spliced in as
+    precomputed deflate. The output bytes are the same on every run, and
+    they decompress to exactly the bytes of the uncompressed write.
     """
     if datatype not in DATATYPES:
         raise UnsupportedDatatypeError(f"datatype code {datatype} not in {sorted(DATATYPES)}")
     dtype, _ = DATATYPES[datatype]
+    start, size = SINGLE_FILE_VOX_OFFSET, dtype.itemsize  # where the voxels start, each one's bytes
+    length = start + math.prod(vol.dims) * size
+    busy = None
+    if Path(path).name.endswith(".gz"):  # per block of the stream: may it hold a nonzero byte?
+        busy = np.zeros(-(-length // _ZBLOCK), dtype=bool)
+        busy[0] = True  # the header's block
+        busy[-1] |= length % _ZBLOCK != 0  # a partial last block is never spliced
     grid = vars(vol).get("data")
     if grid is not None:
         grid = np.asarray(grid)
         _check_representable(grid, dtype, datatype)
-        grid = np.asfortranarray(grid.astype(dtype, copy=False)).ravel("F")
-        index = values = None
+        raw = np.asfortranarray(grid.astype(dtype, copy=False)).ravel("F").view(np.uint8)
+
+        def voxel_bytes(lo: int, hi: int):
+            return raw[lo:hi]
+
+        if busy is not None:  # scan the full blocks after the header's
+            tail = raw[_ZBLOCK - start:]
+            full = tail.size // _ZBLOCK
+            words = tail[:full * _ZBLOCK].view(np.uint64)
+            busy[1:1 + full] = words.reshape(full, _ZBLOCK // 8).any(axis=1)
     else:
         index, values = vol.fg_index, getattr(vol, "fg_labels", None)
         if values is not None:
             _check_representable(values, dtype, datatype)
+
+        def voxel_bytes(lo: int, hi: int):
+            first, end = lo // size, -(-hi // size)
+            buf = np.zeros(end - first, dtype)
+            at, stop = index.searchsorted((first, end))
+            buf[index[at:stop] - first] = 1 if values is None else values[at:stop]
+            return buf.view(np.uint8)[lo - first * size:hi - first * size]
+
+        if busy is not None:  # 352 and _ZBLOCK are multiples of size: no voxel spans two blocks
+            busy[(start + index * size) // _ZBLOCK] = True
     head = build_header(vol, datatype) + b"\x00\x00\x00\x00"  # no extensions
     with open(path, "wb") as fh:
-        _write_stream(fh, head, dtype, math.prod(vol.dims), Path(path).name.endswith(".gz"),
-                      grid, index, values)
+        _write_stream(fh, head, length, voxel_bytes, busy)

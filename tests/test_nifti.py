@@ -167,7 +167,7 @@ class TestReadVolume:
     def test_nonpositive_pixdim(self, tmp_path):
         path = tmp_path / "pd.nii"
         write_raw(path, minimal_header(pixdim=(0.0, 1.0, 1.0)), bytes(64))
-        with pytest.raises(BadHeaderError):
+        with pytest.raises(BadHeaderError, match=r"non-positive pixdim \(0\.0, 1\.0, 1\.0\)$"):
             read_volume(path)
 
     def test_zero_grid_extent(self, tmp_path):
@@ -381,6 +381,16 @@ class TestWriter:
         with pytest.raises(RangeOverflowError):
             write_volume(vol, tmp_path / "o.nii.gz", datatype=code)
         assert not (tmp_path / "o.nii.gz").exists()
+
+    @pytest.mark.parametrize("code", [2, 4, 8])
+    def test_integer_type_extremes_are_written(self, code, tmp_path):
+        """A grid holding exactly the smallest and the largest value of the
+        written integer type fits it."""
+        info = np.iinfo(DATATYPES[code][0])
+        data = np.zeros((3, 2, 2), np.int64)
+        data[0, 0, 0], data[2, 1, 1] = info.min, info.max
+        write_volume(Volume3D(data, (1, 1, 1), np.eye(3, 4)), tmp_path / "x.nii.gz", datatype=code)
+        assert np.array_equal(read_nifti_grid(tmp_path / "x.nii.gz"), data)
 
     @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
     def test_label_grid_is_not_copied(self, suffix, tmp_path):
@@ -1066,6 +1076,18 @@ class TestBinaryMaskForms:
         with pytest.raises(BadHeaderError):
             BinaryMask.from_index(np.arange(3), (2, 2, 2), (1.0, 0.0, 1.0), np.eye(3, 4))
 
+    @pytest.mark.parametrize("spacing", [(0, 1, 1), (1, -2, 1)])
+    def test_nonpositive_spacing_is_named(self, spacing):
+        """Volumes built in memory check their spacing themselves: a file's
+        pixdim is checked before any volume is built."""
+        builds = (lambda: Volume3D(np.zeros((2, 2, 2)), spacing, np.eye(3, 4)),
+                  lambda: BinaryMask(np.zeros((2, 2, 2), bool), spacing, np.eye(3, 4)),
+                  lambda: BinaryMask.from_index(np.arange(3), (2, 2, 2), spacing, np.eye(3, 4)))
+        for build in builds:
+            with pytest.raises(BadHeaderError) as raised:
+                build()
+            assert str(raised.value) == f"non-positive voxel spacing {tuple(map(float, spacing))}"
+
 
 def _plain_gzip(raw: bytes) -> bytes:
     """The reference: the whole byte stream through one Z_RLE gzip compressobj."""
@@ -1151,10 +1173,6 @@ class TestBlockWriter:
         grid = Volume3D(flat.reshape(dims, order="F"), spacing, affine)
         head = nifti.build_header(grid, code) + bytes(4)
         plain = head + flat.astype(dtype).tobytes()
-        if case == "header_block_only" and dtype.itemsize == 4:
-            assert len(plain) % nifti._ZBLOCK == 0 and len(plain) > nifti._ZBLOCK
-            busy = nifti._busy_blocks(len(plain), len(head), None, index, dtype.itemsize)
-            assert np.flatnonzero(busy).tolist() == [0]
 
         blobs = []
         for name, vol in (("index", labels), ("grid", grid), ("again", labels)):
@@ -1168,6 +1186,12 @@ class TestBlockWriter:
         assert _inflate_three_ways(blobs[0], tmp_path) == gzip.decompress(_plain_gzip(plain))
         back = read_nifti_grid(tmp_path / "index.nii.gz")
         assert np.array_equal(back.ravel("F"), flat.astype(dtype).astype(np.float64))
+        if case == "header_block_only" and dtype.itemsize == 4:
+            # one run of zero blocks, all but the header's, spliced in as pieces
+            assert len(plain) % nifti._ZBLOCK == 0 and len(plain) > nifti._ZBLOCK
+            repeats, rest = divmod(len(plain) // nifti._ZBLOCK - 1, 1 << nifti._ZPIECE_MAX)
+            ks = [nifti._ZPIECE_MAX] * repeats + [k for k in range(nifti._ZPIECE_MAX) if rest >> k & 1]
+            assert b"".join(nifti._zero_piece(k) for k in ks) in blobs[0]
         if case == "zero_run_beyond_piece_cap":
             assert nifti._zero_piece(nifti._ZPIECE_MAX) in blobs[0]
         if case == "full":
@@ -1186,25 +1210,39 @@ class TestBlockWriter:
         head = nifti.build_header(dense, 2) + bytes(4)
         assert _inflate_three_ways(blob, tmp_path) == head + data.astype(np.uint8).tobytes("F")
 
-    @pytest.mark.parametrize("value", [0x00000100, 0x01000000, 0x7F7F7F7F])
-    def test_voxel_across_a_block_edge(self, value, tmp_path):
-        """With a 350-byte head, int32 voxel 1960 holds stream bytes 8190..8193,
-        across the edge of blocks 1 and 2; its nonzero byte may lie in either,
-        and blocks 3-7 are spliced zeros."""
-        dtype = np.dtype(np.int32)
-        head, n = bytes(range(256)) + b"h" * 94, 10000
-        flat = np.zeros(n, dtype)
-        flat[[1960, 9000]] = value
-        index = np.flatnonzero(flat)
-        raw = head + flat.tobytes()
-        for form in ({"grid": flat}, {"index": index, "values": flat[index]}):
-            path = tmp_path / "s.gz"
-            with open(path, "wb") as fh:
-                nifti._write_stream(fh, head, dtype, n, True, **form)
-            assert _inflate_three_ways(path.read_bytes(), tmp_path) == raw
-            with open(path, "wb") as fh:
-                nifti._write_stream(fh, head, dtype, n, False, **form)
-            assert path.read_bytes() == raw
+    @pytest.mark.parametrize("code", sorted(DATATYPES))
+    def test_voxel_across_a_block_edge(self, code, tmp_path):
+        """No voxel spans two 4 kB blocks: the voxels start at byte 352, and
+        352 and 4096 are multiples of every itemsize written. The last voxel
+        of block 1 and the first of block 2, alone and together, each mark
+        their own block, from an index and from a grid. The stream is 3.5
+        blocks long: block 2 is the last full one, and block 3 is partial."""
+        from pvseval.ccl import LabelMap
+
+        dtype, _ = DATATYPES[code]
+        assert nifti.SINGLE_FILE_VOX_OFFSET % dtype.itemsize == 0
+        assert nifti._ZBLOCK % dtype.itemsize == 0
+        dims, spacing, affine = (32 // dtype.itemsize, 19, 23), (1.0, 1.0, 1.0), np.eye(3, 4)
+        flat = np.zeros(int(np.prod(dims)), dtype)
+        edge = (2 * nifti._ZBLOCK - nifti.SINGLE_FILE_VOX_OFFSET) // dtype.itemsize
+        for index in ([edge - 1], [edge], [edge - 1, edge]):
+            index = np.array(index, np.int64)
+            values = _nonzero_values(code, index.size, np.random.default_rng(code))
+            flat[:] = 0
+            flat[index] = values
+            grid = Volume3D(flat.reshape(dims, order="F"), spacing, affine)
+            labels = LabelMap(index, values, dims, index.size, np.ones(index.size, np.int64), 26,
+                              spacing, affine)
+            plain = nifti.build_header(grid, code) + bytes(4) + flat.tobytes()
+            assert len(plain) == 3.5 * nifti._ZBLOCK
+            blobs = []
+            for vol in (labels, grid):
+                write_volume(vol, tmp_path / "v.nii.gz", datatype=code)
+                write_volume(vol, tmp_path / "v.nii", datatype=code)
+                assert (tmp_path / "v.nii").read_bytes() == plain
+                blobs.append((tmp_path / "v.nii.gz").read_bytes())
+                assert _inflate_three_ways(blobs[-1], tmp_path) == plain
+            assert blobs[0] == blobs[1]
 
     def test_index_values_that_do_not_fit_are_rejected(self, tmp_path):
         from pvseval.ccl import LabelMap

@@ -1121,6 +1121,37 @@ def _nonzero_values(code: int, n: int, rng) -> np.ndarray:
     return values
 
 
+def _write_across_a_block_edge(code: int, values_for, tmp_path) -> None:
+    """The last voxel of block 1 and the first of block 2, alone and together,
+    each mark their own block, from an index and from a grid. The stream is
+    3.5 blocks long: block 2 is the last full one, and block 3 is partial.
+    values_for(n) gives the n nonzero values written."""
+    from pvseval.ccl import LabelMap
+
+    dtype, _ = DATATYPES[code]
+    dims, spacing, affine = (32 // dtype.itemsize, 19, 23), (1.0, 1.0, 1.0), np.eye(3, 4)
+    flat = np.zeros(int(np.prod(dims)), dtype)
+    edge = (2 * nifti._ZBLOCK - nifti.SINGLE_FILE_VOX_OFFSET) // dtype.itemsize
+    for index in ([edge - 1], [edge], [edge - 1, edge]):
+        index = np.array(index, np.int64)
+        values = values_for(index.size)
+        flat[:] = 0
+        flat[index] = values
+        grid = Volume3D(flat.reshape(dims, order="F"), spacing, affine)
+        labels = LabelMap(index, values, dims, index.size, np.ones(index.size, np.int64), 26,
+                          spacing, affine)
+        plain = nifti.build_header(grid, code) + bytes(4) + flat.tobytes()
+        assert len(plain) == 3.5 * nifti._ZBLOCK
+        blobs = []
+        for vol in (labels, grid):
+            write_volume(vol, tmp_path / "v.nii.gz", datatype=code)
+            write_volume(vol, tmp_path / "v.nii", datatype=code)
+            assert (tmp_path / "v.nii").read_bytes() == plain
+            blobs.append((tmp_path / "v.nii.gz").read_bytes())
+            assert _inflate_three_ways(blobs[-1], tmp_path) == plain
+        assert blobs[0] == blobs[1]
+
+
 def _edge_voxels(n: int, size: int) -> np.ndarray:
     """The first and last voxel of every 4 kB block of the stream (352 header
     bytes, then n voxels of size bytes)."""
@@ -1211,38 +1242,20 @@ class TestBlockWriter:
         assert _inflate_three_ways(blob, tmp_path) == head + data.astype(np.uint8).tobytes("F")
 
     @pytest.mark.parametrize("code", sorted(DATATYPES))
-    def test_voxel_across_a_block_edge(self, code, tmp_path):
+    def test_voxels_either_side_of_a_block_edge(self, code, tmp_path):
         """No voxel spans two 4 kB blocks: the voxels start at byte 352, and
-        352 and 4096 are multiples of every itemsize written. The last voxel
-        of block 1 and the first of block 2, alone and together, each mark
-        their own block, from an index and from a grid. The stream is 3.5
-        blocks long: block 2 is the last full one, and block 3 is partial."""
-        from pvseval.ccl import LabelMap
-
+        352 and 4096 are multiples of every itemsize written."""
         dtype, _ = DATATYPES[code]
         assert nifti.SINGLE_FILE_VOX_OFFSET % dtype.itemsize == 0
         assert nifti._ZBLOCK % dtype.itemsize == 0
-        dims, spacing, affine = (32 // dtype.itemsize, 19, 23), (1.0, 1.0, 1.0), np.eye(3, 4)
-        flat = np.zeros(int(np.prod(dims)), dtype)
-        edge = (2 * nifti._ZBLOCK - nifti.SINGLE_FILE_VOX_OFFSET) // dtype.itemsize
-        for index in ([edge - 1], [edge], [edge - 1, edge]):
-            index = np.array(index, np.int64)
-            values = _nonzero_values(code, index.size, np.random.default_rng(code))
-            flat[:] = 0
-            flat[index] = values
-            grid = Volume3D(flat.reshape(dims, order="F"), spacing, affine)
-            labels = LabelMap(index, values, dims, index.size, np.ones(index.size, np.int64), 26,
-                              spacing, affine)
-            plain = nifti.build_header(grid, code) + bytes(4) + flat.tobytes()
-            assert len(plain) == 3.5 * nifti._ZBLOCK
-            blobs = []
-            for vol in (labels, grid):
-                write_volume(vol, tmp_path / "v.nii.gz", datatype=code)
-                write_volume(vol, tmp_path / "v.nii", datatype=code)
-                assert (tmp_path / "v.nii").read_bytes() == plain
-                blobs.append((tmp_path / "v.nii.gz").read_bytes())
-                assert _inflate_three_ways(blobs[-1], tmp_path) == plain
-            assert blobs[0] == blobs[1]
+        rng = np.random.default_rng(code)
+        _write_across_a_block_edge(code, lambda n: _nonzero_values(code, n, rng), tmp_path)
+
+    @pytest.mark.parametrize("value", [0x00000100, 0x01000000, 0x7F7F7F7F])
+    def test_voxel_across_a_block_edge(self, value, tmp_path):
+        """The int32 voxels either side of the edge of blocks 1 and 2 hold a
+        value whose nonzero bytes lie at either end of the voxel, or fill it."""
+        _write_across_a_block_edge(8, lambda n: np.full(n, value), tmp_path)
 
     def test_index_values_that_do_not_fit_are_rejected(self, tmp_path):
         from pvseval.ccl import LabelMap

@@ -10,9 +10,10 @@ the record. A header is its key, except:
 a metric summary nested under `{m}` (a metric in aggregate, a site or the
 average in the LOSOCV table) gives `{m}_mean`, `{m}_sd`, `{m}_n` <-
 `n_used` and, in aggregate, `{m}_excluded` <- `n_excluded`; compare writes
-`sig` <- `significant` and `r` <- `rank_biserial`. A cell is empty for
-None, `repr` for a float, Yes/No for a bool and `|`-joined for the flag
-tuple. `clusters` works from numpy columns instead: it renders each
+`sig` <- `significant` and `r` <- `rank_biserial`. A cell is Yes/No for
+a bool and `|`-joined for the flag tuple; otherwise it is what the csv
+writer makes of the value: empty for None, `repr` for a float, `str` for
+the rest. `clusters` works from numpy columns instead: it renders each
 column's cell text once (`repr` of each value, as the cell rule gives),
 and the same strings feed `cluster_sizes.csv`, `size_histogram.csv`
 (`bin_lo`/`bin_hi` <- `lo`/`hi`) and the `histogram` list of
@@ -173,20 +174,17 @@ def _losocv_columns(sites) -> dict[str, tuple]:
     }
 
 
-def _cell(record, path: tuple) -> str:
-    """The CSV text of the value at `path` in the nested dicts of `record`;
-    None gives ""."""
+def _cell(record, path: tuple):
+    """The value at `path` in the nested dicts of `record`, as the csv
+    writer takes it: Yes/No for a bool and |-joined for the flag tuple; csv
+    writes None as empty and a float as its repr."""
     for key in path:
         record = record[key]
-    if record is None:
-        return ""
     if isinstance(record, bool):
         return "Yes" if record else "No"
-    if isinstance(record, float):
-        return repr(record)
     if isinstance(record, tuple):
         return "|".join(record)
-    return str(record)
+    return record
 
 
 def _texts(column) -> list[str]:
@@ -254,8 +252,7 @@ def cmd_metrics(args, cfg: dict) -> int:
     pred, ref, rois = read_subject(args.pred, args.ref, args.roi_wm, args.roi_bg,
                                    cfg["strict_grid"])
     subject_id = args.subject_id or Path(args.pred).name.split(".")[0]
-    records = evaluate_subject(pred, ref, rois, cfg["connectivity"],
-                               subject_id=subject_id, strict=cfg["strict_grid"])
+    records = evaluate_subject(pred, ref, rois, cfg["connectivity"], subject_id=subject_id)
     _write_table(_out_dir(cfg), "metrics", "records", SUBJECT_COLUMNS,
                  [asdict(r) for r in records], cfg)
     return 0
@@ -508,7 +505,7 @@ def cmd_folds(args, cfg: dict) -> int:
     manifest = read_manifest(_require_file(args.manifest, "--manifest"))
     spec = make_folds(manifest, args.scheme, args.seed)
     out = _out_dir(cfg)
-    _write_json(out / "foldspec.json", spec.to_json_dict(), cfg)
+    _write_json(out / "foldspec.json", asdict(spec), cfg)
     return 0
 
 

@@ -18,7 +18,7 @@ import io
 import random
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, astuple, dataclass, fields
+from dataclasses import MISSING, astuple, dataclass, fields
 from itertools import repeat
 from pathlib import Path
 
@@ -52,17 +52,6 @@ class FoldSpec:
     scheme: str  # "5fcv" or "losocv"
     assignments: dict[str, str]  # subject_id -> fold label
     seed: int
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FoldSpec":
-        return cls(
-            scheme=d["scheme"],
-            assignments=dict(d["assignments"]),
-            seed=int(d["seed"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -244,8 +233,7 @@ def evaluate_record(
                                        record.roi_bg_path, strict)
     except InputError as exc:  # the reader has named the file
         raise type(exc)(f"{record.subject_id}: {exc}") from exc
-    return evaluate_subject(pred, ref, rois, connectivity,
-                            subject_id=record.subject_id, strict=strict)
+    return evaluate_subject(pred, ref, rois, connectivity, subject_id=record.subject_id)
 
 
 def _evaluate_or_fail(record: SubjectRecord, connectivity: int,

@@ -5,14 +5,15 @@ sensitivity = overlap/manual, precision = overlap/algo. Cluster level works
 on connected components with the any-voxel overlap rule: a predicted
 cluster counts as a true positive if any of its voxels touches the
 reference, and vice versa. An ROI restricts both masks first
-(`intersect`). Both levels read the masks' sorted foreground
-indices, so the overlap and the hit tests cost time in proportion to the
-foreground, not the grid. Masks read from files are held as those indices
-alone, and an ROI file is gathered only at the voxels of the prediction
-and the reference (`harness.read_subject`), so scoring a subject builds no
-grid. Degenerate cases (either side empty) are reported as undefined
-rather than forced to 0 or 1, with flags so aggregation can exclude and
-count them.
+(`intersect`). Both levels read the masks' sorted foreground indices and
+test overlap with BinaryMask.contains, so the cost scales with the
+foreground, not the grid. The masks are scored as given: harness.read_subject
+has checked every file's grid (affines too, under --strict-grid), recorded
+whether each ROI file is empty, held the masks as their indices and
+gathered each ROI file only at the prediction's and reference's voxels, so
+scoring a subject builds no grid. Degenerate cases (either side empty) are
+reported as undefined rather than forced to 0 or 1, with flags so
+aggregation can exclude and count them.
 """
 
 from __future__ import annotations
@@ -36,27 +37,22 @@ class RoiMask:
     mask need be right only at the voxels it restricts, the foreground of
     the masks it is intersected with; harness.read_subject keeps just those
     of an ROI file. empty says whether the whole region is empty, which
-    such a mask cannot tell; when not given it is read off mask, which then
-    is the whole region.
+    such a mask cannot tell.
     """
 
     mask: BinaryMask
     region: str  # conventionally "WM", "BG", or a free-form tag
-    empty: bool | None = None
-
-    def __post_init__(self) -> None:
-        if self.empty is None:
-            object.__setattr__(self, "empty", self.mask.foreground_count == 0)
+    empty: bool
 
 
-def intersect(a: BinaryMask, b: BinaryMask, strict: bool = False) -> BinaryMask:
-    """Voxelwise AND; spacing/affine inherited from a.
+def intersect(a: BinaryMask, b: BinaryMask) -> BinaryMask:
+    """Voxelwise AND; spacing/affine inherited from a. Only dims are checked.
 
     The result is held as its foreground index: a's, kept where b contains
     it. The work scales with a's foreground, not the grid, and no grid is
     painted.
     """
-    ensure_same_grid(a, b, strict)
+    ensure_same_grid(a, b)
     return BinaryMask.from_index(a.fg_index[b.contains(a.fg_index)], a.dims, a.spacing,
                                  a.affine)
 
@@ -126,7 +122,7 @@ def voxel_metrics(
 ) -> tuple[VoxelCounts, float | None, float | None, float | None]:
     """Voxel-level (counts, dice, sensitivity, precision)."""
     ensure_same_grid(pred, ref)
-    overlap = np.intersect1d(ref.fg_index, pred.fg_index, assume_unique=True).size
+    overlap = int(np.count_nonzero(pred.contains(ref.fg_index)))
     counts = VoxelCounts(overlap, ref.foreground_count, pred.foreground_count)
     dsc, sen, ppv, _ = _ratios(overlap, overlap, counts.manual, counts.algo)
     return counts, dsc, sen, ppv
@@ -144,13 +140,11 @@ def cluster_metrics(
     ensure_same_grid(pred, ref)
     ref_lm = label_components(ref, connectivity)
     pred_lm = label_components(pred, connectivity)
-    _, in_ref, in_pred = np.intersect1d(ref.fg_index, pred.fg_index,
-                                        assume_unique=True, return_indices=True)
     counts = ClusterCounts(
         n_manual=ref_lm.component_count,
         n_algo=pred_lm.component_count,
-        n_manual_hit=np.unique(ref_lm.fg_labels[in_ref]).size,
-        n_algo_hit=np.unique(pred_lm.fg_labels[in_pred]).size,
+        n_manual_hit=np.unique(ref_lm.fg_labels[pred.contains(ref.fg_index)]).size,
+        n_algo_hit=np.unique(pred_lm.fg_labels[ref.contains(pred.fg_index)]).size,
     )
     dsc, sen, ppv, _ = _ratios(counts.n_manual_hit, counts.n_algo_hit,
                                counts.n_manual, counts.n_algo)
@@ -181,20 +175,19 @@ def evaluate_subject(
     rois: list[RoiMask] | None = None,
     connectivity: int = 26,
     subject_id: str = "",
-    strict: bool = False,
 ) -> list[SubjectMetrics]:
     """One SubjectMetrics per ROI; a single whole-volume record if none.
 
-    Labeling happens after ROI restriction. strict also requires the
-    affines of pred, ref and every ROI to agree.
+    Labeling happens after ROI restriction. The dims of pred, ref and every
+    ROI must match; their affines are taken as read_subject checked them.
     """
-    ensure_same_grid(pred, ref, strict)
+    ensure_same_grid(pred, ref)
     targets = rois if rois else [None]
     out = []
     for roi in targets:
         region = roi.region if roi is not None else "ALL"
-        p = intersect(pred, roi.mask, strict) if roi is not None else pred
-        r = intersect(ref, roi.mask, strict) if roi is not None else ref
+        p = intersect(pred, roi.mask) if roi is not None else pred
+        r = intersect(ref, roi.mask) if roi is not None else ref
         vox, dsc_v, sen_v, ppv_v = voxel_metrics(p, r)
         clus, dsc_n, sen_n, ppv_n = cluster_metrics(p, r, connectivity)
         flags = list(_ratios(vox.overlap, vox.overlap, vox.manual, vox.algo)[3])

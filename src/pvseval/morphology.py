@@ -86,7 +86,7 @@ def dilate_once(m: BinaryMask, connectivity: int = 26) -> BinaryMask:
     return BinaryMask.from_index(index, m.dims, m.spacing, m.affine)
 
 
-def shell(m: BinaryMask, connectivity: int = 26) -> BinaryMask:
+def shell(m: BinaryMask, connectivity: int) -> BinaryMask:
     """Ring of background voxels adjacent to the mask: dilate(m) minus m."""
     ring = np.unravel_index(_ring(m, 0, connectivity), m.dims)
     index = np.sort(np.ravel_multi_index(ring, m.dims, order="F"))

@@ -899,8 +899,9 @@ def dense_read_subject(pred_path, ref_path, roi_wm_path="", roi_bg_path="", stri
 
     pred = grid(pred_path)
     ref = grid(ref_path, pred)
-    return pred, ref, [RoiMask(grid(path, pred), region)
-                       for path, region in ((roi_wm_path, "WM"), (roi_bg_path, "BG")) if path]
+    rois = [(grid(path, pred), region)
+            for path, region in ((roi_wm_path, "WM"), (roi_bg_path, "BG")) if path]
+    return pred, ref, [RoiMask(roi, region, empty=not roi.data.any()) for roi, region in rois]
 
 
 def outputs_in(cwd, monkeypatch, *argv, dense=False):

@@ -1,6 +1,8 @@
+import json
 import math
 import tracemalloc
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -94,6 +96,14 @@ class TestManifest:
         assert type(got.value) is InputError
         assert str(got.value) == f"{path}: empty CSV"
 
+    def test_not_utf8_line_counts_a_leading_newline(self, tmp_path):
+        # lines are counted from the file's first byte, here a newline
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\nsubject_id,site,pred\xff_path,ref_path\n")
+        with pytest.raises(InputError) as got:
+            read_manifest(path)
+        assert str(got.value) == f"{path}: line 2: not UTF-8 text (invalid start byte at byte 21)"
+
     def test_image_path_column_ignored(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text(
@@ -152,12 +162,7 @@ class TestMakeFolds:
 
     def test_foldspec_json_round_trip(self):
         spec = make_folds(cohort_manifest(), "5fcv", seed=1)
-        assert FoldSpec.from_json_dict(spec.to_json_dict()) == spec
-
-    def test_foldspec_json_with_stratified_loads(self):
-        spec = make_folds(cohort_manifest(), "5fcv", seed=1)
-        legacy = {**spec.to_json_dict(), "stratified": True}
-        assert FoldSpec.from_json_dict(legacy) == spec
+        assert FoldSpec(**json.loads(json.dumps(asdict(spec)))) == spec
 
 
 class TestAggregate:

@@ -178,7 +178,8 @@ def test_hit_tests_match_dense_oracle(conn, density):
         assert (counts.n_manual_hit, counts.n_algo_hit) == dense_hits(pred, ref, conn)
         vox, *_ = voxel_metrics(make_mask(pred), make_mask(ref))
         assert vox.overlap == np.count_nonzero(pred & ref)
-        for rois, restrict in ((None, np.ones(shape, bool)), ([RoiMask(make_mask(roi), "WM")], roi)):
+        wm = [RoiMask(make_mask(roi), "WM", empty=False)]
+        for rois, restrict in ((None, np.ones(shape, bool)), (wm, roi)):
             (record,) = evaluate_subject(make_mask(pred), make_mask(ref), rois, conn)
             p, r = pred & restrict, ref & restrict
             assert (record.n_manual_hit, record.n_algo_hit) == dense_hits(p, r, conn)
@@ -223,7 +224,8 @@ class TestEvaluateSubject:
         pred[10:14, 10, 10] = True
         left = blank(); left[:8] = True
         right = blank(); right[8:] = True
-        rois = [RoiMask(make_mask(left), "WM"), RoiMask(make_mask(right), "BG")]
+        rois = [RoiMask(make_mask(left), "WM", empty=False),
+                RoiMask(make_mask(right), "BG", empty=False)]
         records = evaluate_subject(make_mask(pred), make_mask(ref), rois, 26, "s1")
         assert [r.region for r in records] == ["WM", "BG"]
         wm, bg = records
@@ -241,7 +243,7 @@ class TestEvaluateSubject:
 
     def test_empty_roi_flagged(self):
         pred, ref = seeded_pair(7)
-        roi = RoiMask(make_mask(blank((10, 10, 10))), "WM")
+        roi = RoiMask(make_mask(blank((10, 10, 10))), "WM", empty=True)
         (record,) = evaluate_subject(pred, ref, [roi], 26, "s3")
         assert record.dsc_vox is None
         assert record.dsc_num is None
@@ -252,7 +254,8 @@ class TestEvaluateSubject:
         pred, ref = seeded_pair(8, shape=(8, 8, 8), density=0.4)
         left = np.zeros((8, 8, 8), bool); left[:4] = True
         right = ~left
-        rois = [RoiMask(make_mask(left), "L"), RoiMask(make_mask(right), "R")]
+        rois = [RoiMask(make_mask(left), "L", empty=False),
+                RoiMask(make_mask(right), "R", empty=False)]
         parts = evaluate_subject(pred, ref, rois, 26, "s4")
         (whole,) = evaluate_subject(pred, ref, None, 26, "s4")
         assert sum(p.vol_overlap_vox for p in parts) == whole.vol_overlap_vox

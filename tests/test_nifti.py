@@ -154,9 +154,10 @@ class TestReadVolume:
 
     def test_truncated_data(self, tmp_path):
         path = tmp_path / "t.nii"
-        write_raw(path, minimal_header(), bytes(10))
-        with pytest.raises(TruncatedDataError):
+        write_raw(path, minimal_header(datatype=16), bytes(10))
+        with pytest.raises(TruncatedDataError) as info:
             read_volume(path)
+        assert str(info.value) == f"{path}: need 256 data bytes at offset 352, file has 10"
 
     def test_bad_vox_offset(self, tmp_path):
         path = tmp_path / "v.nii"
@@ -175,6 +176,11 @@ class TestReadVolume:
         write_raw(path, minimal_header(dims=(4, 0, 4)), b"")
         with pytest.raises(BadHeaderError, match=r"non-positive grid extents \(4, 0, 4\)"):
             read_volume(path)
+
+    def test_unit_grid_extent(self, tmp_path):
+        path = tmp_path / "u.nii"
+        write_raw(path, minimal_header(dims=(4, 1, 4)), bytes(16))
+        assert read_volume(path).dims == (4, 1, 4)
 
 
 class TestRoundTrip:
@@ -315,6 +321,7 @@ QFORM_CASES = {
     "180_about_x": ((1.0, 0.0, 0.0), 1.0, [[2, 0, 0], [0, -3, 0], [0, 0, -4]], 0.0),
     "180_about_xy": ((math.sqrt(0.5), math.sqrt(0.5), 0.0), 1.0,
                      [[0, 3, 0], [2, 0, 0], [0, 0, -4]], 1e-6),
+    "qfac_zero": ((0.0, 0.0, 0.0), 0.0, [[2, 0, 0], [0, 3, 0], [0, 0, 4]], 0.0),  # read as +1
     "qfac_minus_1": ((0.0, 0.0, 0.0), -1.0, [[2, 0, 0], [0, 3, 0], [0, 0, -4]], 0.0),
     "qfac_minus_half": ((0.0, 0.0, 0.0), -0.5, [[2, 0, 0], [0, 3, 0], [0, 0, -4]], 0.0),
     "1_rad_about_122": (tuple(np.sin(0.5) * np.array([1, 2, 2]) / 3), -1.0,
@@ -746,10 +753,38 @@ class TestStreamingRead:
         path = tmp_path / f"huge{suffix}"
         blob = minimal_header(datatype=16, dims=(32767, 32767, 32767)) + bytes(4) + bytes(400)
         path.write_bytes(gzip.compress(blob) if suffix == ".nii.gz" else blob)
+        message = f"{path}: need {4 * 32767**3} data bytes at offset 352, file has 400"
         for read in (lambda: read_volume(path),
                      lambda: read_voxels(path, np.arange(3), make_mask(np.ones((2, 2, 2))))):
-            with pytest.raises(TruncatedDataError, match="file has 400$"):
+            with pytest.raises(TruncatedDataError) as info:
                 read()
+            assert str(info.value) == message
+
+    @staticmethod
+    def one_voxel_file(tmp_path, dims):
+        """A 360-byte int64 file whose one stored voxel is 2**53 + 1."""
+        path = tmp_path / "bound.nii"
+        write_raw(path, minimal_header(datatype=1024, bitpix=64, dims=dims),
+                  struct.pack("<q", 2**53 + 1))
+        return path
+
+    def test_grid_at_the_inflate_bound_is_read(self, tmp_path):
+        # 352 + 8 * 2 * 23198 bytes are exactly 1032 times the 360-byte
+        # file, which deflate could hold: it is read, and its first voxel
+        # is found beyond 2**53, not the file reported short up front
+        path = self.one_voxel_file(tmp_path, (2, 23198, 1))
+        assert path.stat().st_size * 1032 == 352 + 8 * 2 * 23198
+        with pytest.raises(RangeOverflowError, match=f"voxel value {2**53 + 1} is beyond"):
+            read_voxels(path, np.arange(1), make_mask(np.zeros((2, 23198, 1), bool)))
+
+    def test_grid_past_the_inflate_bound_is_short_before_any_voxel(self, tmp_path):
+        # one row more is past the bound: the file is reported short before
+        # its first voxel is read
+        path = self.one_voxel_file(tmp_path, (2, 23199, 1))
+        with pytest.raises(TruncatedDataError) as info:
+            read_voxels(path, np.arange(1), make_mask(np.zeros((2, 23199, 1), bool)))
+        need = 8 * 2 * 23199
+        assert str(info.value) == f"{path}: need {need} data bytes at offset 352, file has 8"
 
     def test_dense_read_peaks_at_its_grid_plus_a_few_blocks(self, tmp_path):
         # 4 MB of float32 voxels in, 8 MB of float64 values out when every

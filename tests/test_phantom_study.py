@@ -72,7 +72,9 @@ def test_compare_equals_compare_models_in_process(study):
     expected = []
     for res in compare_models(*reports, keys, q=0.05):
         record = {**asdict(res), "region": res.metric[0], "metric": res.metric[1]}
-        expected.append({h: cli._cell(record, p) for h, p in cli.COMPARE_COLUMNS.items()})
+        cells = {h: cli._cell(record, p) for h, p in cli.COMPARE_COLUMNS.items()}
+        # as csv writes them: None empty, a float its repr, which is its str
+        expected.append({h: "" if v is None else str(v) for h, v in cells.items()})
     with open(out / "compare" / "compare.csv", newline="") as fh:
         assert list(csv.DictReader(fh)) == expected
 

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from pvseval.errors import DimMismatchError
 from pvseval.metrics import intersect
+from pvseval.nifti import ensure_same_grid
 
 from conftest import make_mask
 
@@ -57,11 +58,16 @@ class TestIntersect:
             intersect(a, b)
 
     def test_strict_affine(self):
-        a = make_mask(np.zeros((3, 3, 3), bool))
-        b = make_mask(np.zeros((3, 3, 3), bool), spacing=(2.0, 2.0, 2.0))
-        intersect(a, b)  # lenient default
-        with pytest.raises(DimMismatchError):
-            intersect(a, b, strict=True)
+        # intersect checks dims only; the affine check is ensure_same_grid's
+        # strict mode, which read_subject applies as it reads each file
+        a = make_mask(np.ones((3, 3, 3), bool))
+        b = make_mask(np.ones((3, 3, 3), bool), spacing=(2.0, 2.0, 2.0))
+        out = intersect(a, b)
+        assert out.foreground_count == 27 and out.spacing == a.spacing
+        ensure_same_grid(a, b)
+        with pytest.raises(DimMismatchError) as info:
+            ensure_same_grid(a, b, strict=True)
+        assert str(info.value) == "affines differ beyond 1e-4 in strict grid mode"
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -5,10 +5,10 @@ deterministic split definition; no training happens here. Aggregation
 averages per-subject metrics over defined values only, reporting exclusion
 counts; the leave-one-site-out matrix is read off the per-site and All
 Sites reports, so its pooled average is subject-weighted. A subject whose
-file cannot be read fails with an InputError that names the subject id and
-then the file, each once: the nifti reader names the file, and
-evaluate_record adds the subject. evaluate_manifest returns such a failure
-as a SubjectFailure and goes on with the other subjects.
+file cannot be read is returned by evaluate_record as a SubjectFailure whose
+message names the subject id and then the file, each once: the nifti reader
+names the file, and evaluate_record adds the subject. evaluate_manifest
+collects such failures and goes on with the other subjects.
 """
 
 from __future__ import annotations
@@ -222,28 +222,19 @@ def read_subject(pred_path: str, ref_path: str, roi_wm_path: str = "", roi_bg_pa
     return pred, ref, rois
 
 
-def evaluate_record(
-    record: SubjectRecord, connectivity: int = 26, strict: bool = False
-) -> list[SubjectMetrics]:
-    """Metrics of one manifest row, read by read_subject. A read or grid
-    error is re-raised as an InputError whose message starts with the
-    subject id, then the file."""
+def evaluate_record(record: SubjectRecord, connectivity: int = 26,
+                    strict: bool = False) -> list[SubjectMetrics] | SubjectFailure:
+    """Metrics of one manifest row, read by read_subject, or, if a file
+    cannot be read, a SubjectFailure whose message starts with the subject
+    id, then the file. Returned as data, so that one bad subject does not
+    end the other subjects' run."""
+    sid = record.subject_id
     try:
         pred, ref, rois = read_subject(record.pred_path, record.ref_path, record.roi_wm_path,
                                        record.roi_bg_path, strict)
     except InputError as exc:  # the reader has named the file
-        raise type(exc)(f"{record.subject_id}: {exc}") from exc
-    return evaluate_subject(pred, ref, rois, connectivity, subject_id=record.subject_id)
-
-
-def _evaluate_or_fail(record: SubjectRecord, connectivity: int,
-                      strict: bool) -> list[SubjectMetrics] | SubjectFailure:
-    """evaluate_record's rows, or its InputError returned as data, so that
-    one bad subject does not end the other subjects' run."""
-    try:
-        return evaluate_record(record, connectivity, strict)
-    except InputError as exc:
-        return SubjectFailure(record.subject_id, record.site, type(exc).__name__, str(exc))
+        return SubjectFailure(sid, record.site, type(exc).__name__, f"{sid}: {exc}")
+    return evaluate_subject(pred, ref, rois, connectivity, subject_id=sid)
 
 
 def evaluate_manifest(
@@ -254,14 +245,15 @@ def evaluate_manifest(
 ) -> tuple[list[SubjectMetrics], list[SubjectFailure]]:
     """(the metrics of every subject scored, the subjects whose files could
     not be read), each in manifest order. Subjects are evaluated in parallel
-    in no more worker processes than subjects; any error but an InputError
-    is raised."""
-    if workers <= 1 or len(manifest) <= 1:
-        results = [_evaluate_or_fail(r, connectivity, strict) for r in manifest]
+    in no more worker processes than subjects, so serially when that is at
+    most one; any error but an InputError of a read is raised."""
+    # a fork pool starts all its workers up front; more than subjects would idle
+    workers = min(workers, len(manifest))
+    if workers <= 1:
+        results = [evaluate_record(r, connectivity, strict) for r in manifest]
     else:
-        # a fork pool starts all its workers up front; more than subjects would idle
-        with ProcessPoolExecutor(max_workers=min(workers, len(manifest))) as pool:
-            results = list(pool.map(_evaluate_or_fail, manifest,
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(evaluate_record, manifest,
                                     repeat(connectivity), repeat(strict)))
     failures = [r for r in results if isinstance(r, SubjectFailure)]
     per_subject = [m for r in results if not isinstance(r, SubjectFailure) for m in r]

@@ -129,7 +129,7 @@ def voxel_metrics(
 
 
 def cluster_metrics(
-    pred: BinaryMask, ref: BinaryMask, connectivity: int = 26
+    pred: BinaryMask, ref: BinaryMask, connectivity: int
 ) -> tuple[ClusterCounts, float | None, float | None, float | None]:
     """Cluster-level (counts, dice, sensitivity, precision).
 
@@ -182,16 +182,15 @@ def evaluate_subject(
     ROI must match; their affines are taken as read_subject checked them.
     """
     ensure_same_grid(pred, ref)
-    targets = rois if rois else [None]
+    # (region, restricted pred, restricted ref, whether the region is empty)
+    targets = ([(roi.region, intersect(pred, roi.mask), intersect(ref, roi.mask), roi.empty)
+                for roi in rois] if rois else [("ALL", pred, ref, False)])
     out = []
-    for roi in targets:
-        region = roi.region if roi is not None else "ALL"
-        p = intersect(pred, roi.mask) if roi is not None else pred
-        r = intersect(ref, roi.mask) if roi is not None else ref
+    for region, p, r, empty in targets:
         vox, dsc_v, sen_v, ppv_v = voxel_metrics(p, r)
         clus, dsc_n, sen_n, ppv_n = cluster_metrics(p, r, connectivity)
         flags = list(_ratios(vox.overlap, vox.overlap, vox.manual, vox.algo)[3])
-        if roi is not None and roi.empty:
+        if empty:
             flags.append("empty_region")
         voxel_mm3 = ref.voxel_volume_mm3
         out.append(

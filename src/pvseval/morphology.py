@@ -80,7 +80,7 @@ def _group_means(gather: Gather, m: BinaryMask, *key_sets: np.ndarray):
     return out
 
 
-def dilate_once(m: BinaryMask, connectivity: int = 26) -> BinaryMask:
+def dilate_once(m: BinaryMask, connectivity: int) -> BinaryMask:
     """Union of the mask with all connectivity-neighbors of its foreground."""
     index = np.sort(np.concatenate((m.fg_index, shell(m, connectivity).fg_index)))
     return BinaryMask.from_index(index, m.dims, m.spacing, m.affine)

@@ -419,6 +419,17 @@ class TestAggregateCommand:
             f"pvseval: error: {manifest}: row 4: {cells} cells, the header has 6\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["aggregate", "folds"])
+    def test_manifest_duplicate_subject_exit_2(self, tmp_path, capsys, command):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("subject_id,site,pred_path,ref_path\n"
+                            "s1,A,p1.nii,r1.nii\ns1,B,p2.nii,r2.nii\n", encoding="utf-8")
+        argv = ["--scheme", "5fcv"] if command == "folds" else []
+        assert run(command, "--manifest", manifest, *argv, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            f"pvseval: error: {manifest}: row 3: duplicate subject_id 's1'\n")
+        assert not (tmp_path / "o").exists()
+
     def test_two_subject_hand_mean(self, tmp_path):
         manifest, _ = build_cohort(tmp_path, {"A": 2})
         out = tmp_path / "out"

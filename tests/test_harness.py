@@ -317,10 +317,9 @@ def test_read_subject_holds_indices_and_gathers_each_roi_at_the_union(tmp_path, 
     assert rois[1].mask.foreground_count == 0 and rois[1].empty is False
 
 
-@pytest.mark.parametrize("workers, expected", [(5000, 3), (3, 3), (2, 2)])
-def test_pool_has_no_more_workers_than_subjects(monkeypatch, workers, expected):
-    """A fork pool starts every worker it is given up front, so the count is
-    capped at the manifest's size. The fake pool records it and forks none."""
+def pool_sizes(monkeypatch, manifest, workers):
+    """The worker count of each pool evaluate_manifest builds, recorded by a
+    fake pool that forks none; every subject must still be scored."""
     sizes = []
 
     class RecordingPool:
@@ -339,6 +338,19 @@ def test_pool_has_no_more_workers_than_subjects(monkeypatch, workers, expected):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness, "evaluate_record",
                         lambda record, connectivity, strict: scored.append(record) or [])
-    manifest = cohort_manifest()[:3]
     assert evaluate_manifest(manifest, workers=workers) == ([], [])
-    assert sizes == [expected] and scored == manifest
+    assert scored == manifest
+    return sizes
+
+
+@pytest.mark.parametrize("workers, expected", [(5000, 3), (3, 3), (2, 2)])
+def test_pool_has_no_more_workers_than_subjects(monkeypatch, workers, expected):
+    """A fork pool starts every worker it is given up front, so the count is
+    capped at the manifest's size."""
+    assert pool_sizes(monkeypatch, cohort_manifest()[:3], workers) == [expected]
+
+
+@pytest.mark.parametrize("workers, subjects", [(1, 3), (4, 1)])
+def test_no_pool_for_one_worker_or_one_subject(monkeypatch, workers, subjects):
+    """One worker, or one subject, is scored in process."""
+    assert pool_sizes(monkeypatch, cohort_manifest()[:subjects], workers) == []

@@ -22,7 +22,12 @@ def blank(shape=(16, 16, 16)):
     return np.zeros(shape, bool)
 
 
-LEVELS = (voxel_metrics, cluster_metrics)
+def cluster_metrics_26(pred, ref):
+    """cluster_metrics under 26-connectivity, called as voxel_metrics is."""
+    return cluster_metrics(pred, ref, 26)
+
+
+LEVELS = (voxel_metrics, cluster_metrics_26)
 
 
 def seeded_pair(seed, shape=(10, 10, 10), density=0.25):
@@ -240,6 +245,14 @@ class TestEvaluateSubject:
         assert len(records) == 1
         assert records[0].region == "ALL"
         assert records[0].connectivity == 26
+
+    def test_default_connectivity_is_26(self):
+        # two voxels that touch only at a corner are one cluster under 26
+        data = blank((4, 4, 4))
+        data[1, 1, 1] = data[2, 2, 2] = True
+        (record,) = evaluate_subject(make_mask(data), make_mask(data), subject_id="s2")
+        assert record.connectivity == 26
+        assert record.n_manual == record.n_algo == 1
 
     def test_empty_roi_flagged(self):
         pred, ref = seeded_pair(7)

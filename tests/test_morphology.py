@@ -95,7 +95,7 @@ class TestDilate:
         assert dilate_once(make_mask(data), 6).foreground_count == 7
 
     def test_empty(self):
-        assert dilate_once(make_mask(np.zeros((4, 4, 4), bool))).foreground_count == 0
+        assert dilate_once(make_mask(np.zeros((4, 4, 4), bool)), 26).foreground_count == 0
 
     @pytest.mark.parametrize("conn", [6, 18, 26])
     def test_matches_brute_force(self, conn):

@@ -73,6 +73,58 @@ class TestGenerate:
         with pytest.raises(BadParameterError):
             generate(small_spec(n_tubes=-1))
 
+    def test_clearance_of_exactly_two_keeps_tubes_apart(self):
+        spec = small_spec(dims=(32, 32, 32), n_tubes=6, clearance=2.0, seed=2)
+        _, truth, count = generate(spec)
+        assert count == 6
+        assert label_components(truth, 26).component_count == 6
+
+    def test_grid_extent_of_exactly_eight(self):
+        spec = small_spec(dims=(8, 24, 24), n_tubes=1, radius_range=(0.5, 1.0),
+                          length_range=(4.0, 6.0))
+        _, truth, count = generate(spec)
+        assert count == 1 and truth.dims == (8, 24, 24)
+
+    def test_polyline_samples_lie_at_most_a_step_apart(self):
+        spec = small_spec(bend_amplitude=0.0, length_range=(0.6, 12.0))
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            points, _ = phantom._polyline(rng, spec)
+            steps = np.linalg.norm(np.diff(points, axis=0), axis=1)
+            assert len(points) >= 3 and steps.max() <= phantom._SAMPLE_STEP + 1e-12
+
+    def test_polyline_no_longer_than_a_step_is_its_two_end_points(self):
+        spec = small_spec(length_range=(0.1, 0.5))
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            points, _ = phantom._polyline(rng, spec)
+            assert len(points) == 2
+            assert np.linalg.norm(points[1] - points[0]) <= phantom._SAMPLE_STEP
+
+    def test_placed_tubes_keep_the_padded_clearance(self, monkeypatch):
+        # a crowded grid: some placed pairs' point boxes come within the
+        # prefilter's reach, so only the point distance test keeps them apart
+        spec = PhantomSpec(dims=(32, 32, 32), n_tubes=8, clearance=2.0, seed=5)
+        tubes = []
+        rasterize = phantom._rasterize
+
+        def recording(mask, points, radius):
+            tubes.append((points, max(radius, phantom._BACKBONE_REACH)))
+            rasterize(mask, points, radius)
+
+        monkeypatch.setattr(phantom, "_rasterize", recording)
+        generate(spec)
+        assert len(tubes) == spec.n_tubes
+        near = 0
+        for i, (a, ra) in enumerate(tubes):
+            for b, rb in tubes[:i]:
+                bound = ra + rb + spec.clearance + phantom._SAMPLE_STEP
+                assert phantom._min_point_distance(a, b) >= bound
+                gap = np.maximum(np.maximum(a.min(axis=0) - b.max(axis=0),
+                                            b.min(axis=0) - a.max(axis=0)), 0.0)
+                near += np.sqrt((gap**2).sum()) < bound
+        assert near > 0
+
     def test_tubes_have_tubular_extent(self):
         _, truth, _ = generate(small_spec(seed=6))
         lm = label_components(truth, 26)
@@ -119,10 +171,8 @@ class _RecordingRng:
 
 
 class TestRasterizeOracle:
-    """generate is byte-identical to its dense form: every candidate's whole
-    polyline built and bounds-checked (no end point test rejects it first),
-    every candidate tube checked against every placed one (no box pad can
-    clear it), every tube
+    """generate is byte-identical to its dense form: every candidate tube
+    checked against every placed one (no box pad can clear it), every tube
     rasterized over its whole box (tests/oracles.py), and the image built
     as noise + offset * mask, then copied to Fortran order."""
 
@@ -137,7 +187,6 @@ class TestRasterizeOracle:
 
         with monkeypatch.context() as m:
             m.setattr(phantom, "_BOX_PAD", np.inf)
-            m.setattr(phantom, "_END_SLACK", np.inf)  # every polyline is built
             m.setattr(phantom, "_rasterize", oracles.dense_rasterize)
             m.setattr(phantom.np.random, "default_rng", recording)
             _, truth, count = generate(spec)
@@ -193,8 +242,8 @@ class TestRasterizeOracle:
         assert any((np.ceil(p.max(axis=0) + r + 1) > top).any() for p, r, top in calls)
 
     def test_infeasible_packing_places_as_many_tubes_as_the_dense_form(self, monkeypatch):
-        # 2,400 candidates, most of them out of bounds: the end point test
-        # rejects exactly those the whole polyline would, so the draws agree
+        # 2,400 candidates, most of them rejected: the box-gap prefilter
+        # skips only placed tubes the point test would pass, so the draws agree
         spec = PhantomSpec(dims=(16, 16, 16), n_tubes=8, clearance=6.0,
                            length_range=(8.0, 10.0), seed=0)
         with pytest.raises(InfeasiblePackingError) as got:
@@ -202,24 +251,6 @@ class TestRasterizeOracle:
         with pytest.raises(InfeasiblePackingError) as want:
             self.dense_generate(spec, monkeypatch)
         assert str(got.value) == str(want.value)
-
-    def test_end_point_test_rejects_only_what_the_polyline_test_does(self):
-        spec = PhantomSpec(dims=(16, 16, 16), bend_amplitude=3.0, radius_range=(0.3, 3.0),
-                           length_range=(2.0, 12.0))
-        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-        outcomes = set()
-        for _ in range(3000):
-            candidate = phantom._polyline(rng_a, spec)
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(phantom, "_END_SLACK", np.inf)
-                points, radius = phantom._polyline(rng_b, spec)
-            full = phantom._in_bounds(points, radius, spec.dims)
-            if candidate is None:
-                assert not full
-            else:
-                assert np.array_equal(candidate[0], points) and candidate[1] == radius
-            outcomes.add((candidate is None, full))
-        assert outcomes == {(True, False), (False, False), (False, True)}
 
     def test_corpus_holds_a_signed_zero_off_the_tubes(self, monkeypatch):
         image, truth, _ = self.dense_generate(RASTER_CORPUS["flat-negzero-dark"], monkeypatch)

@@ -94,7 +94,7 @@ def _run_edges(line_id, run_s, run_e, nx: int, ny: int, connectivity: int):
         target = nb_line[ok]
         lo = np.searchsorted(key_e, target * base + (run_s[cand] - reach), side="left")
         hi = np.searchsorted(key_s, target * base + (run_e[cand] + reach), side="right")
-        counts = np.maximum(hi - lo, 0)
+        counts = hi - lo  # key_s <= key_e, so lo <= hi
         total = int(counts.sum())
         starts = np.cumsum(counts) - counts
         lefts.append(np.repeat(cand, counts))
@@ -133,12 +133,8 @@ def label_components(mask: BinaryMask, connectivity: int = 26) -> LabelMap:
     """
     nx, ny, _ = mask.dims
     idx = mask.fg_index
-    # a run starts where the index sequence jumps or a new x-line begins
-    is_start = idx % nx == 0
-    if idx.size:
-        is_start[0] = True
-        is_start[1:] |= np.diff(idx) != 1
-    first = np.flatnonzero(is_start)
+    # a run starts at a new x-line or a jump in the index (from -2 before the first voxel)
+    first = np.flatnonzero((idx % nx == 0) | (np.diff(idx, prepend=-2) != 1))
     lengths = np.diff(np.append(first, idx.size))
     line_id = idx[first] // nx
     run_s = idx[first] - line_id * nx
@@ -151,7 +147,7 @@ def label_components(mask: BinaryMask, connectivity: int = 26) -> LabelMap:
     is_root = root == np.arange(first.size)
     run_label = np.cumsum(is_root, dtype=np.int32)[root]
     k = int(np.count_nonzero(is_root))
-    sizes = np.bincount(run_label, weights=lengths, minlength=k + 1)[1:].astype(np.int64)
+    sizes = np.bincount(run_label, weights=lengths)[1:].astype(np.int64)  # ids are 1..k
     return LabelMap(idx, np.repeat(run_label, lengths), mask.dims, k, sizes,
                     connectivity, mask.spacing, mask.affine)
 

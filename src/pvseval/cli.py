@@ -383,11 +383,8 @@ def cmd_contrast(args, cfg: dict) -> int:
     # the image is read only where contrast needs it, at the mask and ring voxels
     image = functools.partial(read_voxels, image_path, grid=mask, strict=cfg["strict_grid"])
     subject_id = args.subject_id or Path(args.mask).name.split(".")[0]
-    if args.mode == "per_cluster":
-        mask_mean, shell_mean, contrast = contrast_stat_per_cluster(
-            image, mask, cfg["connectivity"])
-    else:
-        mask_mean, shell_mean, contrast = contrast_stat(image, mask, cfg["connectivity"])
+    stat = contrast_stat_per_cluster if args.mode == "per_cluster" else contrast_stat
+    mask_mean, shell_mean, contrast = stat(image, mask, cfg["connectivity"])
     row = {
         "subject_id": subject_id,
         "modality": args.modality,

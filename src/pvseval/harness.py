@@ -103,7 +103,7 @@ def read_csv(path: str | Path, required, known=None) -> Iterator[tuple[int, dict
     `path`, the header being row 1. An InputError naming the file rejects,
     in this order: text read_text rejects, no header, a column named twice,
     a `required` column missing, one outside `known` (if given), then per
-    row a cell count other than the header's and a cell with a NUL byte."""
+    row a cell count other than the header's and a cell with a NUL byte or a line break."""
     rows = csv.reader(io.StringIO(read_text(path), newline=""))
     header = next(rows, None)
     if header is None:
@@ -123,6 +123,8 @@ def read_csv(path: str | Path, required, known=None) -> Iterator[tuple[int, dict
         for column, cell in zip(header, cells):
             if "\x00" in cell:  # no path or name holds one; open() fails on it
                 raise InputError(f"{path}: row {i}, column {column}: holds a NUL byte")
+            if "\n" in cell or "\r" in cell:  # a message quoting it would span lines
+                raise InputError(f"{path}: row {i}, column {column}: holds a line break")
         yield i, {column: cell.strip() for column, cell in zip(header, cells)}
 
 

@@ -22,7 +22,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .ccl import label_components, neighbor_offsets
-from .errors import EmptyMaskError, EmptyShellError
+from .errors import EmptyMaskError, EmptyShellError, InputError
 from .nifti import BinaryMask, Volume3D, ensure_same_grid
 
 # an image given as the function from sorted flat x-fastest indices of the
@@ -68,6 +68,9 @@ def _group_means(gather: Gather, m: BinaryMask, *key_sets: np.ndarray):
     wanted = np.concatenate(wanted)
     order = np.argsort(wanted)
     gathered = gather(wanted[order])
+    bad = np.count_nonzero(~np.isfinite(gathered))
+    if bad:  # a mean over it would be nan or infinite
+        raise InputError(f"image is NaN or infinite at {bad} of the mask and ring voxels")
     values = np.empty_like(gathered)
     values[order] = gathered
     out, at = [], 0

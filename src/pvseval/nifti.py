@@ -117,10 +117,14 @@ class NiftiHeader:
     def dtype(self) -> np.dtype:
         return READ_DATATYPES[self.datatype_code][0]
 
-    # dims and affine let a header be checked with ensure_same_grid
+    # dims, spacing and affine let a header be checked with ensure_same_grid
     @property
     def dims(self) -> tuple[int, int, int]:
         return (self.dim[1], self.dim[2], self.dim[3])
+
+    @property
+    def spacing(self) -> tuple[float, float, float]:
+        return (self.pixdim[1], self.pixdim[2], self.pixdim[3])
 
     @property
     def affine(self) -> np.ndarray:
@@ -148,6 +152,8 @@ class Volume3D:
         self.spacing = tuple(float(s) for s in self.spacing)
         if any(s <= 0 for s in self.spacing):
             raise BadHeaderError(f"non-positive voxel spacing {self.spacing}")
+        if not np.isfinite(self.spacing).all():
+            raise BadHeaderError(f"non-finite voxel spacing {self.spacing}")
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -224,11 +230,14 @@ class BinaryMask(Volume3D):
 
 
 def ensure_same_grid(a: Volume3D, b: Volume3D, strict: bool = False) -> None:
-    """Dims must match; strict mode also compares affines within 1e-4."""
+    """Dims must match; strict mode also compares affines and spacings within 1e-4."""
     if a.dims != b.dims:
         raise DimMismatchError(f"grid mismatch: {a.dims} vs {b.dims}")
     if strict and not np.allclose(a.affine, b.affine, atol=1e-4):
         raise DimMismatchError("affines differ beyond 1e-4 in strict grid mode")
+    if strict and not np.allclose(a.spacing, b.spacing, atol=1e-4):
+        raise DimMismatchError(f"spacings differ beyond 1e-4 in strict grid mode: "
+                               f"{a.spacing} vs {b.spacing}")
 
 
 # header layout, offsets per the NIfTI-1 standard; names are NiftiHeader's
@@ -261,15 +270,13 @@ def parse_header(raw: bytes) -> NiftiHeader:
     if len(raw) < HEADER_SIZE:
         raise TooShortError(f"need {HEADER_SIZE} header bytes, got {len(raw)}")
 
-    order = None
-    for candidate in ("<", ">"):
-        (size,) = struct.unpack_from(candidate + "i", raw, 0)
+    for order in ("<", ">"):
+        (size,) = struct.unpack_from(order + "i", raw, 0)
         if size == HEADER_SIZE:
-            order = candidate
             break
         if size == NIFTI2_HEADER_SIZE:
             raise UnsupportedFormatError("NIfTI-2 header (sizeof_hdr=540) is not supported")
-    if order is None:
+    else:
         raise BadHeaderError("sizeof_hdr is not 348 in either byte order")
 
     values = {}
@@ -329,7 +336,7 @@ def affine_from_header(hdr: NiftiHeader) -> np.ndarray:
     if hdr.qform_code > 0:
         return _quaternion_affine(hdr)
     affine = np.zeros((3, 4))
-    affine[0, 0], affine[1, 1], affine[2, 2] = hdr.pixdim[1], hdr.pixdim[2], hdr.pixdim[3]
+    affine[0, 0], affine[1, 1], affine[2, 2] = hdr.spacing
     return affine
 
 
@@ -389,8 +396,11 @@ def _check_single_file(hdr: NiftiHeader) -> None:
         raise UnsupportedFormatError(f"only 3D volumes supported, got dim={hdr.dim}")
     if min(hdr.dims) < 1:
         raise BadHeaderError(f"non-positive grid extents {hdr.dims}")
-    if any(s <= 0 for s in hdr.pixdim[1:4]):
-        raise BadHeaderError(f"non-positive pixdim {hdr.pixdim[1:4]}")
+    if any(s <= 0 for s in hdr.spacing):
+        raise BadHeaderError(f"non-positive pixdim {hdr.spacing}")
+    if not np.isfinite([*hdr.spacing, hdr.vox_offset, *hdr.affine.flat]).all():
+        raise BadHeaderError(f"non-finite pixdim {hdr.spacing}, vox_offset {hdr.vox_offset} "
+                             f"or affine")
 
 
 def _stream(fh) -> Iterator:
@@ -432,7 +442,7 @@ def _stream(fh) -> Iterator:
     for piece in pieces:
         skip = max(start - position, 0)
         position += len(piece)
-        if done == count or skip >= len(piece):
+        if skip >= len(piece):
             continue
         view = memoryview(piece)[skip:]
         if carry:  # a voxel split across two pieces
@@ -490,7 +500,7 @@ def _scale(values: np.ndarray, hdr: NiftiHeader) -> None:
 
 def _exact(values: np.ndarray) -> np.ndarray:
     """values, after checking that float64 holds each of them exactly."""
-    if values.dtype.itemsize == 8 and values.dtype.kind in "iu" and values.size:
+    if values.dtype.itemsize == 8 and values.dtype.kind in "iu":  # _stream yields no empty block
         for v in (int(values.min()), int(values.max())):
             if abs(v) > _EXACT_INT:
                 raise RangeOverflowError(
@@ -534,7 +544,7 @@ def read_volume(path: str | Path, grid: Volume3D | None = None,
             part = np.flatnonzero(part)
         np.add(part, first, out=index[end:end + n])
         end += n
-    return BinaryMask.from_index(index, hdr.dims, hdr.pixdim[1:4], affine_from_header(hdr))
+    return BinaryMask.from_index(index, hdr.dims, hdr.spacing, hdr.affine)
 
 
 def read_voxels(path: str | Path, index: np.ndarray, grid: Volume3D,
@@ -594,7 +604,7 @@ def _check_representable(data: np.ndarray, dtype: np.dtype, code: int) -> None:
             raise RangeOverflowError(
                 f"values outside [{info.min}, {info.max}] for datatype {code}"
             )
-    elif dtype == np.float32 and data.size:
+    elif dtype == np.float32:
         finite = np.isfinite(data)
         if np.any(finite & (np.abs(data) > np.finfo(np.float32).max)):
             raise RangeOverflowError("finite values overflow float32")
@@ -602,7 +612,6 @@ def _check_representable(data: np.ndarray, dtype: np.dtype, code: int) -> None:
 
 def build_header(vol: Volume3D, datatype: int) -> bytes:
     """Assemble a little-endian single-file header for the volume."""
-    aff = np.asarray(vol.affine, dtype=np.float64)
     values = {
         "sizeof_hdr": HEADER_SIZE,
         "dim": (3, *vol.dims, 1, 1, 1, 1),
@@ -616,9 +625,9 @@ def build_header(vol: Volume3D, datatype: int) -> bytes:
         "sform_code": 1,
         "quatern": (0.0, 0.0, 0.0),
         "qoffset": (0.0, 0.0, 0.0),
-        "srow_x": tuple(aff[0]),
-        "srow_y": tuple(aff[1]),
-        "srow_z": tuple(aff[2]),
+        "srow_x": tuple(vol.affine[0]),
+        "srow_y": tuple(vol.affine[1]),
+        "srow_z": tuple(vol.affine[2]),
         "magic": MAGIC_SINGLE,
     }
     buf = bytearray(HEADER_SIZE)
@@ -766,10 +775,9 @@ def write_volume(vol, path: str | Path, datatype: int) -> None:
         busy[0] = True  # the header's block
         busy[-1] |= length % _ZBLOCK != 0  # a partial last block is never spliced
     grid = vars(vol).get("data")
-    if grid is not None:
-        grid = np.asarray(grid)
+    if grid is not None:  # F-contiguous in every volume: ravel("F") copies nothing
         _check_representable(grid, dtype, datatype)
-        raw = np.asfortranarray(grid.astype(dtype, copy=False)).ravel("F").view(np.uint8)
+        raw = grid.astype(dtype, copy=False).ravel("F").view(np.uint8)
 
         def voxel_bytes(lo: int, hi: int):
             return raw[lo:hi]

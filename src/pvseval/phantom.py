@@ -71,14 +71,6 @@ class PhantomSpec:
             raise BadParameterError(f"grid too small for tubes: {self.dims}")
 
 
-def _unit(rng: np.random.Generator) -> np.ndarray:
-    while True:
-        v = rng.normal(size=3)
-        norm = np.linalg.norm(v)
-        if norm > 1e-6:
-            return v / norm
-
-
 def _orthogonal_unit(rng: np.random.Generator, direction: np.ndarray) -> np.ndarray:
     while True:
         v = rng.normal(size=3)
@@ -93,11 +85,11 @@ def _polyline(rng: np.random.Generator, spec: PhantomSpec) -> tuple[np.ndarray, 
     radius."""
     radius = float(rng.uniform(*spec.radius_range))
     length = float(rng.uniform(*spec.length_range))
-    direction = _unit(rng)
+    direction = _orthogonal_unit(rng, np.zeros(3))
     perp = _orthogonal_unit(rng, direction)
     amplitude = float(rng.uniform(0.0, spec.bend_amplitude))
     start = np.array([rng.uniform(0, d - 1) for d in spec.dims])
-    ts = np.linspace(0.0, 1.0, max(int(np.ceil(length / _SAMPLE_STEP)), 1) + 1)
+    ts = np.linspace(0.0, 1.0, int(np.ceil(length / _SAMPLE_STEP)) + 1)
     points = (
         start[None, :]
         + ts[:, None] * length * direction[None, :]
@@ -160,10 +152,10 @@ def generate(spec: PhantomSpec) -> tuple[Volume3D, BinaryMask, int]:
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     mask = np.zeros(spec.dims, dtype=bool, order="F")
-    placed: list[tuple[np.ndarray, float]] = []
+    placed: list[np.ndarray] = []  # the placed tubes' polylines
     # placed tubes' point boxes and reaches, one row per tube
     box_lo, box_hi, reach = np.empty((0, 3)), np.empty((0, 3)), np.empty(0)
-    attempts_left = 300 * max(spec.n_tubes, 1)
+    attempts_left = 300 * spec.n_tubes
     while len(placed) < spec.n_tubes:
         if attempts_left <= 0:
             raise InfeasiblePackingError(
@@ -181,19 +173,13 @@ def generate(spec: PhantomSpec) -> tuple[Volume3D, BinaryMask, int]:
         gap = np.maximum(np.maximum(box_lo - hi, lo - box_hi), 0.0)
         near = np.flatnonzero(np.sqrt((gap**2).sum(axis=1))
                               < r_eff + reach + spec.clearance + _SAMPLE_STEP + _BOX_PAD)
-        ok = True
-        for i in near:
-            other_points, other_radius = placed[i]
-            required = r_eff + max(other_radius, _BACKBONE_REACH) + spec.clearance
-            # polylines are sampled every 0.5 voxels; pad for the gap
-            if _min_point_distance(points, other_points) < required + _SAMPLE_STEP:
-                ok = False
-                break
-        if not ok:
+        # polylines are sampled every 0.5 voxels; pad for the gap
+        if any(_min_point_distance(points, placed[i])
+               < r_eff + reach[i] + spec.clearance + _SAMPLE_STEP for i in near):
             continue
         box_lo, box_hi = np.vstack((box_lo, lo)), np.vstack((box_hi, hi))
         reach = np.append(reach, r_eff)
-        placed.append((points, radius))
+        placed.append(points)
         _rasterize(mask, points, radius)
 
     affine = np.zeros((3, 4))
@@ -251,20 +237,18 @@ def perturb(truth: BinaryMask, p: Perturbation, seed: int = 0) -> BinaryMask:
         fg = np.ravel_multi_index(tuple(coords[:, on_grid]), dims, order="F")
     elif p.kind == "delete_fraction":
         n_delete = int(round(p.fraction * fg.size))
-        if n_delete:
-            # draw positions in C order, the order np.argwhere lists voxels
-            # in, so a seed deletes the voxels it always did
-            by_rank = np.argsort(np.ravel_multi_index(np.unravel_index(fg, dims, order="F"), dims))
-            keep = np.ones(fg.size, dtype=bool)
-            keep[by_rank[rng.choice(fg.size, size=n_delete, replace=False)]] = False
-            fg = fg[keep]
+        # draw positions in C order, the order np.argwhere lists voxels in,
+        # so a seed deletes the voxels it always did
+        by_rank = np.argsort(np.ravel_multi_index(np.unravel_index(fg, dims, order="F"), dims))
+        keep = np.ones(fg.size, dtype=bool)
+        keep[by_rank[rng.choice(fg.size, size=n_delete, replace=False)]] = False
+        fg = fg[keep]
     else:  # drop_clusters
         lm = label_components(truth, p.connectivity)
         if p.k > lm.component_count:
             raise BadParameterError(
                 f"cannot drop {p.k} of {lm.component_count} clusters"
             )
-        if p.k:
-            drop = rng.choice(lm.component_count, size=p.k, replace=False) + 1
-            fg = lm.fg_index[~np.isin(lm.fg_labels, drop)]
+        drop = rng.choice(lm.component_count, size=p.k, replace=False) + 1
+        fg = lm.fg_index[~np.isin(lm.fg_labels, drop)]
     return BinaryMask.from_index(fg, dims, truth.spacing, truth.affine)

@@ -65,7 +65,7 @@ def _exact_tail_counts(n: int) -> np.ndarray:
     top = 0
     for r in range(1, n + 1):
         top += r
-        counts[r : top + 1] += counts[0 : top + 1 - r].copy()
+        counts[r : top + 1] += counts[0 : top + 1 - r]  # numpy buffers an overlapping input
     return counts
 
 
@@ -100,8 +100,8 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
         w_min = int(round(min(w_plus, w_minus)))
         counts = _exact_tail_counts(n)
         tail = int(counts[: w_min + 1].sum())
-        p = min(1.0, 2.0 * tail / float(2**n))
-        return WilcoxonResult(w_plus, w_minus, max(p, math.ulp(0.0)), "exact", n)
+        p = min(1.0, 2.0 * tail / 2**n)  # at least 2 / 2**25, as counts[0] is 1
+        return WilcoxonResult(w_plus, w_minus, p, "exact", n)
 
     mean = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0
@@ -114,17 +114,14 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
 def bh_fdr(p_values) -> list[float]:
     """Benjamini-Hochberg step-up adjustment, original order preserved."""
     p = np.asarray(list(p_values), dtype=np.float64)
-    if p.size == 0:
-        return []
     if np.any(p <= 0.0) or np.any(p > 1.0):
         raise OutOfRangeError("p-values must lie in (0, 1]")
     m = p.size
     order = np.argsort(p, kind="stable")
-    # p * (m/j), not p*m/j: the j == m factor must be exactly 1 so the
-    # largest p is never rounded below itself
+    # p * (m/j), not p*m/j: the j == m factor is exactly 1, so the largest p
+    # ends every running minimum unrounded, and none exceeds it (nor 1)
     scaled = p[order] * (m / np.arange(1, m + 1))
     adjusted = np.minimum.accumulate(scaled[::-1])[::-1]
-    adjusted = np.minimum(adjusted, 1.0)
     out = np.empty(m, dtype=np.float64)
     out[order] = adjusted
     return out.tolist()
@@ -178,9 +175,7 @@ def compare_models(
                                   rank_biserial=rank_biserial(test.w_plus, test.w_minus)))
 
     defined = [r for r in results if r.p_raw is not None]
-    if defined:
-        adjusted = bh_fdr([r.p_raw for r in defined])
-        for r, p_adj in zip(defined, adjusted):
-            r.p_fdr = p_adj
-            r.significant = p_adj <= q
+    for r, p_adj in zip(defined, bh_fdr([r.p_raw for r in defined])):
+        r.p_fdr = p_adj
+        r.significant = p_adj <= q
     return results

@@ -26,7 +26,7 @@ from pvseval.ccl import label_components
 from pvseval.cli import main
 from pvseval.harness import SubjectRecord, write_manifest
 from pvseval.metrics import METRIC_NAMES, RoiMask
-from pvseval.morphology import contrast_stat, contrast_stat_per_cluster
+from pvseval.morphology import contrast_stat, contrast_stat_per_cluster, shell
 from pvseval.nifti import BinaryMask, Volume3D, read_volume, write_volume
 from pvseval.phantom import PhantomSpec, Perturbation, generate, perturb
 
@@ -335,6 +335,49 @@ class TestMetricsCommand:
         assert capsys.readouterr().err == (
             f"pvseval: error: {shifted}: affines differ beyond 1e-4 in strict grid mode\n")
 
+    def test_strict_grid_compares_spacings(self, phantom_files, tmp_path, capsys):
+        # a 2 mm pixdim with the sform unchanged: dims and affines agree
+        root = phantom_files["root"]
+        coarse = with_header_float(root / "truth.nii.gz", tmp_path / "coarse.nii.gz", 80, 2.0)
+        argv = ["metrics", "--pred", root / "half.nii.gz", "--ref", coarse]
+        assert run(*argv, "--out", tmp_path / "lenient") == 0
+        assert run(*argv, "--strict-grid", "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            f"pvseval: error: {coarse}: spacings differ beyond 1e-4 in strict grid mode: "
+            f"(2.0, 1.0, 1.0) vs (1.0, 1.0, 1.0)\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("strict", [(), ("--strict-grid",)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_pixdim_exit_2(self, phantom_files, tmp_path, capsys, value, strict):
+        root = phantom_files["root"]
+        bad = with_header_float(root / "truth.nii.gz", tmp_path / "bad.nii.gz", 84, value)
+        assert run("metrics", "--pred", root / "half.nii.gz", "--ref", bad, *strict,
+                   "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            f"pvseval: error: {bad}: non-finite pixdim (1.0, {value}, 1.0), vox_offset 352.0 "
+            f"or affine\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_vox_offset_exit_2(self, phantom_files, tmp_path, capsys, value):
+        root = phantom_files["root"]
+        bad = with_header_float(root / "truth.nii.gz", tmp_path / "bad.nii.gz", 108, value)
+        assert run("clusters", "--mask", bad, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            f"pvseval: error: {bad}: non-finite pixdim (1.0, 1.0, 1.0), vox_offset {value} "
+            f"or affine\n")
+        assert not (tmp_path / "o").exists()
+
+
+def with_header_float(src, dest, offset, value):
+    """A copy of the little-endian .nii.gz at src whose header float at byte
+    offset (80 pixdim[1], 84 pixdim[2], 108 vox_offset) is value."""
+    raw = bytearray(gzip.decompress(Path(src).read_bytes()))
+    struct.pack_into("<f", raw, offset, value)
+    Path(dest).write_bytes(gzip.compress(bytes(raw)))
+    return dest
+
 
 def build_cohort(root, n_per_site, seed0=0):
     records = []
@@ -392,6 +435,19 @@ class TestAggregateCommand:
         assert run("aggregate", "--manifest", manifest, "--out", tmp_path / "o") == 2
         assert capsys.readouterr().err == (
             f"pvseval: error: {manifest}: row 3, column {column}: holds a NUL byte\n")
+
+    @pytest.mark.parametrize("text", ["\n", "\r", "\r\n"])
+    @pytest.mark.parametrize("column", ["subject_id", "pred_path", "ref_path"])
+    def test_manifest_cell_with_a_line_break_exit_2(self, tmp_path, capsys, column, text):
+        # a path holding one was read, and its failure message spanned lines
+        manifest, _ = build_cohort(tmp_path, {"A": 2})
+        rows = read_csv(manifest)
+        rows[1][column] = rows[1][column][:3] + text + rows[1][column][3:]
+        write_rows(manifest, rows)
+        assert run("aggregate", "--manifest", manifest, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            f"pvseval: error: {manifest}: row 3, column {column}: holds a line break\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["aggregate", "folds"])
     @pytest.mark.parametrize("column", ["site", "pred_path", "ref_path"])
@@ -1087,6 +1143,14 @@ def write_per_subject(path, rows):
 
 
 class TestCompareCommand:
+    @pytest.mark.parametrize("q", ["0", "1"])
+    def test_fdr_q_of_0_or_1_exit_2(self, tmp_path, capsys, q):
+        inputs = Path(__file__).parent / "golden" / "inputs"
+        assert run("compare", "--a", inputs / "cmp_a.csv", "--b", inputs / "cmp_b.csv",
+                   "--fdr-q", q, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == "pvseval: error: fdr q must lie in (0, 1)\n"
+        assert not (tmp_path / "o").exists()
+
     def test_compare_against_self(self, tmp_path):
         manifest, _ = build_cohort(tmp_path, {"A": 3})
         out = tmp_path / "out"
@@ -1407,7 +1471,8 @@ class TestCsvInput:
     one set of rules and messages."""
 
     @pytest.mark.parametrize("reader", CSV_READERS)
-    @pytest.mark.parametrize("case", ["empty", "repeated", "missing", "width", "nul"])
+    @pytest.mark.parametrize("case", ["empty", "repeated", "missing", "width", "nul",
+                                      "newline", "return"])
     def test_each_rule_has_one_message(self, tmp_path, capsys, reader, case):
         header, row = CSV_READERS[reader]
         want = {
@@ -1420,6 +1485,11 @@ class TestCsvInput:
                       f"row 2: {len(header) + 1} cells, the header has {len(header)}"),
             "nul": (header, ["s\x001", *row[1:]],
                     "row 2, column subject_id: holds a NUL byte"),
+            # quoted, so the csv reader keeps it in the cell
+            "newline": (header, [row[0], '"W\nM"', *row[2:]],
+                        f"row 2, column {header[1]}: holds a line break"),
+            "return": (header, [row[0], '"W\rM"', *row[2:]],
+                       f"row 2, column {header[1]}: holds a line break"),
         }
         lines, cells, message = want[case]
         path = tmp_path / "in.csv"
@@ -1593,6 +1663,28 @@ class TestContrastCommand:
         assert run(*args, "--strict-grid") == 2
         assert "affines" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["global", "per_cluster"])
+    def test_nan_image_voxel_exit_2(self, phantom_files, tmp_path, capsys, mode):
+        root, truth = phantom_files["root"], phantom_files["truth"]
+        stored = read_nifti_grid(root / "image.nii.gz")
+        stored[tuple(np.argwhere(truth.data)[0])] = np.nan  # a mask voxel
+        image = write_nifti(tmp_path / "nan.nii.gz", stored, 64, affine=truth.affine)
+        assert run("contrast", "--image", image, "--mask", root / "truth.nii.gz",
+                   "--mode", mode, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            "pvseval: error: image is NaN or infinite at 1 of the mask and ring voxels\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_infinite_slope_exit_2(self, phantom_files, tmp_path, capsys):
+        # after scaling, every value the contrast reads is infinite or NaN
+        root, truth = phantom_files["root"], phantom_files["truth"]
+        image = write_nifti(tmp_path / "inf.nii", read_nifti_grid(root / "image.nii.gz"), 64,
+                            slope=math.inf, affine=truth.affine)
+        assert run("contrast", "--image", image, "--mask", root / "truth.nii.gz",
+                   "--out", tmp_path / "o") == 2
+        read = truth.foreground_count + shell(truth, 26).foreground_count
+        assert capsys.readouterr().err == (
+            f"pvseval: error: image is NaN or infinite at {read} of the mask and ring voxels\n")
 
     @pytest.mark.parametrize("mode", ["global", "per_cluster"])
     def test_64_bit_image_beyond_2_53_exit_2(self, phantom_files, tmp_path, capsys, mode):
@@ -2115,6 +2207,8 @@ class TestConfigTypes:
         # folds does not read fdr_q, but a value the file gives is checked all the same
         (("folds", "--scheme", "5fcv"), {"fdr_q": 1.5}, "fdr q must lie in (0, 1)"),
         (("aggregate", "--workers", "0"), {}, "workers must be >= 1"),
+        (("folds", "--scheme", "5fcv"), {"fdr_q": 0}, "fdr q must lie in (0, 1)"),
+        (("folds", "--scheme", "5fcv"), {"fdr_q": 1}, "fdr q must lie in (0, 1)"),
     ])
     def test_value_out_of_range(self, manifest, tmp_path, capsys, argv, config, message):
         cfg = tmp_path / "cfg.json"

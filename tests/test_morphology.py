@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pvseval.ccl import label_components
-from pvseval.errors import DimMismatchError, EmptyMaskError, EmptyShellError
+from pvseval.errors import DimMismatchError, EmptyMaskError, EmptyShellError, InputError
 from pvseval.morphology import (
     contrast_stat,
     contrast_stat_per_cluster,
@@ -200,6 +200,24 @@ class TestContrast:
                 with pytest.raises(error) as got:
                     contrast(img, make_mask(data))
                 assert str(got.value) == message
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_image_value_is_counted(self, bad):
+        # at a mask voxel and a ring voxel, in both modes and both image
+        # forms; one that neither reads is not looked at
+        data = np.zeros((6, 6, 6), bool)
+        data[2, 2, 2] = data[2, 2, 3] = True
+        img = np.zeros((6, 6, 6))
+        img[2, 2, 2] = img[3, 3, 3] = img[5, 5, 5] = bad
+        image, m = make_image(img), make_mask(data)
+        for contrast in (contrast_stat, contrast_stat_per_cluster):
+            for form in (image, image.data.ravel("F").__getitem__):
+                with pytest.raises(InputError) as got:
+                    contrast(form, m, 26)
+                assert str(got.value) == "image is NaN or infinite at 2 of the mask and ring voxels"
+        img[3, 3, 3] = 0.0
+        img[2, 2, 2] = 1.0
+        assert contrast_stat(make_image(img), m, 26)[0] == 0.5
 
     @pytest.mark.parametrize("conn", [6, 18, 26])
     def test_one_cluster_per_cluster_equals_global(self, conn):

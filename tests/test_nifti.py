@@ -87,6 +87,9 @@ class TestParseHeader:
         with pytest.raises(BadMagicError):
             parse_header(minimal_header(magic=b"xxxx"))
 
+    def test_spacing_is_pixdim_1_to_3(self):
+        assert parse_header(minimal_header(pixdim=(2.0, 3.0, 4.0))).spacing == (2.0, 3.0, 4.0)
+
     def test_pair_magic_parses(self):
         assert parse_header(minimal_header(magic=b"ni1\x00")).magic == b"ni1\x00"
 
@@ -170,6 +173,57 @@ class TestReadVolume:
         write_raw(path, minimal_header(pixdim=(0.0, 1.0, 1.0)), bytes(64))
         with pytest.raises(BadHeaderError, match=r"non-positive pixdim \(0\.0, 1\.0, 1\.0\)$"):
             read_volume(path)
+
+    @pytest.mark.parametrize("pixdim", [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0),
+                                        (1.0, 1.0, math.nan)])
+    def test_non_finite_pixdim(self, tmp_path, pixdim):
+        path = tmp_path / "pd.nii"
+        write_raw(path, minimal_header(pixdim=pixdim), bytes(64))
+        with pytest.raises(BadHeaderError) as info:
+            read_volume(path)
+        assert str(info.value) == f"{path}: non-finite pixdim {pixdim}, vox_offset 352.0 or affine"
+
+    @pytest.mark.parametrize("offset", [math.nan, math.inf])
+    def test_non_finite_vox_offset(self, tmp_path, offset):
+        # int() of it raised ValueError or OverflowError, an internal error
+        path = tmp_path / "vo.nii"
+        write_raw(path, minimal_header(vox_offset=offset), bytes(64))
+        with pytest.raises(BadHeaderError) as info:
+            read_volume(path)
+        assert str(info.value) == (
+            f"{path}: non-finite pixdim (1.0, 1.0, 1.0), vox_offset {offset} or affine")
+
+    def test_negative_infinite_pixdim_is_non_positive(self, tmp_path):
+        path = tmp_path / "pd.nii"
+        write_raw(path, minimal_header(pixdim=(1.0, -math.inf, 1.0)), bytes(64))
+        with pytest.raises(BadHeaderError) as info:
+            read_volume(path)
+        assert str(info.value) == f"{path}: non-positive pixdim (1.0, -inf, 1.0)"
+
+    @pytest.mark.parametrize("form", ["sform", "qform"])
+    def test_non_finite_affine(self, tmp_path, form):
+        buf = bytearray(minimal_header())
+        if form == "sform":
+            struct.pack_into("<h", buf, 254, 1)
+            struct.pack_into("<12f", buf, 280, 1, 0, 0, 0, 0, 1, 0, math.inf, 0, 0, 1, 0)
+        else:  # sform_code 0
+            struct.pack_into("<h", buf, 252, 1)
+            struct.pack_into("<6f", buf, 256, 0.0, math.nan, 0.0, 0.0, 0.0, 0.0)
+        path = tmp_path / "a.nii"
+        write_raw(path, bytes(buf), bytes(64))
+        for read in (read_volume, lambda p: read_voxels(p, np.arange(3), make_mask(
+                np.zeros((4, 4, 4), bool)))):
+            with pytest.raises(BadHeaderError) as info:
+                read(path)
+            assert str(info.value) == (
+                f"{path}: non-finite pixdim (1.0, 1.0, 1.0), vox_offset 352.0 or affine")
+
+    def test_an_uncoded_non_finite_sform_is_not_read(self, tmp_path):
+        buf = bytearray(minimal_header(pixdim=(2.0, 3.0, 4.0)))
+        struct.pack_into("<12f", buf, 280, *[math.nan] * 12)  # sform_code stays 0
+        path = tmp_path / "a.nii"
+        write_raw(path, bytes(buf), bytes(64))
+        assert read_volume(path).affine.tolist() == [[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 4, 0]]
 
     def test_zero_grid_extent(self, tmp_path):
         path = tmp_path / "z.nii"
@@ -290,6 +344,15 @@ def test_true_four_d_rejected(tmp_path):
     write_raw(path, bytes(buf), bytes(128))
     with pytest.raises(UnsupportedFormatError):
         read_volume(path)
+
+
+def test_no_transform_affine_is_the_spacing_diagonal(tmp_path):
+    # qform_code = sform_code = 0 and unequal spacings: each on its own axis
+    path = tmp_path / "n.nii"
+    write_raw(path, minimal_header(pixdim=(2.0, 3.0, 4.0)), bytes(64))
+    vol = read_volume(path)
+    assert vol.affine.tolist() == [[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 4, 0]]
+    assert vol.spacing == (2.0, 3.0, 4.0)
 
 
 def test_qform_affine_fallback(tmp_path):
@@ -680,6 +743,22 @@ class TestStreamingRead:
         index = np.sort(np.random.default_rng(2).choice(grid.size, 50, replace=False))
         assert np.array_equal(read_voxels(path, index, mask), grid.ravel("F")[index])
 
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+    def test_bytes_past_the_last_voxel_across_a_block_edge(self, grid, tmp_path, monkeypatch,
+                                                           suffix):
+        # the voxels span many pieces, and the one that ends them goes on
+        # with nonzero bytes that are no voxel
+        raw = write_nifti(tmp_path / "g.nii", grid, 64).read_bytes() + b"\x01" * 40
+        path = tmp_path / f"tail{suffix}"
+        path.write_bytes(gzip.compress(raw) if suffix == ".nii.gz" else raw)
+        monkeypatch.setattr(nifti, "_BLOCK", 97)
+        monkeypatch.setattr(nifti, "_PIECE", 131)
+        assert np.array_equal(gather_all(path, grid.shape), grid)
+        mask = read_volume(path)
+        assert np.array_equal(mask.fg_index, np.flatnonzero(grid.ravel("F")))
+        inside, found = read_mask_voxels(path, np.arange(grid.size), mask)
+        assert found and np.array_equal(inside, grid.ravel("F") != 0)
+
     def test_voxel_straddles_a_default_block_edge(self, tmp_path):
         # vox_offset 356: (2**18 - 356) is not a multiple of 8, so one
         # float64 voxel is split across the first two 256 kB file blocks
@@ -734,6 +813,21 @@ class TestStreamingRead:
         with pytest.raises(DimMismatchError) as info:
             read_volume(path, shifted, strict=True)
         assert str(info.value) == f"{path}: affines differ beyond 1e-4 in strict grid mode"
+
+    def test_strict_read_compares_spacings(self, grid, tmp_path):
+        # the same affine, but another spacing: dims and affine alone let it pass
+        path = write_nifti(tmp_path / "g.nii.gz", grid, 64)
+        coarse = BinaryMask.from_index(np.arange(3), grid.shape, (1.0, 2.0, 1.0), np.eye(3, 4))
+        assert read_volume(path, coarse).dims == grid.shape
+        for read in (lambda g: read_volume(path, g, strict=True),
+                     lambda g: read_voxels(path, np.arange(3), g, strict=True)):
+            with pytest.raises(DimMismatchError) as info:
+                read(coarse)
+            assert str(info.value) == (f"{path}: spacings differ beyond 1e-4 in strict grid "
+                                       f"mode: (1.0, 1.0, 1.0) vs (1.0, 2.0, 1.0)")
+            near = BinaryMask.from_index(np.arange(3), grid.shape, (1.0, 1.00005, 1.0),
+                                         np.eye(3, 4))
+            read(near)  # within 1e-4
 
     def test_gather_checks_the_grid(self, grid, tmp_path):
         path = write_nifti(tmp_path / "g.nii.gz", grid, 64)
@@ -1106,6 +1200,16 @@ class TestBinaryMaskForms:
         assert np.array_equal(sparse.data, data) and np.array_equal(dense.fg_index, sparse.fg_index)
         assert sparse.dims == dense.dims == shape
         assert np.array_equal(sparse.affine, dense.affine) and sparse.spacing == dense.spacing
+
+    @pytest.mark.parametrize("spacing", [(math.nan, 1, 1), (1, math.inf, 1)])
+    def test_non_finite_spacing_is_named(self, spacing):
+        builds = (lambda: Volume3D(np.zeros((2, 2, 2)), spacing, np.eye(3, 4)),
+                  lambda: BinaryMask(np.zeros((2, 2, 2), bool), spacing, np.eye(3, 4)),
+                  lambda: BinaryMask.from_index(np.arange(3), (2, 2, 2), spacing, np.eye(3, 4)))
+        for build in builds:
+            with pytest.raises(BadHeaderError) as raised:
+                build()
+            assert str(raised.value) == f"non-finite voxel spacing {tuple(map(float, spacing))}"
 
     def test_index_form_checks_its_spacing(self):
         with pytest.raises(BadHeaderError):

@@ -65,6 +65,18 @@ class TestGenerate:
         with pytest.raises(InfeasiblePackingError):
             generate(spec)
 
+    def test_infeasible_spec_draws_300_candidates_per_tube(self, monkeypatch):
+        # no candidate fits the grid, so each is rejected until the budget
+        # of 300 draws per tube is spent
+        drawn, polyline = [], phantom._polyline
+        monkeypatch.setattr(phantom, "_polyline",
+                            lambda rng, spec: drawn.append(1) or polyline(rng, spec))
+        spec = small_spec(dims=(8, 8, 8), n_tubes=2, length_range=(30.0, 31.0))
+        with pytest.raises(InfeasiblePackingError) as got:
+            generate(spec)
+        assert len(drawn) == 600
+        assert str(got.value) == "placed 0/2 tubes in (8, 8, 8) with clearance 3.0"
+
     def test_validation(self):
         with pytest.raises(BadParameterError):
             generate(small_spec(clearance=1.0))
@@ -72,6 +84,21 @@ class TestGenerate:
             generate(small_spec(radius_range=(2.0, 1.0)))
         with pytest.raises(BadParameterError):
             generate(small_spec(n_tubes=-1))
+
+    @pytest.mark.parametrize("bounds", [(0.0, 2.0), (2.0, 1.0)])
+    @pytest.mark.parametrize("field, name", [("radius_range", "radius"),
+                                             ("length_range", "length")])
+    def test_range_from_zero_or_reversed_is_rejected(self, field, name, bounds):
+        with pytest.raises(BadParameterError) as got:
+            generate(small_spec(**{field: bounds}))
+        assert str(got.value) == f"bad {name} range {bounds}"
+
+    @pytest.mark.parametrize("bound", [0.5, 10.0])
+    def test_ranges_with_equal_bounds_are_accepted(self, bound):
+        # lo == hi, down to a length of half a voxel and a radius of 0.1
+        _, truth, count = generate(small_spec(radius_range=(bound / 5, bound / 5),
+                                              length_range=(bound, bound)))
+        assert count == 3 and label_components(truth, 26).component_count == 3
 
     def test_clearance_of_exactly_two_keeps_tubes_apart(self):
         spec = small_spec(dims=(32, 32, 32), n_tubes=6, clearance=2.0, seed=2)

@@ -243,3 +243,20 @@ class TestCompareModels:
         report = report_from({"s1": {"m": 0.5}})
         with pytest.raises(OutOfRangeError):
             compare_models(report, report, ["m"], q=1.5)
+
+    @pytest.mark.parametrize("q", [0.0, 1.0])
+    def test_q_of_0_or_1_is_rejected(self, q):
+        report = report_from({"s1": {"m": 0.5}})
+        with pytest.raises(OutOfRangeError) as got:
+            compare_models(report, report, ["m"], q=q)
+        assert str(got.value) == f"q must lie in (0, 1), got {q}"
+
+    def test_p_fdr_equal_to_q_is_significant(self):
+        # one test, so p_fdr is p_raw: n = 5 distinct positive differences
+        # give the exact p 2/32, and q at that value counts it
+        a = report_from({f"s{j}": {"m": 1.0 + j} for j in range(5)})
+        b = report_from({f"s{j}": {"m": 0.0} for j in range(5)})
+        (res,) = compare_models(a, b, ["m"], q=2 / 32)
+        assert res.p_fdr == res.p_raw == 2 / 32 and res.significant
+        (res,) = compare_models(a, b, ["m"], q=math.nextafter(2 / 32, 0))
+        assert not res.significant
